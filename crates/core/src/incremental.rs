@@ -51,6 +51,15 @@ use crate::signature::{ConnectivityIndex, ResidualIndex};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
 use crate::success_driven::{Search, SigKey, SignatureMode, SuccessDrivenAllSat};
 
+/// Search effort, as a multiple of the last inprocessing pass's cost, that
+/// must accumulate before [`IncrementalAllSat::retire`] runs another pass.
+/// A pass costs the propagations it spends plus the clause-arena words its
+/// rounds scan, so however large the arena grows, inprocessing work stays
+/// at most half the search propagations it serves. EXPERIMENTS.md R13
+/// sizes the multiple: at 2 the passes still subsume nearly as many
+/// clauses as a pass at every retirement did, at 10 about a third fewer.
+const INPROCESS_EFFORT_RATIO: u64 = 2;
+
 /// An all-SAT engine whose solver, solution graph, and signature cache
 /// persist across `enumerate` calls over one monotonically growing formula.
 ///
@@ -124,6 +133,13 @@ pub struct IncrementalAllSat {
     pending_subsumed: u64,
     pending_strengthened: u64,
     pending_vivified: u64,
+    /// Search propagations reported by enumeration calls (sequential or
+    /// partitioned) since the last inprocessing pass.
+    search_props: u64,
+    /// Cost of the last inprocessing pass: the propagations it spent plus
+    /// the clause-arena words it scanned (zero before the first pass, so
+    /// the first retirement always inprocesses).
+    inprocess_cost: u64,
 }
 
 impl IncrementalAllSat {
@@ -170,6 +186,8 @@ impl IncrementalAllSat {
             pending_subsumed: 0,
             pending_strengthened: 0,
             pending_vivified: 0,
+            search_props: 0,
+            inprocess_cost: 0,
         }
     }
 
@@ -198,13 +216,28 @@ impl IncrementalAllSat {
     /// Retirement is also the session's inprocessing point: with the
     /// solver's [`presat_sat::SolverConfig::inprocess`] knob on (the
     /// default), the surviving problem and learnt clauses are subsumed,
-    /// strengthened, and vivified at the root. Inprocessing is
-    /// equivalence-preserving, so enumeration results are unchanged — only
-    /// the work counters and the live clause volume move.
+    /// strengthened, and vivified at the root. The pass is scheduled by
+    /// effort, not run at every retirement: the first retirement always
+    /// inprocesses, and each later one only once the search propagations
+    /// of the enumeration calls since the last pass reach twice that
+    /// pass's cost (its propagations plus the clause-arena words its
+    /// rounds scanned). Inprocessing is equivalence-preserving, so
+    /// enumeration results are unchanged — only the work counters and the
+    /// live clause volume move.
     pub fn retire(&mut self, act: Lit) -> u64 {
         let before = *self.solver.stats();
         let removed = self.solver.retire_group(act);
-        self.solver.inprocess();
+        if self.search_props >= INPROCESS_EFFORT_RATIO * self.inprocess_cost {
+            let props = self.solver.stats().propagations;
+            // The arena stores clauses as 4-byte words; every round of the
+            // pass reads all of them.
+            let words = self.solver.arena_bytes() as u64 / 4;
+            self.solver.inprocess();
+            let after = self.solver.stats();
+            let rounds = after.inprocess_rounds - before.inprocess_rounds;
+            self.inprocess_cost = after.propagations - props + rounds * words;
+            self.search_props = 0;
+        }
         let after = self.solver.stats();
         self.pending_compactions += after.db_compactions - before.db_compactions;
         self.pending_reclaimed += after.clauses_reclaimed - before.clauses_reclaimed;
@@ -216,7 +249,7 @@ impl IncrementalAllSat {
     }
 
     /// Enables or disables the solver's root-level inprocessing at
-    /// retirement points (on by default; see
+    /// effort-scheduled retirement points (on by default; see
     /// [`IncrementalAllSat::retire`]).
     pub fn set_inprocess(&mut self, on: bool) {
         self.solver.set_inprocess(on);
@@ -364,6 +397,9 @@ impl IncrementalAllSat {
                 sink.record(&Event::BudgetStop { reason });
             }
         }
+        // The search effort that schedules `retire`'s next inprocessing
+        // pass. (The pending counters folded below add no propagations.)
+        self.search_props += stats.sat.propagations;
         // Attribute between-call garbage collection (from `retire`) to
         // this call's snapshot, exactly once.
         stats.sat.db_compactions += self.pending_compactions;

@@ -206,6 +206,8 @@ impl Stats {
             "sat_conflicts",
             "sat_restarts",
             "sat_learnt_clauses",
+            "sat_deleted_clauses",
+            "sat_problem_clauses",
             "sat_arena_bytes",
             "sat_db_compactions",
             "sat_clauses_reclaimed",
@@ -254,6 +256,8 @@ impl Stats {
             self.sat.conflicts,
             self.sat.restarts,
             self.sat.learnt_clauses,
+            self.sat.deleted_clauses,
+            self.sat.problem_clauses,
             self.sat.arena_bytes,
             self.sat.db_compactions,
             self.sat.clauses_reclaimed,

@@ -129,7 +129,8 @@ pub trait PreimageSession: Send {
     fn block_states(&mut self, states: &StateSet);
 
     /// Enables or disables root-level solver inprocessing at the
-    /// session's retirement boundaries. Inprocessing is
+    /// session's retirement boundaries, which a session may schedule by
+    /// search effort rather than run at every one. Inprocessing is
     /// equivalence-preserving, so results never change — only work
     /// counters and the live clause volume. The default is a no-op for
     /// sessions with no inprocessing machinery.

@@ -28,11 +28,14 @@ pub struct ReachOptions {
     /// solver so they are never re-derived. Bit-identical results either
     /// way; engines without sessions silently use the per-call path.
     pub incremental: bool,
-    /// Run root-level solver inprocessing at the session's retirement
-    /// boundaries (the default). Equivalence-preserving — the report is
-    /// identical either way — but keeps the persistent solver's live
-    /// clause volume down over deep fixed points. Ignored on the per-call
-    /// path (`incremental == false`), which rebuilds the solver anyway.
+    /// Run root-level solver inprocessing in the session (the default): at
+    /// the first retirement boundary, then at later ones once the search
+    /// effort since the last pass outweighs that pass's cost (see
+    /// [`presat_allsat::IncrementalAllSat::retire`]). Equivalence-preserving
+    /// — the report is identical either way — but keeps the persistent
+    /// solver's live clause volume down over deep fixed points. Ignored on
+    /// the per-call path (`incremental == false`), which rebuilds the
+    /// solver anyway.
     pub inprocess: bool,
     /// Resource budget for each individual preimage call (counter limits
     /// reset every iteration; a deadline here is absolute and so in

@@ -134,10 +134,11 @@ impl SatPreimage {
 
     /// Enables or disables root-level inprocessing in incremental sessions
     /// (on by default). Only sessions inprocess — retirement boundaries
-    /// are where stale groups make subsumption and vivification pay — so
-    /// this has no effect on the per-call (rebuild) path or on the
-    /// blocking baselines. Results are identical either way; only work
-    /// counters and memory move.
+    /// are where stale groups make subsumption and vivification pay, and
+    /// the session runs a pass there only once enough search effort has
+    /// accumulated — so this has no effect on the per-call (rebuild) path
+    /// or on the blocking baselines. Results are identical either way;
+    /// only work counters and memory move.
     pub fn with_inprocess(mut self, on: bool) -> Self {
         self.inprocess = on;
         self

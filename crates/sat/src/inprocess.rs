@@ -1,7 +1,8 @@
 //! Root-level inprocessing over the flat clause arena.
 //!
 //! [`Solver::inprocess`] runs at session boundaries (after an activation
-//! group retires) and strengthens the clause database in place with three
+//! group retires, when the session's effort schedule calls for a pass)
+//! and strengthens the clause database in place with three
 //! equivalence-preserving rewrites:
 //!
 //! * **root reduction** — clauses satisfied by a level-0 literal are

@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# --workspace: the smokes below run the bench crate's binaries too, which a
+# plain build of the root package does not produce.
+cargo build --release --offline --workspace
 
 # The suite runs twice: sequential and multi-threaded enumeration. The
 # parallel determinism tests consult PRESAT_TEST_JOBS, so the =4 pass
@@ -42,6 +44,13 @@ PRESAT_TEST_INPROCESS=0 cargo test -q -p presat --test incremental --test inproc
 PRESAT_TEST_INPROCESS=1 cargo test -q -p presat --test incremental --test inprocess --offline
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The benchmark package (perf/, a workspace of its own) reads the library
+# crates' pub API field by field — counters, job accessors, engine
+# options — so build, test and lint it here: a library change that breaks
+# the benchmark fails tier-1, not the next benchmark run.
+cargo test --release --offline --manifest-path perf/Cargo.toml
+cargo clippy --release --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
 # Lint gate: unordered float comparisons must use total_cmp, never
 # partial_cmp(..).expect(..) — NaN-poisoned activities once turned a sort

@@ -34,8 +34,10 @@
 //! output is bit-identical regardless.
 //! `--no-inprocess` disables root-level solver inprocessing at incremental
 //! session boundaries (subsumption, self-subsuming resolution,
-//! vivification). Inprocessing is equivalence-preserving, so results are
-//! identical either way — only work counters and live clause volume move.
+//! vivification), which the session otherwise runs at the first boundary
+//! and then whenever the search since the last pass outweighs its cost.
+//! Inprocessing is equivalence-preserving, so results are identical
+//! either way — only work counters and live clause volume move.
 //! Combining `--engine` with an option the selected engine ignores prints
 //! a one-line warning on stderr naming the options that engine consumes.
 //! `reach` drives the fixed point through one persistent solver session by
@@ -133,9 +135,10 @@ fn print_usage() {
          \x20        --par-threshold <n>  size product below which a step\n\
          \x20                    runs sequentially despite --jobs (0 = always\n\
          \x20                    parallel)\n\
-         \x20        --no-inprocess  disable root-level inprocessing at\n\
-         \x20                    incremental session boundaries (results are\n\
-         \x20                    identical either way; only counters move)\n\
+         \x20        --no-inprocess  disable root-level inprocessing, which\n\
+         \x20                    incremental sessions schedule by search\n\
+         \x20                    effort (results are identical either way;\n\
+         \x20                    only counters move)\n\
          \x20        --timeout-ms <n>       wall-clock budget (solve/allsat/reach);\n\
          \x20                    on expiry the run stops with a partial result\n\
          \x20                    flagged incomplete, never a fake UNSAT\n\

@@ -13,7 +13,9 @@
 //!   and against the exhaustive-simulation oracle;
 //! * mid-session round trips (enumerate → retire/inprocess → enumerate)
 //!   at 1 and 4 worker threads, each round pinned to the BDD projection
-//!   of an equivalent monolithic formula.
+//!   of an equivalent monolithic formula;
+//! * the session's effort schedule: a deep fixed point inprocesses far
+//!   less often than it retires groups, yet still subsumes clauses.
 //!
 //! `scripts/verify.sh` runs the suite at `PRESAT_TEST_INPROCESS=0` and
 //! `=1`, so every oracle comparison here is exercised in both modes.
@@ -108,8 +110,8 @@ fn inprocessing_preserves_models_on_random_cnfs_vs_bdd_oracle() {
     }
 }
 
-/// Repeated inprocessing (the session pattern: a pass after every
-/// retirement) must stay sound — later passes see the strengthened
+/// Repeated inprocessing (the session pattern: passes at successive
+/// retirements) must stay sound — later passes see the strengthened
 /// formula, not the original, and still may not lose or invent models.
 #[test]
 fn repeated_inprocessing_rounds_stay_equivalent() {
@@ -136,9 +138,10 @@ fn repeated_inprocessing_rounds_stay_equivalent() {
 }
 
 /// One backward-reachability fixed point per circuit family, inprocessing
-/// on vs. off and against the exhaustive-simulation oracle. Inprocessing
-/// runs at every retirement boundary inside the incremental session, so a
-/// deep fixed point exercises it dozens of times per circuit.
+/// on vs. off and against the exhaustive-simulation oracle. Inside the
+/// incremental session a pass runs at the first retirement and then
+/// whenever enough search effort has accumulated, so every circuit here
+/// is inprocessed at least once.
 fn assert_family_reach_invariant(circuit: &Circuit, target: &StateSet) {
     let n = circuit.num_latches();
     let expect = oracle::backward_reachable_bits(circuit, target);
@@ -223,10 +226,15 @@ fn embedded_benchmarks_preserve_reachability_under_inprocessing() {
     assert_family_reach_invariant(&ctl2, &StateSet::from_state_bits(0, n));
 }
 
-/// Mid-session round trip: enumerate → retire (inprocessing fires) →
+/// Mid-session round trip: enumerate → retire (inprocessing may fire) →
 /// enumerate, ten rounds deep, with the inprocessing-on session compared
 /// against an inprocessing-off twin *and* against the BDD projection of
 /// an equivalent monolithic formula every round.
+///
+/// The session inprocesses at its first retirement and then only once
+/// enough search effort has accumulated. The on-session must still
+/// inprocess at least twice after that first pass, read from the per-call
+/// stats that carry each pass's counters.
 fn mid_session_round_trip(jobs: usize) {
     let n = 6;
     let mut rng = SplitMix64::seed_from_u64(FUZZ_SEED ^ (0x40B + jobs as u64));
@@ -251,6 +259,9 @@ fn mid_session_round_trip(jobs: usize) {
     let mut group_clauses: Vec<Vec<Lit>> = Vec::new();
     let mut retired: Vec<Lit> = Vec::new();
     let mut num_vars = n;
+    // Inprocessing rounds each call's stats carry: the pass (if any) run
+    // by the retirement just before it.
+    let mut rounds_per_call: Vec<u64> = Vec::new();
     for round in 0..10 {
         let act_on = Lit::pos(on.add_var());
         let act_off = Lit::pos(off.add_var());
@@ -274,6 +285,8 @@ fn mid_session_round_trip(jobs: usize) {
             got_off.cubes.cubes(),
             "round {round} (jobs {jobs}): inprocessing changed the enumeration"
         );
+        assert_eq!(got_off.stats.sat.inprocess_rounds, 0, "round {round}");
+        rounds_per_call.push(got_on.stats.sat.inprocess_rounds);
 
         let mut mirror = Cnf::new(num_vars);
         for c in base_clauses.iter().chain(group_clauses.iter()) {
@@ -293,11 +306,20 @@ fn mid_session_round_trip(jobs: usize) {
             "round {round} (jobs {jobs}): session diverges from the BDD projection"
         );
 
-        // Retirement triggers the next inprocessing pass on `on`.
+        // Retirement may run the next inprocessing pass on `on`.
         retired.push(act_on);
         on.retire(act_on);
         off.retire(act_off);
     }
+    // Call 0 precedes every retirement and call 1 follows the first,
+    // which always inprocesses; later calls show the effort schedule.
+    assert_eq!(rounds_per_call[0], 0, "jobs {jobs}: {rounds_per_call:?}");
+    assert!(rounds_per_call[1] > 0, "jobs {jobs}: {rounds_per_call:?}");
+    let later_passes = rounds_per_call[2..].iter().filter(|&&r| r > 0).count();
+    assert!(
+        later_passes >= 2,
+        "jobs {jobs}: only {later_passes} mid-session passes after the first: {rounds_per_call:?}"
+    );
 }
 
 #[test]
@@ -308,6 +330,48 @@ fn mid_session_round_trip_at_jobs_1() {
 #[test]
 fn mid_session_round_trip_at_jobs_4() {
     mid_session_round_trip(4);
+}
+
+/// The session schedules inprocessing by search effort, not at every
+/// retirement: a 256-iteration fixed point retires 256 groups, but a pass
+/// at every one of them (about two rounds each) would cost several times
+/// the search it serves. At most one round per eight iterations may run,
+/// the passes that do run must still subsume clauses, and the reached set
+/// must match the inprocessing-off run cube for cube.
+#[test]
+fn deep_fixed_point_inprocesses_by_effort_not_per_retirement() {
+    let circuit = generators::counter(8, false);
+    let target = StateSet::from_state_bits(0, 8);
+    let run = |inprocess: bool| {
+        backward_reach(
+            &SatPreimage::success_driven(),
+            &circuit,
+            &target,
+            ReachOptions {
+                incremental: true,
+                inprocess,
+                ..ReachOptions::default()
+            },
+        )
+    };
+    let on = run(true);
+    let off = run(false);
+    assert!(on.converged && on.complete);
+    assert_eq!(on.iterations.len(), 256);
+    let sat = &on.stats.allsat.sat;
+    let cap = on.iterations.len() as u64 / 8;
+    assert!(
+        sat.inprocess_rounds > 0 && sat.inprocess_rounds <= cap,
+        "{} inprocessing rounds over {} iterations (cap {cap})",
+        sat.inprocess_rounds,
+        on.iterations.len()
+    );
+    assert!(
+        sat.subsumed_clauses > 0,
+        "the scheduled passes subsumed nothing"
+    );
+    assert_eq!(off.stats.allsat.sat.inprocess_rounds, 0);
+    assert_eq!(on.reached.cubes(), off.reached.cubes());
 }
 
 /// Env-parameterized oracle check: the whole-fixed-point comparison runs

@@ -5,7 +5,7 @@
 use presat::allsat::{AllSatEngine, AllSatProblem, BlockingAllSat, SuccessDrivenAllSat};
 use presat::circuit::generators;
 use presat::logic::{Cnf, Lit, Var};
-use presat::obs::{json, Event, Stats, VecSink};
+use presat::obs::{json, Event, SatCounters, Stats, VecSink};
 use presat::preimage::{
     backward_reach_with_sink, PreimageEngine, ReachOptions, SatPreimage, StateSet,
 };
@@ -189,5 +189,62 @@ fn csv_rows_align_with_header_for_every_engine() {
         let result = engine.preimage(&c, &target);
         let row = Stats::from_preimage(engine.name(), &result.stats).to_csv_row();
         assert_eq!(row.split(',').count(), header_width, "{}", engine.name());
+    }
+}
+
+/// The `name: value` pairs of the flat all-numeric JSON object stored
+/// under `key` in `text`.
+fn json_object_fields(text: &str, key: &str) -> Vec<(String, u64)> {
+    let open = format!("\"{key}\":{{");
+    let start = text.find(&open).expect("object present") + open.len();
+    let len = text[start..].find('}').expect("object closed");
+    text[start..start + len]
+        .split(',')
+        .map(|field| {
+            let (name, value) = field.split_once(':').expect("name:value field");
+            let value = value
+                .parse()
+                .unwrap_or_else(|_| panic!("non-numeric {field}"));
+            (name.trim_matches('"').to_string(), value)
+        })
+        .collect()
+}
+
+#[test]
+fn every_json_sat_counter_has_a_matching_csv_column() {
+    // Distinct values, so a column that reads the wrong field shows.
+    let sat = SatCounters {
+        solves: 1,
+        decisions: 2,
+        propagations: 3,
+        binary_skips: 4,
+        conflicts: 5,
+        restarts: 6,
+        learnt_clauses: 7,
+        deleted_clauses: 8,
+        problem_clauses: 9,
+        arena_bytes: 10,
+        db_compactions: 11,
+        clauses_reclaimed: 12,
+        inprocess_rounds: 13,
+        subsumed_clauses: 14,
+        strengthened_lits: 15,
+        vivified_clauses: 16,
+        lookahead_probes: 17,
+    };
+    let stats = Stats::from_sat("cdcl", &sat);
+    let header = Stats::csv_header();
+    let row = stats.to_csv_row();
+    let csv: Vec<(&str, &str)> = header.split(',').zip(row.split(',')).collect();
+    let fields = json_object_fields(&stats.to_json(), "sat");
+    assert_eq!(fields.len(), 17, "{fields:?}");
+    for (name, value) in fields {
+        let column = format!("sat_{name}");
+        let cell = csv
+            .iter()
+            .find(|(h, _)| *h == column)
+            .unwrap_or_else(|| panic!("csv header lacks {column}: {header}"))
+            .1;
+        assert_eq!(cell, value.to_string(), "{column}");
     }
 }
