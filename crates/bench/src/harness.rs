@@ -119,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn durations_format_with_adaptive_units() {
+    fn durations_format_in_adaptive_units() {
         assert_eq!(fmt_duration(Duration::from_nanos(870)), "870ns");
         assert_eq!(fmt_duration(Duration::from_micros(12)), "12.00µs");
         assert_eq!(fmt_duration(Duration::from_millis(3)), "3.00ms");

@@ -46,7 +46,7 @@ use presat_sat::{Budget, Solver};
 
 use crate::engine::{AllSatResult, EnumerationStats};
 use crate::limits::EnumLimits;
-use crate::parallel::{enumerate_partitioned, ParTuning};
+use crate::parallel::{enumerate_partitioned, gates_sequential};
 use crate::signature::{ConnectivityIndex, ResidualIndex};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
 use crate::success_driven::{Search, SigKey, SignatureMode, SuccessDrivenAllSat};
@@ -101,10 +101,10 @@ const INPROCESS_EFFORT_RATIO: u64 = 2;
 pub struct IncrementalAllSat {
     config: SuccessDrivenAllSat,
     jobs: usize,
-    /// Parallel-partitioner tuning (adaptive splitting, spawn gate). The
-    /// default keeps `par_threshold = 0` so a session constructed with
-    /// `jobs > 1` always partitions; the preimage layer raises the gate.
-    tuning: ParTuning,
+    /// Spawn gate of the parallel partitioner. The default `0` makes a
+    /// session constructed with `jobs > 1` always partition; the preimage
+    /// layer raises the gate.
+    par_threshold: u64,
     /// Mirror of the solver's problem clauses (not its learnt clauses):
     /// the signature machinery reads clause *contents*, which the solver
     /// does not expose. Retired groups stay in the mirror — their
@@ -172,7 +172,7 @@ impl IncrementalAllSat {
         IncrementalAllSat {
             config,
             jobs,
-            tuning: ParTuning::default(),
+            par_threshold: 0,
             cnf,
             important,
             solver,
@@ -255,10 +255,11 @@ impl IncrementalAllSat {
         self.solver.set_inprocess(on);
     }
 
-    /// Sets the parallel-partitioner tuning (adaptive cube splitting and
-    /// the sequential spawn gate) used by `jobs > 1` enumerations.
-    pub fn set_tuning(&mut self, tuning: ParTuning) {
-        self.tuning = tuning;
+    /// Sets the spawn gate of `jobs > 1` enumerations: calls whose
+    /// `important × clauses` product falls below `threshold` run
+    /// sequentially (`0` = always partition).
+    pub fn set_par_threshold(&mut self, threshold: u64) {
+        self.par_threshold = threshold;
     }
 
     /// Number of live learnt clauses currently carried by the persistent
@@ -315,14 +316,13 @@ impl IncrementalAllSat {
         let mut stats;
         let root;
         let stop: Option<StopReason>;
-        if jobs > 1 && k > 0 && !self.tuning.gates_sequential(k, self.cnf.num_clauses()) {
+        if jobs > 1 && k > 0 && !gates_sequential(self.par_threshold, k, self.cnf.num_clauses()) {
             // Partitioned: workers clone the persistent solver at the root
             // (inheriting its learnt clauses and phases) and merge into the
             // persistent graph. Per-worker learnts die with the workers —
             // learnt *carrying* is the sequential path's job.
             let (r, s, st) = enumerate_partitioned(
                 self.config,
-                self.tuning,
                 jobs,
                 &self.cnf,
                 &self.important,
@@ -363,7 +363,6 @@ impl IncrementalAllSat {
                 stats: EnumerationStats::default(),
                 prefix_lits: assumptions.to_vec(),
                 prefix_vals: Vec::with_capacity(k),
-                forced: Vec::new(),
                 model_guidance: self.config.model_guidance,
                 sink,
                 max_solutions: limits.max_solutions,

@@ -60,26 +60,21 @@ mod incremental;
 mod iter;
 mod lift;
 mod limits;
-mod min_blocking;
 mod ordering;
 mod parallel;
 mod signature;
 mod solution_graph;
 mod success_driven;
 
-pub use blocking::BlockingAllSat;
+pub use blocking::{BlockingAllSat, MinimizedBlockingAllSat};
 pub use chrono::ChronoAllSat;
 pub use engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 pub use incremental::IncrementalAllSat;
 pub use iter::CubeIter;
 pub use lift::lift_cube;
 pub use limits::EnumLimits;
-pub use min_blocking::MinimizedBlockingAllSat;
 pub use ordering::{order_important, BranchOrder};
-pub use parallel::{
-    effective_jobs, enumerate_detailed, ParTuning, ParallelAllSat, DEFAULT_PAR_THRESHOLD,
-    DEFAULT_SPLIT_THRESHOLD,
-};
+pub use parallel::{effective_jobs, enumerate_detailed, ParallelAllSat, DEFAULT_PAR_THRESHOLD};
 pub use signature::{ConnectivityIndex, ResidualIndex};
 pub use solution_graph::{SolutionGraph, SolutionNodeId};
 pub use success_driven::{SignatureMode, SuccessDrivenAllSat};

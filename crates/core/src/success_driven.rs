@@ -122,14 +122,9 @@ impl SuccessDrivenAllSat {
 /// Exact cache key; never hashed lossily, so reuse cannot be unsound.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) enum SigKey {
-    /// Depth, connectivity signature of the prefix, and the *forced*
-    /// suffix `(depth, phase)` pairs still ahead (partition-cube levels —
-    /// empty in sequential mode). Two prefixes only share a subspace if
-    /// the constraints the cube imposes below this depth agree too.
-    Static(u32, Vec<bool>, Vec<(u32, bool)>),
-    /// Depth, unit-implied suffix values, residual suffix cone. (Forced
-    /// cube literals ride in `prefix_lits`, so they already show up in the
-    /// implied suffix values — no extra component needed.)
+    /// Depth and connectivity signature of the prefix.
+    Static(u32, Vec<bool>),
+    /// Depth, unit-implied suffix values, residual suffix cone.
     Dynamic(u32, Vec<(u32, bool)>, ResidualSignature),
 }
 
@@ -156,16 +151,6 @@ pub(crate) struct Search<'p> {
     pub(crate) stats: EnumerationStats,
     pub(crate) prefix_lits: Vec<Lit>,
     pub(crate) prefix_vals: Vec<bool>,
-    /// Branching levels pinned by a partition cube (indexed by depth;
-    /// empty when nothing is forced, as in sequential mode). A forced
-    /// level does not branch: the forced phase's child is explored, the
-    /// other child is `BOTTOM` by construction, and the forced literal is
-    /// expected to already sit in `prefix_lits` as a base assumption.
-    /// Exploring the full important-variable tree this way yields the
-    /// canonical reduced DAG of `f ∧ cube`, which is what makes the
-    /// adaptive parallel merge (union over disjoint cubes) bit-identical
-    /// to the sequential result.
-    pub(crate) forced: Vec<Option<bool>>,
     pub(crate) model_guidance: bool,
     pub(crate) sink: &'p mut dyn ObsSink,
     /// Solution-count cap ([`EnumLimits::max_solutions`]); solutions are
@@ -187,17 +172,9 @@ impl Search<'_> {
     /// the prefix already conflicts (the subspace is empty).
     fn signature_at(&mut self, depth: usize) -> Option<Result<SigKey, ()>> {
         if let Some(conn) = &self.conn {
-            let forced_suffix: Vec<(u32, bool)> = self
-                .forced
-                .iter()
-                .enumerate()
-                .skip(depth)
-                .filter_map(|(d, p)| p.map(|b| (d as u32, b)))
-                .collect();
             return Some(Ok(SigKey::Static(
                 depth as u32,
                 conn.signature(depth, &self.prefix_vals).1,
-                forced_suffix,
             )));
         }
         let residual = self.residual.as_ref()?;
@@ -278,27 +255,6 @@ impl Search<'_> {
         };
 
         let var = self.important[depth];
-        if let Some(phase) = self.forced.get(depth).copied().flatten() {
-            // Partition-cube level: no branch. The forced literal already
-            // sits in `prefix_lits` as a base assumption, so only the
-            // branching-value vector advances; the opposite child is empty
-            // by construction (the cube partitions the space).
-            self.prefix_vals.push(phase);
-            let child = self.explore(depth + 1, self.model_guidance.then_some(model));
-            self.prefix_vals.pop();
-            let (lo, hi) = if phase {
-                (SolutionNodeId::BOTTOM, child)
-            } else {
-                (child, SolutionNodeId::BOTTOM)
-            };
-            let node = self.graph.mk(depth, lo, hi);
-            if let Some(sig) = sig {
-                if self.stopped.is_none() {
-                    self.cache.insert(sig, node);
-                }
-            }
-            return node;
-        }
         let hint_phase = model
             .value(var)
             .expect("solver models are total over the formula space");
@@ -374,7 +330,6 @@ impl AllSatEngine for SuccessDrivenAllSat {
             stats: EnumerationStats::default(),
             prefix_lits: Vec::with_capacity(k),
             prefix_vals: Vec::with_capacity(k),
-            forced: Vec::new(),
             model_guidance: self.model_guidance,
             sink,
             max_solutions: limits.max_solutions,

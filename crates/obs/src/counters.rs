@@ -50,8 +50,9 @@ pub struct SatCounters {
     /// Clauses shortened by vivification (assume the negated clause
     /// literal-by-literal under propagation, keep the implied core).
     pub vivified_clauses: u64,
-    /// Lookahead probes (`probe_lit`) run to score candidate splitting
-    /// variables for adaptive cube-and-conquer partitioning.
+    /// Always 0. Counted the lookahead probes of the retired adaptive cube
+    /// tree; the field, its JSON key and CSV column stay until the perf
+    /// suite stops reading them.
     pub lookahead_probes: u64,
 }
 
@@ -135,15 +136,16 @@ pub struct AllSatCounters {
     /// reads. Constant in the solution count for the chrono engine, linear
     /// for the blocking baselines.
     pub db_clauses_peak: u64,
-    /// Dynamic cube splits performed by the adaptive parallel engine: a
-    /// cube whose enumeration crossed the split threshold was abandoned
-    /// and re-queued as two child cubes.
+    /// Always 0. Counted the dynamic cube splits of the retired adaptive
+    /// cube tree; kept, like `steal_waits` and
+    /// [`SatCounters::lookahead_probes`], until the perf suite stops
+    /// reading it.
     pub cubes_split: u64,
     /// Peak CDCL conflict count spent inside one (finished) cube — a
     /// gauge of partition balance: absorbing snapshots takes the maximum.
     pub max_cube_conflicts: u64,
-    /// Times a parallel worker went to sleep waiting for the shared work
-    /// queue to refill (a gauge of fleet idleness under poor balance).
+    /// Always 0. Counted the waits of the retired adaptive cube tree's
+    /// work queue; the static partition's workers never block.
     pub steal_waits: u64,
     /// Literal-inclusion subsumption tests actually performed by the
     /// result cube store (after the signature prefilter).

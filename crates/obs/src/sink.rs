@@ -44,19 +44,6 @@ pub enum Event {
         /// CDCL sub-solver calls spent inside this cube's subspace.
         solver_calls: u64,
     },
-    /// The adaptive parallel engine split a running partition cube into
-    /// two children. Replayed at merge time in cube-*tree* DFS order
-    /// (immediately before the first leaf below the split), not in the
-    /// nondeterministic order splits happened at run time.
-    CubeSplit {
-        /// The split cube's path through the cube tree: bit *j* = phase
-        /// chosen at tree level *j* (low bits first).
-        path: u32,
-        /// Length of `path` in bits (tree depth of the split cube).
-        depth: u8,
-        /// Index of the important variable the cube was split on.
-        var: u32,
-    },
     /// One backward-reachability iteration completed.
     ReachIteration {
         /// 1-based iteration number (the fixed-point depth so far).

@@ -139,8 +139,8 @@ pub trait PreimageSession: Send {
     }
 
     /// Sets the parallel spawn gate (see
-    /// [`presat_allsat::ParTuning::par_threshold`]): enumerations whose
-    /// `important × clauses` product falls below `threshold` run
+    /// [`presat_allsat::ParallelAllSat::with_par_threshold`]): enumerations
+    /// whose `important × clauses` product falls below `threshold` run
     /// sequentially even when the session was opened with `jobs > 1`
     /// (`0` = always parallel). Results never change — the parallel and
     /// sequential paths are bit-identical — only scheduling does. The

@@ -2,7 +2,7 @@
 
 use presat_allsat::{
     AllSatEngine, AllSatProblem, AllSatResult, BlockingAllSat, ChronoAllSat, EnumLimits,
-    MinimizedBlockingAllSat, ParTuning, ParallelAllSat, SignatureMode, SuccessDrivenAllSat,
+    MinimizedBlockingAllSat, ParallelAllSat, SignatureMode, SuccessDrivenAllSat,
     DEFAULT_PAR_THRESHOLD,
 };
 use presat_circuit::Circuit;
@@ -57,7 +57,9 @@ pub struct SatPreimage {
     env: Option<CubeSet>,
     jobs: usize,
     inprocess: bool,
-    tuning: ParTuning,
+    /// Spawn gate of parallel enumerations (see
+    /// [`SatPreimage::with_par_threshold`]).
+    par_threshold: u64,
 }
 
 impl SatPreimage {
@@ -67,13 +69,10 @@ impl SatPreimage {
             env: None,
             jobs: 1,
             inprocess: true,
-            tuning: ParTuning {
-                // Unlike the bare engine (which always spawns), preimage
-                // steps gate on encoding size: small reachability frontiers
-                // lose more to fleet spawn than the fleet wins back.
-                par_threshold: DEFAULT_PAR_THRESHOLD,
-                ..ParTuning::default()
-            },
+            // Unlike the bare engine (which always spawns), preimage steps
+            // gate on encoding size: small reachability frontiers lose more
+            // to fleet spawn than the fleet wins back.
+            par_threshold: DEFAULT_PAR_THRESHOLD,
         }
     }
 
@@ -144,27 +143,12 @@ impl SatPreimage {
         self
     }
 
-    /// Enables or disables adaptive cube-and-conquer in parallel
-    /// enumerations (lookahead-scored partitioning plus dynamic work
-    /// splitting; on by default). Results are bit-identical either way.
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.tuning.adaptive = on;
-        self
-    }
-
-    /// Sets the conflict threshold at which a parallel worker splits its
-    /// running cube into two (`0` = never split).
-    pub fn with_split_threshold(mut self, threshold: u64) -> Self {
-        self.tuning.split_threshold = threshold;
-        self
-    }
-
     /// Sets the spawn gate: preimage steps whose `state-vars × clauses`
     /// product falls below `threshold` skip the worker fleet and run
     /// sequentially even when `jobs > 1` (`0` = always parallel). Defaults
     /// to [`presat_allsat::DEFAULT_PAR_THRESHOLD`].
     pub fn with_par_threshold(mut self, threshold: u64) -> Self {
-        self.tuning.par_threshold = threshold;
+        self.par_threshold = threshold;
         self
     }
 
@@ -237,7 +221,7 @@ impl PreimageEngine for SatPreimage {
                     ParallelAllSat::new(self.jobs)
                         .with_signature(signature)
                         .with_model_guidance(model_guidance)
-                        .with_tuning(self.tuning)
+                        .with_par_threshold(self.par_threshold)
                         .enumerate_limited(&problem, limits, sink)
                 }
             }
@@ -293,7 +277,7 @@ impl PreimageEngine for SatPreimage {
             circuit,
             config,
             self.jobs,
-            self.tuning,
+            self.par_threshold,
             self.env.as_ref(),
             format!("{}+incremental", PreimageEngine::name(self)),
         );

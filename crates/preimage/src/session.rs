@@ -21,7 +21,7 @@
 //!   blocking clauses over the state variables, so states already known
 //!   backward-reachable are never re-enumerated.
 
-use presat_allsat::{AllSatResult, EnumLimits, IncrementalAllSat, ParTuning, SuccessDrivenAllSat};
+use presat_allsat::{AllSatResult, EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
 use presat_circuit::Circuit;
 use presat_logic::{CubeSet, Lit};
 use presat_obs::{Event, ObsSink, Timer};
@@ -42,10 +42,6 @@ pub struct SatPreimageSession {
     /// Preimage calls served so far (every call after the first reuses the
     /// session encoding).
     iterations: u64,
-    /// Mirror of the inner engine's parallel tuning, kept so
-    /// [`PreimageSession::set_parallel_threshold`] can update one knob
-    /// without clobbering the others.
-    tuning: ParTuning,
 }
 
 impl SatPreimageSession {
@@ -55,7 +51,7 @@ impl SatPreimageSession {
         circuit: &Circuit,
         config: SuccessDrivenAllSat,
         jobs: usize,
-        tuning: ParTuning,
+        par_threshold: u64,
         env: Option<&CubeSet>,
         name: String,
     ) -> Self {
@@ -64,14 +60,13 @@ impl SatPreimageSession {
         let state_vars = base.state_vars();
         let (cnf, next_lits) = base.into_parts();
         let mut inner = IncrementalAllSat::new(cnf, state_vars, config, jobs);
-        inner.set_tuning(tuning);
+        inner.set_par_threshold(par_threshold);
         SatPreimageSession {
             inner,
             next_lits,
             num_latches,
             name,
             iterations: 0,
-            tuning,
         }
     }
 
@@ -198,8 +193,7 @@ impl PreimageSession for SatPreimageSession {
     }
 
     fn set_parallel_threshold(&mut self, threshold: u64) {
-        self.tuning.par_threshold = threshold;
-        self.inner.set_tuning(self.tuning);
+        self.inner.set_par_threshold(threshold);
     }
 
     fn arena_bytes(&self) -> u64 {

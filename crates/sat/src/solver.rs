@@ -1173,75 +1173,6 @@ impl Solver {
         result
     }
 
-    /// Lookahead probe: establishes `assumptions`, then assumes `lit` and
-    /// runs unit propagation only — no conflict analysis, no learning —
-    /// and returns how many *additional* literals (including `lit`) the
-    /// assumption implied. The solver state is fully restored afterwards.
-    ///
-    /// Returns `None` if the assumptions or the probe literal fail by
-    /// propagation alone (a failed literal — maximally attractive to a
-    /// caller looking for refutations, useless as a branching point), and
-    /// `Some(0)` if `lit` was already implied by the assumptions (equally
-    /// useless as a branching point: one child subspace would be empty).
-    ///
-    /// This is the scoring oracle behind adaptive cube-and-conquer
-    /// partitioning: the product of the two phases' reduction counts ranks
-    /// candidate splitting variables (Kondratiev et al. style lookahead).
-    pub fn probe_lit(&mut self, assumptions: &[Lit], lit: Lit) -> Option<u32> {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.stats.lookahead_probes += 1;
-        if !self.ok || self.propagate().is_some() {
-            self.ok = false;
-            return None;
-        }
-        let mut failed = false;
-        for &p in assumptions {
-            assert!(
-                p.var().index() < self.num_vars(),
-                "assumption {p} outside solver variable space"
-            );
-            match self.lit_value(p) {
-                Lbool::True => continue,
-                Lbool::False => {
-                    failed = true;
-                    break;
-                }
-                Lbool::Undef => {
-                    self.new_decision_level();
-                    self.enqueue(p, Reason::None);
-                    if self.propagate().is_some() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let result = if failed {
-            None
-        } else {
-            assert!(
-                lit.var().index() < self.num_vars(),
-                "probe literal {lit} outside solver variable space"
-            );
-            match self.lit_value(lit) {
-                Lbool::True => Some(0),
-                Lbool::False => None,
-                Lbool::Undef => {
-                    let before = self.trail.len();
-                    self.new_decision_level();
-                    self.enqueue(lit, Reason::None);
-                    if self.propagate().is_some() {
-                        None
-                    } else {
-                        Some((self.trail.len() - before) as u32)
-                    }
-                }
-            }
-        };
-        self.cancel_until(0);
-        result
-    }
-
     /// Zeroes the accumulated statistics. Parallel enumeration workers
     /// call this on their cloned solvers so each clone reports only the
     /// work it did itself and per-worker snapshots sum cleanly.

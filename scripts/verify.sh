@@ -14,13 +14,6 @@ cargo build --release --offline --workspace
 PRESAT_TEST_JOBS=1 cargo test -q --workspace --offline
 PRESAT_TEST_JOBS=4 cargo test -q --workspace --offline
 
-# Both partitioning modes get the full determinism treatment: the parallel
-# and differential suites consult PRESAT_TEST_ADAPTIVE, so =1 runs the
-# adaptive cube tree (lookahead-scored split plus dynamic work splitting)
-# and =0 the static guiding-path prefix partition.
-PRESAT_TEST_ADAPTIVE=0 cargo test -q -p presat --test parallel --test differential --test anytime --offline
-PRESAT_TEST_ADAPTIVE=1 cargo test -q -p presat --test parallel --test differential --test anytime --offline
-
 # Differential cross-engine fuzz harness (fixed seed): every enumeration
 # engine — blocking, min-blocking, success-driven, parallel, chrono — must
 # produce semantically identical model sets, pinned against the BDD
@@ -119,27 +112,33 @@ for field in db_compactions clauses_reclaimed cones_skipped \
   fi
 done
 
-# Adaptive-fleet smoke: a 6-bit LFSR reachability with the spawn gate
-# forced open must run the lookahead-scored partitioner (non-zero probe
-# counter) and still converge to the full cycle.
+# Forced-open fleet smoke: a 6-bit LFSR reachability with the spawn gate
+# forced open runs the partitioned worker fleet at every step; it must
+# converge and reach exactly the states a --jobs 1 run reaches.
 {
-  echo "# 6-bit LFSR for the adaptive-fleet smoke test"
+  echo "# 6-bit LFSR for the forced-open fleet smoke test"
   echo "OUTPUT(z)"
   echo "fb = XOR(s5, s4)"
   echo "s0 = DFF(fb)"
   for j in $(seq 1 5); do echo "s$j = DFF(s$((j-1)))"; done
   echo "z = BUF(s0)"
 } > "$smoke_dir/lfsr6.bench"
-adaptive_out="$(timeout 60 ./target/release/presat reach "$smoke_dir/lfsr6.bench" \
+reached_states() {
+  printf '%s\n' "$1" | grep -o '[0-9]* backward-reachable states'
+}
+seq_out="$(timeout 60 ./target/release/presat reach "$smoke_dir/lfsr6.bench" \
+  --target 1 --jobs 1 --stats)"
+fleet_out="$(timeout 60 ./target/release/presat reach "$smoke_dir/lfsr6.bench" \
   --target 1 --jobs 4 --par-threshold 0 --stats)"
-if ! printf '%s\n' "$adaptive_out" | grep -q '"lookahead_probes":[1-9]'; then
-  echo "verify: FAIL — forced-open spawn gate ran no lookahead probes" >&2
-  printf '%s\n' "$adaptive_out" >&2
+if ! printf '%s\n' "$fleet_out" | grep -q '"complete":true'; then
+  echo "verify: FAIL — forced-open fleet reach did not converge" >&2
+  printf '%s\n' "$fleet_out" >&2
   exit 1
 fi
-if ! printf '%s\n' "$adaptive_out" | grep -q '"complete":true'; then
-  echo "verify: FAIL — adaptive-fleet reach did not converge" >&2
-  printf '%s\n' "$adaptive_out" >&2
+if [ -z "$(reached_states "$seq_out")" ] \
+    || [ "$(reached_states "$fleet_out")" != "$(reached_states "$seq_out")" ]; then
+  echo "verify: FAIL — forced-open fleet reach disagrees with --jobs 1" >&2
+  printf '%s\n%s\n' "$seq_out" "$fleet_out" >&2
   exit 1
 fi
 
@@ -153,19 +152,6 @@ PRESAT_BENCH_SAMPLES=1 timeout 300 ./target/release/propagation_throughput \
 for record in churn churn_inprocess inprocess; do
   if ! grep -q "\"$record\":{" "$smoke_dir/bench_pr7.json"; then
     echo "verify: FAIL — propagation_throughput produced no $record record" >&2
-    exit 1
-  fi
-done
-
-# Cube-balance smoke: the static-vs-adaptive bench gates on structural
-# equality of all three engines before timing, so one cheap sample is
-# also a determinism check across both partitioning modes; the emitted
-# JSON must carry both sections of the R11 table.
-PRESAT_BENCH_SAMPLES=1 timeout 300 ./target/release/cube_balance \
-  "$smoke_dir/bench_pr8.json" > /dev/null
-for record in preimage_step reach_gate; do
-  if ! grep -q "\"$record\":{" "$smoke_dir/bench_pr8.json"; then
-    echo "verify: FAIL — cube_balance produced no $record record" >&2
     exit 1
   fi
 done

@@ -24,14 +24,10 @@
 //! `--jobs <n>` runs the success-driven enumeration on `n` worker threads
 //! (`0` = auto-detect, default 1); the output is bit-identical at every
 //! thread count.
-//! `--no-adaptive` turns off adaptive cube-and-conquer (lookahead-scored
-//! partitioning plus dynamic work splitting) and falls back to the static
-//! prefix partition; `--split-threshold <n>` sets the conflict count at
-//! which a worker splits its running cube (`0` = never);
 //! `--par-threshold <n>` sets the size product below which a preimage
 //! step skips the worker fleet and runs sequentially (`0` = always
-//! parallel). All three only move scheduling and work counters — the
-//! output is bit-identical regardless.
+//! parallel). It only moves scheduling and work counters — the output is
+//! bit-identical regardless.
 //! `--no-inprocess` disables root-level solver inprocessing at incremental
 //! session boundaries (subsumption, self-subsuming resolution,
 //! vivification), which the session otherwise runs at the first boundary
@@ -127,11 +123,6 @@ fn print_usage() {
          \x20        --jobs <n>  success-driven worker threads (0 = auto,\n\
          \x20                    default 1; the result is bit-identical at\n\
          \x20                    every thread count)\n\
-         \x20        --no-adaptive  static prefix partitioning instead of\n\
-         \x20                    adaptive cube-and-conquer (identical results;\n\
-         \x20                    only scheduling moves)\n\
-         \x20        --split-threshold <n>  conflicts before a worker splits\n\
-         \x20                    its running cube (0 = never split)\n\
          \x20        --par-threshold <n>  size product below which a step\n\
          \x20                    runs sequentially despite --jobs (0 = always\n\
          \x20                    parallel)\n\
@@ -234,8 +225,6 @@ const ENGINE_FLAGS: &[(&str, &[&str])] = &[
     ("--jobs", &["success-driven"]),
     ("--inprocess", &["success-driven"]),
     ("--no-inprocess", &["success-driven"]),
-    ("--no-adaptive", &["success-driven"]),
-    ("--split-threshold", &["success-driven"]),
     ("--par-threshold", &["success-driven"]),
 ];
 
@@ -268,26 +257,15 @@ fn warn_ignored_engine_flags(args: &[String], engine: &str) {
     );
 }
 
-/// Parses the adaptive cube-and-conquer flags: `--no-adaptive`,
-/// `--split-threshold <n>`, `--par-threshold <n>` (the latter two `None`
-/// when absent — the engine's defaults apply).
-fn par_tuning_from_flags(args: &[String]) -> Result<(bool, Option<u64>, Option<u64>), String> {
-    let adaptive = !has_flag(args, "--no-adaptive");
-    let split = match flag_value(args, "--split-threshold") {
-        Some(v) => Some(
+/// Parses the spawn gate `--par-threshold <n>` (`None` when absent — the
+/// engine's default applies).
+fn par_threshold_from_flag(args: &[String]) -> Result<Option<u64>, String> {
+    flag_value(args, "--par-threshold")
+        .map(|v| {
             v.parse()
-                .map_err(|_| String::from("bad --split-threshold (want a number)"))?,
-        ),
-        None => None,
-    };
-    let par = match flag_value(args, "--par-threshold") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| String::from("bad --par-threshold (want a number)"))?,
-        ),
-        None => None,
-    };
-    Ok((adaptive, split, par))
+                .map_err(|_| String::from("bad --par-threshold (want a number)"))
+        })
+        .transpose()
 }
 
 fn sat_engine_from_flag(args: &[String]) -> Result<Box<dyn PreimageEngine>, String> {
@@ -299,15 +277,10 @@ fn sat_engine_from_flag(args: &[String]) -> Result<Box<dyn PreimageEngine>, Stri
         "min-blocking" => Box::new(SatPreimage::min_blocking()),
         "chrono" => Box::new(SatPreimage::chrono()),
         "success-driven" => {
-            let (adaptive, split, par) = par_tuning_from_flags(args)?;
             let mut engine = SatPreimage::success_driven()
                 .with_jobs(jobs)
-                .with_inprocess(inprocess)
-                .with_adaptive(adaptive);
-            if let Some(t) = split {
-                engine = engine.with_split_threshold(t);
-            }
-            if let Some(t) = par {
+                .with_inprocess(inprocess);
+            if let Some(t) = par_threshold_from_flag(args)? {
                 engine = engine.with_par_threshold(t);
             }
             Box::new(engine)
@@ -403,12 +376,8 @@ fn cmd_allsat(args: &[String]) -> Result<ExitCode, String> {
             SuccessDrivenAllSat::new().enumerate_limited(&problem, &limits, &mut NullSink)
         }
         "success-driven" => {
-            let (adaptive, split, par) = par_tuning_from_flags(args)?;
-            let mut engine = ParallelAllSat::new(jobs).with_adaptive(adaptive);
-            if let Some(t) = split {
-                engine = engine.with_split_threshold(t);
-            }
-            if let Some(t) = par {
+            let mut engine = ParallelAllSat::new(jobs);
+            if let Some(t) = par_threshold_from_flag(args)? {
                 engine = engine.with_par_threshold(t);
             }
             engine.enumerate_limited(&problem, &limits, &mut NullSink)
@@ -547,7 +516,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     // --par-threshold also rides into the session via ReachOptions, so it
     // applies on the incremental path (the engine-level setting covers the
     // per-call path).
-    let (_, _, parallel_threshold) = par_tuning_from_flags(args)?;
+    let parallel_threshold = par_threshold_from_flag(args)?;
     let report = backward_reach(
         engine.as_ref(),
         &circuit,

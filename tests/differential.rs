@@ -34,18 +34,6 @@ fn env_jobs() -> usize {
         .unwrap_or(4)
 }
 
-/// Adaptive cube-and-conquer on/off from `PRESAT_TEST_ADAPTIVE`
-/// (default 1 = adaptive). `scripts/verify.sh` runs the harness at both
-/// settings, so each partitioning mode is differentially tested against
-/// the BDD oracle.
-fn env_adaptive() -> bool {
-    std::env::var("PRESAT_TEST_ADAPTIVE")
-        .ok()
-        .and_then(|v| v.parse::<u8>().ok())
-        .map(|v| v != 0)
-        .unwrap_or(true)
-}
-
 fn random_cnf(rng: &mut SplitMix64, num_vars: usize, num_clauses: usize) -> Cnf {
     let mut cnf = Cnf::new(num_vars);
     for _ in 0..num_clauses {
@@ -80,31 +68,12 @@ fn all_engines() -> Vec<(String, EngineRun)> {
             Box::new(|p: &AllSatProblem| ChronoAllSat::new().enumerate(p)),
         ),
     ];
-    let adaptive = env_adaptive();
     for jobs in [1, 4, env_jobs()] {
         engines.push((
             format!("parallel-j{jobs}"),
-            Box::new(move |p: &AllSatProblem| {
-                ParallelAllSat::new(jobs).with_adaptive(adaptive).enumerate(p)
-            }),
+            Box::new(move |p: &AllSatProblem| ParallelAllSat::new(jobs).enumerate(p)),
         ));
     }
-    // A forced split storm (threshold 1): the adaptive cube tree fans out
-    // maximally and the merged result must still match the BDD oracle.
-    engines.push((
-        "adaptive-storm-j4".into(),
-        Box::new(|p: &AllSatProblem| {
-            ParallelAllSat::new(4).with_split_threshold(1).enumerate(p)
-        }),
-    ));
-    // The static prefix partitioner, so both modes are always covered
-    // regardless of the env default.
-    engines.push((
-        "static-j4".into(),
-        Box::new(|p: &AllSatProblem| {
-            ParallelAllSat::new(4).with_adaptive(false).enumerate(p)
-        }),
-    ));
     engines
 }
 

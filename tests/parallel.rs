@@ -42,18 +42,6 @@ fn env_jobs() -> usize {
         .unwrap_or(4)
 }
 
-/// Adaptive cube-and-conquer on/off for the env-driven tests, from
-/// `PRESAT_TEST_ADAPTIVE` (default 1 = adaptive). `scripts/verify.sh`
-/// runs the suite at both 0 and 1, so both partitioners get the full
-/// determinism treatment.
-fn env_adaptive() -> bool {
-    std::env::var("PRESAT_TEST_ADAPTIVE")
-        .ok()
-        .and_then(|v| v.parse::<u8>().ok())
-        .map(|v| v != 0)
-        .unwrap_or(true)
-}
-
 #[test]
 fn enumeration_is_deterministic_across_thread_counts() {
     for seed in 0..10 {
@@ -113,66 +101,51 @@ fn circuit_preimage_cubes_identical_at_every_thread_count() {
 }
 
 #[test]
-fn split_storm_enumeration_is_bit_identical() {
-    // Split threshold 1 makes every cube that survives a single conflict
-    // split — the cube tree fans out as hard as it ever can, with split
-    // *timing* fully scheduler-dependent. The output must not move, in
-    // either partitioning mode, at any thread count.
-    for seed in 0..6 {
-        let n = 9;
-        let cnf = random_cnf(200 + seed, n, 22);
-        let important: Vec<Var> = Var::range(6).collect();
-        let problem = AllSatProblem::new(cnf, important);
-        let seq = SuccessDrivenAllSat::new().enumerate(&problem);
-        for jobs in JOB_COUNTS {
-            for adaptive in [true, false] {
-                let par = ParallelAllSat::new(jobs)
-                    .with_adaptive(adaptive)
-                    .with_split_threshold(1)
-                    .enumerate(&problem);
-                assert_eq!(
-                    par.cubes, seq.cubes,
-                    "seed {seed}, jobs {jobs}, adaptive {adaptive}"
-                );
-                assert_eq!(
-                    par.stats.graph_nodes, seq.stats.graph_nodes,
-                    "seed {seed}, jobs {jobs}, adaptive {adaptive}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn split_storm_preimages_identical_on_every_circuit_family() {
-    // One representative of every embedded circuit family, under forced
-    // splitting (threshold 1) with the spawn gate disabled so even the
-    // tiny encodings really run the fleet.
-    let circuits = [
-        generators::counter(5, false),
-        generators::counter(5, true),
-        generators::parity(5),
-        generators::comparator(3),
-        generators::round_robin_arbiter(3),
-        generators::shift_register(6),
-        generators::lfsr(5),
-        generators::random_dag(4, 5, 40, 7),
-        presat::circuit::embedded::s27().unwrap(),
-        presat::circuit::embedded::ctl2().unwrap(),
+fn preimages_identical_on_every_circuit_family() {
+    // One representative of every embedded circuit family, plus the
+    // one-step workloads of the bench suite (cnt12e, cmp6, rnd6x8,
+    // parity11) with their own targets, with the spawn gate disabled so
+    // even the tiny encodings really run the fleet.
+    let at_latch0 = || StateSet::from_partial(&[(0, true)]);
+    let cases = [
+        (generators::counter(5, false), at_latch0()),
+        (generators::counter(5, true), at_latch0()),
+        (generators::parity(5), at_latch0()),
+        (generators::comparator(3), at_latch0()),
+        (generators::round_robin_arbiter(3), at_latch0()),
+        (generators::shift_register(6), at_latch0()),
+        (generators::lfsr(5), at_latch0()),
+        (generators::random_dag(4, 5, 40, 7), at_latch0()),
+        (presat::circuit::embedded::s27().unwrap(), at_latch0()),
+        (presat::circuit::embedded::ctl2().unwrap(), at_latch0()),
+        (
+            generators::counter(12, true),
+            StateSet::from_state_bits(0x800, 12),
+        ),
+        (
+            generators::comparator(6),
+            StateSet::from_partial(&[(6, true)]),
+        ),
+        (
+            generators::random_dag(6, 8, 80, 2004),
+            StateSet::from_partial(&[(0, true), (3, false)]),
+        ),
+        (
+            generators::parity(11),
+            StateSet::from_partial(&[(11, true)]),
+        ),
     ];
-    for c in &circuits {
-        let target = StateSet::from_partial(&[(0, true)]);
-        let seq = SatPreimage::success_driven().preimage(c, &target);
+    for (c, target) in &cases {
+        let seq = SatPreimage::success_driven().preimage(c, target);
         for jobs in [2, 4, 7] {
             let par = SatPreimage::success_driven()
                 .with_jobs(jobs)
-                .with_split_threshold(1)
                 .with_par_threshold(0)
-                .preimage(c, &target);
+                .preimage(c, target);
             assert_eq!(
                 par.states.cubes(),
                 seq.states.cubes(),
-                "{} at jobs={jobs} under split storm",
+                "{} at jobs={jobs}",
                 c.name()
             );
             assert_eq!(par.stats.graph_nodes, seq.stats.graph_nodes);
@@ -211,7 +184,6 @@ fn backward_reach_agrees_at_env_thread_count() {
     // whole fixed-point loop (many chained preimages) must be oblivious to
     // the thread count.
     let jobs = env_jobs();
-    let adaptive = env_adaptive();
     let c = generators::counter(5, false);
     let target = StateSet::from_state_bits(0x1F, 5);
     let seq = backward_reach(
@@ -223,7 +195,6 @@ fn backward_reach_agrees_at_env_thread_count() {
     let par = backward_reach(
         &SatPreimage::success_driven()
             .with_jobs(jobs)
-            .with_adaptive(adaptive)
             .with_par_threshold(0),
         &c,
         &target,
@@ -264,21 +235,17 @@ fn reach_parallel_threshold_knob_never_changes_results() {
 
 #[test]
 fn suite_smoke_at_env_thread_count() {
-    // Every workload family in miniature, at the env-selected job count
-    // and partitioning mode.
+    // Every workload family in miniature, at the env-selected job count.
     let jobs = env_jobs();
-    let adaptive = env_adaptive();
     for seed in 0..4 {
         let cnf = random_cnf(100 + seed, 8, 18);
         let important: Vec<Var> = Var::range(5).collect();
         let problem = AllSatProblem::new(cnf.clone(), important.clone());
         let expect = truth_table::project_models_set(&cnf, &important);
-        let r = ParallelAllSat::new(jobs)
-            .with_adaptive(adaptive)
-            .enumerate(&problem);
+        let r = ParallelAllSat::new(jobs).enumerate(&problem);
         assert!(
             r.cubes.semantically_eq(&expect, &important),
-            "seed {seed} at jobs={jobs} adaptive={adaptive}"
+            "seed {seed} at jobs={jobs}"
         );
     }
 }

@@ -5,7 +5,7 @@
 use presat::allsat::{AllSatEngine, AllSatProblem, BlockingAllSat, SuccessDrivenAllSat};
 use presat::circuit::generators;
 use presat::logic::{Cnf, Lit, Var};
-use presat::obs::{json, Event, SatCounters, Stats, VecSink};
+use presat::obs::{json, AllSatCounters, Event, SatCounters, Stats, VecSink};
 use presat::preimage::{
     backward_reach_with_sink, PreimageEngine, ReachOptions, SatPreimage, StateSet,
 };
@@ -212,7 +212,8 @@ fn json_object_fields(text: &str, key: &str) -> Vec<(String, u64)> {
 
 #[test]
 fn every_json_sat_counter_has_a_matching_csv_column() {
-    // Distinct values, so a column that reads the wrong field shows.
+    // Distinct values across both blocks, so a column that reads the
+    // wrong field shows.
     let sat = SatCounters {
         solves: 1,
         decisions: 2,
@@ -232,19 +233,47 @@ fn every_json_sat_counter_has_a_matching_csv_column() {
         vivified_clauses: 16,
         lookahead_probes: 17,
     };
-    let stats = Stats::from_sat("cdcl", &sat);
+    let allsat = AllSatCounters {
+        solver_calls: 101,
+        blocking_clauses: 102,
+        cubes_emitted: 103,
+        literals_before_lift: 104,
+        literals_after_lift: 105,
+        cache_hits: 106,
+        cache_misses: 107,
+        graph_nodes: 108,
+        sat_conflicts: 109,
+        sat_decisions: 110,
+        budget_stops: 111,
+        cancelled_cubes: 112,
+        chrono_backtracks: 113,
+        db_clauses_peak: 114,
+        cubes_split: 115,
+        max_cube_conflicts: 116,
+        steal_waits: 117,
+        subsumption_checks: 118,
+        sig_rejects: 119,
+        index_candidates: 120,
+        sat,
+    };
+    let stats = Stats::from_allsat("success-driven", &allsat);
     let header = Stats::csv_header();
     let row = stats.to_csv_row();
     let csv: Vec<(&str, &str)> = header.split(',').zip(row.split(',')).collect();
-    let fields = json_object_fields(&stats.to_json(), "sat");
-    assert_eq!(fields.len(), 17, "{fields:?}");
-    for (name, value) in fields {
-        let column = format!("sat_{name}");
-        let cell = csv
-            .iter()
-            .find(|(h, _)| *h == column)
-            .unwrap_or_else(|| panic!("csv header lacks {column}: {header}"))
-            .1;
-        assert_eq!(cell, value.to_string(), "{column}");
+    let json = stats.to_json();
+    // JSON `allsat.solutions` is `cubes_emitted`; its column is
+    // `allsat_solutions`, so every field maps to `<block>_<name>`.
+    for (block, width) in [("sat", 17), ("allsat", 18)] {
+        let fields = json_object_fields(&json, block);
+        assert_eq!(fields.len(), width, "{block}: {fields:?}");
+        for (name, value) in fields {
+            let column = format!("{block}_{name}");
+            let cell = csv
+                .iter()
+                .find(|(h, _)| *h == column)
+                .unwrap_or_else(|| panic!("csv header lacks {column}: {header}"))
+                .1;
+            assert_eq!(cell, value.to_string(), "{column}");
+        }
     }
 }
