@@ -15,8 +15,13 @@
 //!   blocking clause, or reachability iteration) through `&mut dyn
 //!   ObsSink`, whose default [`NullSink`] makes the call a no-op.
 //! - **Zero dependencies.** The JSON and CSV emitters are hand-rolled so
-//!   the workspace builds hermetically offline; [`json::validate`] lets
-//!   tests check emitted text is well-formed JSON without serde.
+//!   the workspace builds hermetically offline. [`json::Json`] is the
+//!   workspace's one JSON reader: presatd parses its requests with it, and
+//!   tests read emitted text back with it without serde.
+//! - **Declared once.** Each counter is one row of its layer's
+//!   `counters!` table, which generates the struct field, its `absorb`
+//!   rule and its report key; [`Stats`] emits every key as JSON
+//!   `<block>.<key>` and CSV column `<block>_<key>` without naming any.
 //!
 //! The counter structs here are the canonical definitions; `presat-sat`,
 //! `presat-allsat`, and `presat-preimage` re-export them under their
@@ -137,165 +142,48 @@ impl Stats {
         if let Some(reason) = self.stop_reason {
             o.field_str("stop_reason", reason.as_str());
         }
-        o.begin_object("sat")
-            .field_u64("solves", self.sat.solves)
-            .field_u64("decisions", self.sat.decisions)
-            .field_u64("propagations", self.sat.propagations)
-            .field_u64("binary_skips", self.sat.binary_skips)
-            .field_u64("conflicts", self.sat.conflicts)
-            .field_u64("restarts", self.sat.restarts)
-            .field_u64("learnt_clauses", self.sat.learnt_clauses)
-            .field_u64("deleted_clauses", self.sat.deleted_clauses)
-            .field_u64("problem_clauses", self.sat.problem_clauses)
-            .field_u64("arena_bytes", self.sat.arena_bytes)
-            .field_u64("db_compactions", self.sat.db_compactions)
-            .field_u64("clauses_reclaimed", self.sat.clauses_reclaimed)
-            .field_u64("inprocess_rounds", self.sat.inprocess_rounds)
-            .field_u64("subsumed_clauses", self.sat.subsumed_clauses)
-            .field_u64("strengthened_lits", self.sat.strengthened_lits)
-            .field_u64("vivified_clauses", self.sat.vivified_clauses)
-            .field_u64("lookahead_probes", self.sat.lookahead_probes)
-            .end_object();
-        o.begin_object("allsat")
-            .field_u64("solver_calls", self.allsat.solver_calls)
-            .field_u64("solutions", self.allsat.cubes_emitted)
-            .field_u64("blocking_clauses", self.allsat.blocking_clauses)
-            .field_u64("literals_before_lift", self.allsat.literals_before_lift)
-            .field_u64("literals_after_lift", self.allsat.literals_after_lift)
-            .field_u64("cache_hits", self.allsat.cache_hits)
-            .field_u64("cache_misses", self.allsat.cache_misses)
-            .field_u64("graph_nodes", self.allsat.graph_nodes)
-            .field_u64("budget_stops", self.allsat.budget_stops)
-            .field_u64("cancelled_cubes", self.allsat.cancelled_cubes)
-            .field_u64("chrono_backtracks", self.allsat.chrono_backtracks)
-            .field_u64("db_clauses_peak", self.allsat.db_clauses_peak)
-            .field_u64("cubes_split", self.allsat.cubes_split)
-            .field_u64("max_cube_conflicts", self.allsat.max_cube_conflicts)
-            .field_u64("steal_waits", self.allsat.steal_waits)
-            .field_u64("subsumption_checks", self.allsat.subsumption_checks)
-            .field_u64("sig_rejects", self.allsat.sig_rejects)
-            .field_u64("index_candidates", self.allsat.index_candidates)
-            .end_object();
-        o.begin_object("preimage")
-            .field_u64("result_cubes", self.preimage.result_cubes)
-            .field_u64("iterations", self.preimage.iterations)
-            .field_u64("solver_calls", self.preimage.solver_calls)
-            .field_u64("blocking_clauses", self.preimage.blocking_clauses)
-            .field_u64("graph_nodes", self.preimage.graph_nodes)
-            .field_u64("cache_hits", self.preimage.cache_hits)
-            .field_u64("bdd_nodes", self.preimage.bdd_nodes)
-            .field_u64("sat_conflicts", self.preimage.sat_conflicts)
-            .field_u64("wall_time_ns", self.preimage.wall_time_ns)
-            .field_u64("encodings_reused", self.preimage.encodings_reused)
-            .field_u64("learnts_carried", self.preimage.learnts_carried)
-            .field_u64("activation_lits", self.preimage.activation_lits)
-            .field_u64("cones_skipped", self.preimage.cones_skipped)
-            .end_object();
+        for (block, keys, values) in self.blocks() {
+            o.begin_object(block);
+            for (key, value) in keys.iter().zip(values) {
+                o.field_u64(key, value);
+            }
+            o.end_object();
+        }
         o.finish()
     }
 
     /// Column names for [`Stats::to_csv_row`], as one CSV header line.
     pub fn csv_header() -> String {
-        csv::row([
-            "engine",
-            "wall_time_ns",
-            "sat_solves",
-            "sat_decisions",
-            "sat_propagations",
-            "sat_binary_skips",
-            "sat_conflicts",
-            "sat_restarts",
-            "sat_learnt_clauses",
-            "sat_deleted_clauses",
-            "sat_problem_clauses",
-            "sat_arena_bytes",
-            "sat_db_compactions",
-            "sat_clauses_reclaimed",
-            "sat_inprocess_rounds",
-            "sat_subsumed_clauses",
-            "sat_strengthened_lits",
-            "sat_vivified_clauses",
-            "sat_lookahead_probes",
-            "allsat_solver_calls",
-            "allsat_solutions",
-            "allsat_blocking_clauses",
-            "allsat_literals_before_lift",
-            "allsat_literals_after_lift",
-            "allsat_cache_hits",
-            "allsat_cache_misses",
-            "allsat_graph_nodes",
-            "allsat_budget_stops",
-            "allsat_cancelled_cubes",
-            "allsat_chrono_backtracks",
-            "allsat_db_clauses_peak",
-            "allsat_cubes_split",
-            "allsat_max_cube_conflicts",
-            "allsat_steal_waits",
-            "allsat_subsumption_checks",
-            "allsat_sig_rejects",
-            "allsat_index_candidates",
-            "preimage_result_cubes",
-            "preimage_iterations",
-            "preimage_bdd_nodes",
-            "preimage_encodings_reused",
-            "preimage_learnts_carried",
-            "preimage_activation_lits",
-            "preimage_cones_skipped",
-            "complete",
-        ])
+        let mut columns = vec!["engine".to_string(), "wall_time_ns".to_string()];
+        for (block, keys, _) in Stats::default().blocks() {
+            columns.extend(keys.iter().map(|key| format!("{block}_{key}")));
+        }
+        columns.push("complete".to_string());
+        csv::row(columns)
     }
 
     /// Emits the snapshot as one CSV row matching [`Stats::csv_header`].
     pub fn to_csv_row(&self) -> String {
-        let nums = [
-            self.wall_time_ns,
-            self.sat.solves,
-            self.sat.decisions,
-            self.sat.propagations,
-            self.sat.binary_skips,
-            self.sat.conflicts,
-            self.sat.restarts,
-            self.sat.learnt_clauses,
-            self.sat.deleted_clauses,
-            self.sat.problem_clauses,
-            self.sat.arena_bytes,
-            self.sat.db_compactions,
-            self.sat.clauses_reclaimed,
-            self.sat.inprocess_rounds,
-            self.sat.subsumed_clauses,
-            self.sat.strengthened_lits,
-            self.sat.vivified_clauses,
-            self.sat.lookahead_probes,
-            self.allsat.solver_calls,
-            self.allsat.cubes_emitted,
-            self.allsat.blocking_clauses,
-            self.allsat.literals_before_lift,
-            self.allsat.literals_after_lift,
-            self.allsat.cache_hits,
-            self.allsat.cache_misses,
-            self.allsat.graph_nodes,
-            self.allsat.budget_stops,
-            self.allsat.cancelled_cubes,
-            self.allsat.chrono_backtracks,
-            self.allsat.db_clauses_peak,
-            self.allsat.cubes_split,
-            self.allsat.max_cube_conflicts,
-            self.allsat.steal_waits,
-            self.allsat.subsumption_checks,
-            self.allsat.sig_rejects,
-            self.allsat.index_candidates,
-            self.preimage.result_cubes,
-            self.preimage.iterations,
-            self.preimage.bdd_nodes,
-            self.preimage.encodings_reused,
-            self.preimage.learnts_carried,
-            self.preimage.activation_lits,
-            self.preimage.cones_skipped,
-            u64::from(self.complete),
+        let mut fields = vec![
+            csv::escape_field(&self.engine),
+            self.wall_time_ns.to_string(),
         ];
-        let mut fields = vec![csv::escape_field(&self.engine)];
-        fields.extend(nums.iter().map(u64::to_string));
+        for (_, _, values) in self.blocks() {
+            fields.extend(values.iter().map(u64::to_string));
+        }
+        fields.push(u64::from(self.complete).to_string());
         fields.join(",")
+    }
+
+    /// The three counter blocks in emission order: block name, report keys
+    /// and values. Every counter is written as JSON `<block>.<key>` and as
+    /// CSV column `<block>_<key>`.
+    fn blocks(&self) -> [(&'static str, &'static [&'static str], Vec<u64>); 3] {
+        [
+            ("sat", SatCounters::FIELDS, self.sat.values()),
+            ("allsat", AllSatCounters::FIELDS, self.allsat.values()),
+            ("preimage", PreimageCounters::FIELDS, self.preimage.values()),
+        ]
     }
 }
 
@@ -321,11 +209,11 @@ mod tests {
     fn json_is_valid_and_carries_all_layers() {
         let text = sample().to_json();
         json::validate(&text).unwrap();
-        assert_eq!(json::extract_u64(&text, "decisions"), Some(17));
-        assert_eq!(json::extract_u64(&text, "conflicts"), Some(5));
-        assert_eq!(json::extract_u64(&text, "solutions"), Some(4));
-        assert_eq!(json::extract_u64(&text, "blocking_clauses"), Some(4));
-        assert_eq!(json::extract_u64(&text, "result_cubes"), Some(3));
+        assert_eq!(json::extract_u64(&text, "sat.decisions"), Some(17));
+        assert_eq!(json::extract_u64(&text, "sat.conflicts"), Some(5));
+        assert_eq!(json::extract_u64(&text, "allsat.solutions"), Some(4));
+        assert_eq!(json::extract_u64(&text, "allsat.blocking_clauses"), Some(4));
+        assert_eq!(json::extract_u64(&text, "preimage.result_cubes"), Some(3));
         assert!(text.contains("\"engine\":\"sat-blocking\""));
     }
 

@@ -240,17 +240,10 @@ impl PreimageEngine for SatPreimage {
         PreimageResult {
             stats: PreimageStats {
                 result_cubes,
-                solver_calls: astats.solver_calls,
-                blocking_clauses: astats.blocking_clauses,
-                graph_nodes: astats.graph_nodes,
-                cache_hits: astats.cache_hits,
-                bdd_nodes: 0,
-                sat_conflicts: astats.sat_conflicts,
                 iterations: 1,
                 wall_time_ns,
                 cones_skipped,
-                allsat: astats,
-                ..PreimageStats::default()
+                ..PreimageStats::from_allsat(astats)
             },
             states,
             elapsed: timer.elapsed(),

@@ -155,12 +155,6 @@ impl PreimageSession for SatPreimageSession {
         PreimageResult {
             stats: PreimageStats {
                 result_cubes,
-                solver_calls: astats.solver_calls,
-                blocking_clauses: astats.blocking_clauses,
-                graph_nodes: astats.graph_nodes,
-                cache_hits: astats.cache_hits,
-                bdd_nodes: 0,
-                sat_conflicts: astats.sat_conflicts,
                 iterations: 1,
                 wall_time_ns,
                 encodings_reused,
@@ -170,7 +164,7 @@ impl PreimageSession for SatPreimageSession {
                 // shared base must serve any future target), so COI
                 // skipping does not apply here.
                 cones_skipped: 0,
-                allsat: astats,
+                ..PreimageStats::from_allsat(astats)
             },
             states,
             elapsed: timer.elapsed(),

@@ -167,16 +167,9 @@ pub fn k_step_preimage(circuit: &Circuit, target: &StateSet, k: usize) -> Preima
     PreimageResult {
         stats: PreimageStats {
             result_cubes: result.cubes.len() as u64,
-            solver_calls: result.stats.solver_calls,
-            blocking_clauses: result.stats.blocking_clauses,
-            graph_nodes: result.stats.graph_nodes,
-            cache_hits: result.stats.cache_hits,
-            bdd_nodes: 0,
-            sat_conflicts: result.stats.sat_conflicts,
             iterations: k as u64,
             wall_time_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            allsat: result.stats,
-            ..PreimageStats::default()
+            ..PreimageStats::from_allsat(result.stats)
         },
         states,
         elapsed,

@@ -9,7 +9,8 @@
 //!
 //! The layering:
 //!
-//! * [`json`] — a dependency-free JSON reader for untrusted request lines.
+//! * [`json`] — the JSON reader for untrusted request lines: the
+//!   workspace's one parser, re-exported from `presat_obs::json`.
 //! * [`protocol`] — request parsing/validation and response event shapes.
 //! * [`job`] — one request as a resumable slice state machine, built on
 //!   [`presat_sat::Budget`] quanta, [`presat_sat::CancelToken`], the

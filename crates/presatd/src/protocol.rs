@@ -40,10 +40,11 @@ use std::path::Path;
 
 use presat_circuit::{aiger, bench, Circuit};
 use presat_logic::{dimacs, Cnf, Cube};
+use presat_obs::json::escape_into;
 use presat_obs::{JsonObject, StopReason};
 use presat_preimage::{parse_state_spec, StateSet};
 
-use crate::json::{escape, Json};
+use crate::json::Json;
 
 /// Hard cap on one request line, in bytes (includes the newline). Inline
 /// CNF/circuit payloads must fit; anything larger is rejected with an
@@ -365,7 +366,7 @@ pub fn string_array(items: impl IntoIterator<Item = String>) -> String {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&escape(&item));
+        escape_into(&mut out, &item);
         out.push('"');
     }
     out.push(']');

@@ -94,23 +94,14 @@ if ! printf '%s\n' "$smoke_out" | grep -q '"stop_reason":"deadline"'; then
   printf '%s\n' "$smoke_out" >&2
   exit 1
 fi
-# The clause-memory counters must surface in the stats JSON: the arena
-# gauge is non-zero on any real run, the GC counters merely present.
+# The arena gauge must be non-zero on any real run. (That every counter
+# of every layer is present is pinned by tests/cli.rs, which walks the
+# counter tables' FIELDS lists.)
 if ! printf '%s\n' "$smoke_out" | grep -q '"arena_bytes":[1-9]'; then
   echo "verify: FAIL — stats JSON missing a non-zero arena_bytes gauge" >&2
   printf '%s\n' "$smoke_out" >&2
   exit 1
 fi
-for field in db_compactions clauses_reclaimed cones_skipped \
-    inprocess_rounds subsumed_clauses strengthened_lits vivified_clauses \
-    lookahead_probes cubes_split max_cube_conflicts steal_waits \
-    subsumption_checks sig_rejects index_candidates; do
-  if ! printf '%s\n' "$smoke_out" | grep -q "\"$field\":"; then
-    echo "verify: FAIL — stats JSON missing the $field counter" >&2
-    printf '%s\n' "$smoke_out" >&2
-    exit 1
-  fi
-done
 
 # Forced-open fleet smoke: a 6-bit LFSR reachability with the spawn gate
 # forced open runs the partitioned worker fleet at every step; it must
@@ -192,6 +183,13 @@ fi
 if grep -rn --include='*.rs' '\.unwrap()' crates/presatd/src src/bin/presatd.rs \
     2>/dev/null | grep -v '^\s*//'; then
   echo "verify: FAIL — bare .unwrap() in presatd (degrade to an error event)" >&2
+  exit 1
+fi
+# The request parser is the workspace's one JSON reader in presat-obs, so
+# the ban covers its non-test code too (above the #[cfg(test)] marker).
+if sed -n '1,/#\[cfg(test)\]/p' crates/obs/src/json.rs \
+    | grep -v '^\s*//' | grep -n '\.unwrap()'; then
+  echo "verify: FAIL — bare .unwrap() in the JSON reader (return an Err)" >&2
   exit 1
 fi
 

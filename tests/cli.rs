@@ -239,7 +239,13 @@ fn stats_flag_emits_json_counters() {
         .find(|l| l.starts_with('{'))
         .unwrap_or_else(|| panic!("no JSON line in {stdout}"));
     json::validate(json_line).unwrap_or_else(|e| panic!("{e}\n{json_line}"));
-    for key in ["decisions", "conflicts", "solutions", "blocking_clauses", "result_cubes"] {
+    for key in [
+        "sat.decisions",
+        "sat.conflicts",
+        "allsat.solutions",
+        "allsat.blocking_clauses",
+        "preimage.result_cubes",
+    ] {
         assert!(
             json::extract_u64(json_line, key).is_some(),
             "missing {key}: {json_line}"
@@ -248,7 +254,7 @@ fn stats_flag_emits_json_counters() {
     assert!(json::extract_u64(json_line, "wall_time_ns").unwrap_or(0) > 0);
     // The preimage of one counter state is one state: one solver call found
     // it, so the all-SAT layer genuinely counted.
-    assert!(json::extract_u64(json_line, "solver_calls").unwrap_or(0) > 0);
+    assert!(json::extract_u64(json_line, "allsat.solver_calls").unwrap_or(0) > 0);
 
     // solve: the SAT layer alone.
     let cnf = write_temp("stats.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n");
@@ -257,7 +263,7 @@ fn stats_flag_emits_json_counters() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
     json::validate(json_line).unwrap();
-    assert_eq!(json::extract_u64(json_line, "solves"), Some(1));
+    assert_eq!(json::extract_u64(json_line, "sat.solves"), Some(1));
 
     // allsat and reach accept the flag too.
     let out = presat(&["allsat", cnf.to_str().unwrap(), "--project", "1", "--stats"]);
@@ -265,14 +271,52 @@ fn stats_flag_emits_json_counters() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
     json::validate(json_line).unwrap();
-    assert!(json::extract_u64(json_line, "solutions").unwrap_or(0) > 0);
+    assert!(json::extract_u64(json_line, "allsat.solutions").unwrap_or(0) > 0);
 
     let out = presat(&["reach", path.to_str().unwrap(), "--target", "0", "--stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
     json::validate(json_line).unwrap();
-    assert_eq!(json::extract_u64(json_line, "iterations"), Some(8));
+    assert_eq!(json::extract_u64(json_line, "preimage.iterations"), Some(8));
+}
+
+/// `reach --stats` reports every counter of every layer under its block:
+/// each `FIELDS` key of the three counter tables appears, as an integer,
+/// in the parsed JSON.
+#[test]
+fn reach_stats_report_every_counter() {
+    use presat::obs::json::Json;
+    use presat::obs::{AllSatCounters, PreimageCounters, SatCounters};
+
+    let path = write_temp("cnt3f.aag", COUNTER3_AAG);
+    let out = presat(&["reach", path.to_str().unwrap(), "--target", "0", "--stats"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let json_line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("JSON line");
+    let json = Json::parse(json_line).unwrap_or_else(|e| panic!("{e}\n{json_line}"));
+    for (block, keys) in [
+        ("sat", SatCounters::FIELDS),
+        ("allsat", AllSatCounters::FIELDS),
+        ("preimage", PreimageCounters::FIELDS),
+    ] {
+        for key in keys {
+            assert!(
+                json.get(block)
+                    .and_then(|b| b.get(key))
+                    .and_then(Json::as_u64)
+                    .is_some(),
+                "stats JSON lacks {block}.{key}: {json_line}"
+            );
+        }
+    }
 }
 
 /// An unknown `--engine` name is a hard error on every command that takes

@@ -183,7 +183,7 @@ fn sat_and_bdd_agree_with_valid_json_stats() {
             let text = stats.to_json();
             json::validate(&text).unwrap_or_else(|e| panic!("seed {seed} {engine}: {e}\n{text}"));
             assert_eq!(
-                json::extract_u64(&text, "result_cubes"),
+                json::extract_u64(&text, "preimage.result_cubes"),
                 Some(result.stats.result_cubes),
                 "seed {seed} {engine}"
             );

@@ -5,7 +5,8 @@
 use presat::allsat::{AllSatEngine, AllSatProblem, BlockingAllSat, SuccessDrivenAllSat};
 use presat::circuit::generators;
 use presat::logic::{Cnf, Lit, Var};
-use presat::obs::{json, AllSatCounters, Event, SatCounters, Stats, VecSink};
+use presat::obs::json::{self, Json};
+use presat::obs::{AllSatCounters, Event, PreimageCounters, SatCounters, Stats, VecSink};
 use presat::preimage::{
     backward_reach_with_sink, PreimageEngine, ReachOptions, SatPreimage, StateSet,
 };
@@ -70,10 +71,10 @@ fn success_driven_counters_on_known_instance() {
     let text = stats.to_json();
     json::validate(&text).unwrap();
     assert_eq!(
-        json::extract_u64(&text, "solutions"),
+        json::extract_u64(&text, "allsat.solutions"),
         Some(result.stats.cubes_emitted)
     );
-    assert_eq!(json::extract_u64(&text, "blocking_clauses"), Some(0));
+    assert_eq!(json::extract_u64(&text, "allsat.blocking_clauses"), Some(0));
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn reach_aggregates_counters_and_emits_iteration_events() {
 
     let text = Stats::from_preimage("sat-success-driven", &report.stats).to_json();
     json::validate(&text).unwrap();
-    assert_eq!(json::extract_u64(&text, "iterations"), Some(8));
+    assert_eq!(json::extract_u64(&text, "preimage.iterations"), Some(8));
 }
 
 #[test]
@@ -137,18 +138,18 @@ fn clause_memory_counters_surface_in_json_and_csv() {
     let text = Stats::from_preimage("sat-success-driven", &result.stats).to_json();
     json::validate(&text).unwrap();
     assert!(
-        json::extract_u64(&text, "arena_bytes").unwrap() > 0,
+        json::extract_u64(&text, "sat.arena_bytes").unwrap() > 0,
         "arena gauge missing or zero: {text}"
     );
     assert_eq!(
-        json::extract_u64(&text, "db_compactions"),
+        json::extract_u64(&text, "sat.db_compactions"),
         Some(result.stats.allsat.sat.db_compactions)
     );
     assert_eq!(
-        json::extract_u64(&text, "clauses_reclaimed"),
+        json::extract_u64(&text, "sat.clauses_reclaimed"),
         Some(result.stats.allsat.sat.clauses_reclaimed)
     );
-    assert_eq!(json::extract_u64(&text, "cones_skipped"), Some(0));
+    assert_eq!(json::extract_u64(&text, "preimage.cones_skipped"), Some(0));
 
     // Single-latch target: bit 0 of a counter toggles on its own, so the
     // other next-state cones fall outside the cone of influence and the
@@ -157,7 +158,7 @@ fn clause_memory_counters_surface_in_json_and_csv() {
     assert!(partial.stats.cones_skipped > 0);
     let text = Stats::from_preimage("sat-success-driven", &partial.stats).to_json();
     assert_eq!(
-        json::extract_u64(&text, "cones_skipped"),
+        json::extract_u64(&text, "preimage.cones_skipped"),
         Some(partial.stats.cones_skipped)
     );
 
@@ -192,28 +193,10 @@ fn csv_rows_align_with_header_for_every_engine() {
     }
 }
 
-/// The `name: value` pairs of the flat all-numeric JSON object stored
-/// under `key` in `text`.
-fn json_object_fields(text: &str, key: &str) -> Vec<(String, u64)> {
-    let open = format!("\"{key}\":{{");
-    let start = text.find(&open).expect("object present") + open.len();
-    let len = text[start..].find('}').expect("object closed");
-    text[start..start + len]
-        .split(',')
-        .map(|field| {
-            let (name, value) = field.split_once(':').expect("name:value field");
-            let value = value
-                .parse()
-                .unwrap_or_else(|_| panic!("non-numeric {field}"));
-            (name.trim_matches('"').to_string(), value)
-        })
-        .collect()
-}
-
 #[test]
 fn every_json_sat_counter_has_a_matching_csv_column() {
-    // Distinct values across both blocks, so a column that reads the
-    // wrong field shows.
+    // Distinct values across all three blocks, so a column that reads the
+    // wrong field shows. No `..Default`: a new counter must be added here.
     let sat = SatCounters {
         solves: 1,
         decisions: 2,
@@ -256,17 +239,43 @@ fn every_json_sat_counter_has_a_matching_csv_column() {
         index_candidates: 120,
         sat,
     };
-    let stats = Stats::from_allsat("success-driven", &allsat);
+    let preimage = PreimageCounters {
+        result_cubes: 201,
+        iterations: 202,
+        solver_calls: 203,
+        blocking_clauses: 204,
+        graph_nodes: 205,
+        cache_hits: 206,
+        bdd_nodes: 207,
+        sat_conflicts: 208,
+        wall_time_ns: 209,
+        encodings_reused: 210,
+        learnts_carried: 211,
+        activation_lits: 212,
+        cones_skipped: 213,
+        allsat,
+    };
+    let stats = Stats::from_preimage("sat-success-driven", &preimage);
     let header = Stats::csv_header();
     let row = stats.to_csv_row();
     let csv: Vec<(&str, &str)> = header.split(',').zip(row.split(',')).collect();
-    let json = stats.to_json();
+    let json = Json::parse(&stats.to_json()).expect("stats JSON parses");
     // JSON `allsat.solutions` is `cubes_emitted`; its column is
     // `allsat_solutions`, so every field maps to `<block>_<name>`.
-    for (block, width) in [("sat", 17), ("allsat", 18)] {
-        let fields = json_object_fields(&json, block);
-        assert_eq!(fields.len(), width, "{block}: {fields:?}");
+    let mut seen = Vec::new();
+    for (block, keys) in [
+        ("sat", SatCounters::FIELDS),
+        ("allsat", AllSatCounters::FIELDS),
+        ("preimage", PreimageCounters::FIELDS),
+    ] {
+        let Some(Json::Obj(fields)) = json.get(block) else {
+            panic!("stats JSON lacks the {block} block: {json:?}");
+        };
+        assert_eq!(fields.len(), keys.len(), "{block}: {fields:?}");
         for (name, value) in fields {
+            let value = value
+                .as_u64()
+                .unwrap_or_else(|| panic!("non-integer {block}.{name}: {value:?}"));
             let column = format!("{block}_{name}");
             let cell = csv
                 .iter()
@@ -274,6 +283,12 @@ fn every_json_sat_counter_has_a_matching_csv_column() {
                 .unwrap_or_else(|| panic!("csv header lacks {column}: {header}"))
                 .1;
             assert_eq!(cell, value.to_string(), "{column}");
+            seen.push(value);
         }
     }
+    // Each counter is emitted exactly once: no block reads another's
+    // field in place of its own.
+    seen.sort_unstable();
+    let expected: Vec<u64> = (1..=17).chain(101..=120).chain(201..=213).collect();
+    assert_eq!(seen, expected);
 }
