@@ -1,12 +1,10 @@
-//! Shared workload definitions and timing harness for the benchmarks.
+//! Shared workload definitions for the `tables` binary, which regenerates
+//! every reconstructed table and figure of `EXPERIMENTS.md`.
 //!
-//! Both the wall-clock benches (`benches/`, plain binaries built on
-//! [`harness`]) and the `tables` binary (which regenerates every
-//! reconstructed table and figure of `EXPERIMENTS.md`) draw their circuits
-//! and targets from [`workloads`], so the numbers they report describe the
-//! same experiments.
+//! Every circuit and target the tables report on comes from [`workloads`].
+//! Timing questions are answered end to end by the perf suite (`perf/`),
+//! not here.
 
 #![forbid(unsafe_code)]
 
-pub mod harness;
 pub mod workloads;

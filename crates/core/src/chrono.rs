@@ -153,8 +153,8 @@ impl AllSatEngine for ChronoAllSat {
         let mut polls = 0u64;
         let mut minterms_emitted = 0u64;
 
-        // The DB gauge the flatness bench reads: constant here, because the
-        // loop below never allocates a clause (no blocking, no learning).
+        // The DB gauge `tests/cross_engine.rs` pins: constant here, because
+        // the loop below never allocates a clause (no blocking, no learning).
         let stamp_db_peak = |solver: &Solver, stats: &mut EnumerationStats| {
             let db = solver.stats().problem_clauses + solver.live_learnt_count() as u64;
             stats.db_clauses_peak = stats.db_clauses_peak.max(db);

@@ -213,15 +213,14 @@ impl IncrementalAllSat {
     /// they drop out of every residual signature. Returns the number of
     /// clauses collected.
     ///
-    /// Retirement is also the session's inprocessing point: with the
-    /// solver's [`presat_sat::SolverConfig::inprocess`] knob on (the
-    /// default), the surviving problem and learnt clauses are subsumed,
-    /// strengthened, and vivified at the root. The pass is scheduled by
-    /// effort, not run at every retirement: the first retirement always
-    /// inprocesses, and each later one only once the search propagations
-    /// of the enumeration calls since the last pass reach twice that
-    /// pass's cost (its propagations plus the clause-arena words its
-    /// rounds scanned). Inprocessing is equivalence-preserving, so
+    /// Retirement is also the session's inprocessing point: the surviving
+    /// problem and learnt clauses are subsumed, strengthened, and vivified
+    /// at the root ([`presat_sat::Solver::inprocess`]). The pass is
+    /// scheduled by effort, not run at every retirement: the first
+    /// retirement always inprocesses, and each later one only once the
+    /// search propagations of the enumeration calls since the last pass
+    /// reach twice that pass's cost (its propagations plus the clause-arena
+    /// words its rounds scanned). Inprocessing is equivalence-preserving, so
     /// enumeration results are unchanged — only the work counters and the
     /// live clause volume move.
     pub fn retire(&mut self, act: Lit) -> u64 {
@@ -246,13 +245,6 @@ impl IncrementalAllSat {
         self.pending_strengthened += after.strengthened_lits - before.strengthened_lits;
         self.pending_vivified += after.vivified_clauses - before.vivified_clauses;
         removed
-    }
-
-    /// Enables or disables the solver's root-level inprocessing at
-    /// effort-scheduled retirement points (on by default; see
-    /// [`IncrementalAllSat::retire`]).
-    pub fn set_inprocess(&mut self, on: bool) {
-        self.solver.set_inprocess(on);
     }
 
     /// Sets the spawn gate of `jobs > 1` enumerations: calls whose

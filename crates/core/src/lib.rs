@@ -57,7 +57,6 @@ mod blocking;
 mod chrono;
 mod engine;
 mod incremental;
-mod iter;
 mod lift;
 mod limits;
 mod ordering;
@@ -70,11 +69,10 @@ pub use blocking::{BlockingAllSat, MinimizedBlockingAllSat};
 pub use chrono::ChronoAllSat;
 pub use engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 pub use incremental::IncrementalAllSat;
-pub use iter::CubeIter;
 pub use lift::lift_cube;
 pub use limits::EnumLimits;
 pub use ordering::{order_important, BranchOrder};
-pub use parallel::{effective_jobs, enumerate_detailed, ParallelAllSat, DEFAULT_PAR_THRESHOLD};
+pub use parallel::{effective_jobs, ParallelAllSat, DEFAULT_PAR_THRESHOLD};
 pub use signature::{ConnectivityIndex, ResidualIndex};
 pub use solution_graph::{SolutionGraph, SolutionNodeId};
 pub use success_driven::{SignatureMode, SuccessDrivenAllSat};

@@ -175,9 +175,9 @@ impl ParallelAllSat {
 /// "auto-detect" and asks the OS for the available parallelism (falling
 /// back to `1` when the query fails, e.g. in restricted sandboxes); any
 /// other value is taken literally. Every `--jobs`-style knob in the
-/// workspace — the parallel engines, the incremental sessions, the bench
-/// binaries, the service daemon's scheduler — resolves through this one
-/// helper so the fallback cannot drift.
+/// workspace — the parallel engines, the incremental sessions, the service
+/// daemon's scheduler — resolves through this one helper so the fallback
+/// cannot drift.
 pub fn effective_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         std::thread::available_parallelism()
@@ -533,29 +533,6 @@ fn run_worker(
     (graph, outcomes)
 }
 
-/// Enumerates with the parallel engine and also returns the raw per-cube
-/// outcomes' stats (index, per-cube counters), for tests and the bench
-/// harness to check that per-worker work sums cleanly.
-pub fn enumerate_detailed(
-    engine: &ParallelAllSat,
-    problem: &AllSatProblem,
-) -> (AllSatResult, Vec<(u32, u64)>) {
-    let mut sink = VecSink::new();
-    let result = engine.enumerate_with_sink(problem, &mut sink);
-    let per_cube = sink
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Event::CubeDone {
-                cube_index,
-                solver_calls,
-            } => Some((*cube_index, *solver_calls)),
-            _ => None,
-        })
-        .collect();
-    (result, per_cube)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,8 +675,19 @@ mod tests {
     fn cube_done_events_cover_every_partition_cube() {
         let cnf = random_cnf(5, 7, 12);
         let p = AllSatProblem::new(cnf, (0..5).map(Var::new).collect());
-        let engine = ParallelAllSat::new(2);
-        let (result, per_cube) = enumerate_detailed(&engine, &p);
+        let mut sink = VecSink::new();
+        let result = ParallelAllSat::new(2).enumerate_with_sink(&p, &mut sink);
+        let per_cube: Vec<(u32, u64)> = sink
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::CubeDone {
+                    cube_index,
+                    solver_calls,
+                } => Some((cube_index, solver_calls)),
+                _ => None,
+            })
+            .collect();
         let kp = prefix_len(2, 5);
         assert_eq!(per_cube.len(), 1 << kp);
         // Replayed in cube order, covering 0..2^kp exactly once.

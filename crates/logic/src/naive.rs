@@ -4,9 +4,9 @@
 //! [`crate::CubeSet`] routes every insert through the occurrence-indexed
 //! engine in `cube_index`; this module keeps the O(n²) implementation it
 //! replaced so the differential suite (`tests/cubeset_index.rs`) can pin
-//! the indexed store's output bit-for-bit, and so the `cubeset_scaling`
-//! bench has an honest baseline. **Nothing on a hot path may use this** —
-//! `scripts/verify.sh` greps for the linear-scan idiom outside this file.
+//! the indexed store's output bit-for-bit. **Nothing on a hot path may use
+//! this** — `scripts/verify.sh` greps for the linear-scan idiom outside
+//! this file.
 
 use crate::Cube;
 
@@ -14,7 +14,7 @@ use crate::Cube;
 ///
 /// Semantically identical to [`crate::CubeSet`] (the indexed store is
 /// defined as producing exactly this sequence of surviving cubes), but
-/// quadratic in the number of stored cubes. For tests and benches only.
+/// quadratic in the number of stored cubes. For tests only.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NaiveCubeSet {
     cubes: Vec<Cube>,

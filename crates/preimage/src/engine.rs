@@ -128,16 +128,6 @@ pub trait PreimageSession: Send {
     /// blocking clause per cube to the persistent solver).
     fn block_states(&mut self, states: &StateSet);
 
-    /// Enables or disables root-level solver inprocessing at the
-    /// session's retirement boundaries, which a session may schedule by
-    /// search effort rather than run at every one. Inprocessing is
-    /// equivalence-preserving, so results never change — only work
-    /// counters and the live clause volume. The default is a no-op for
-    /// sessions with no inprocessing machinery.
-    fn set_inprocess(&mut self, on: bool) {
-        let _ = on;
-    }
-
     /// Sets the parallel spawn gate (see
     /// [`presat_allsat::ParallelAllSat::with_par_threshold`]): enumerations
     /// whose `important × clauses` product falls below `threshold` run

@@ -25,18 +25,12 @@ pub struct ReachOptions {
     /// [`crate::PreimageSession`] when the engine offers one (the
     /// default): the transition relation is encoded once, the solver stays
     /// warm across iterations, and reached states are blocked inside the
-    /// solver so they are never re-derived. Bit-identical results either
-    /// way; engines without sessions silently use the per-call path.
+    /// solver so they are never re-derived. The session also inprocesses
+    /// its clause database when its effort schedule calls for a pass (see
+    /// [`presat_allsat::IncrementalAllSat::retire`]). Bit-identical results
+    /// either way; engines without sessions silently use the per-call
+    /// path.
     pub incremental: bool,
-    /// Run root-level solver inprocessing in the session (the default): at
-    /// the first retirement boundary, then at later ones once the search
-    /// effort since the last pass outweighs that pass's cost (see
-    /// [`presat_allsat::IncrementalAllSat::retire`]). Equivalence-preserving
-    /// — the report is identical either way — but keeps the persistent
-    /// solver's live clause volume down over deep fixed points. Ignored on
-    /// the per-call path (`incremental == false`), which rebuilds the
-    /// solver anyway.
-    pub inprocess: bool,
     /// Resource budget for each individual preimage call (counter limits
     /// reset every iteration; a deadline here is absolute and so in
     /// practice belongs in `total_budget`).
@@ -52,9 +46,8 @@ pub struct ReachOptions {
     /// whose encoding falls below the threshold run sequentially even with
     /// `jobs > 1`, `Some(0)` forces every iteration parallel, and `None`
     /// (the default) inherits the engine's own setting. Results are
-    /// bit-identical either way. Like `inprocess`, this is a session knob:
-    /// the per-call path (`incremental == false`) takes the threshold from
-    /// the engine itself.
+    /// bit-identical either way. This is a session knob: the per-call path
+    /// (`incremental == false`) takes the threshold from the engine itself.
     pub parallel_threshold: Option<u64>,
 }
 
@@ -64,7 +57,6 @@ impl Default for ReachOptions {
             max_iterations: None,
             simplify_frontier: false,
             incremental: true,
-            inprocess: true,
             step_budget: Budget::unlimited(),
             total_budget: Budget::unlimited(),
             cancel: None,
@@ -89,13 +81,6 @@ impl ReachOptions {
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Enables or disables session inprocessing (see
-    /// [`ReachOptions::inprocess`]).
-    pub fn with_inprocess(mut self, on: bool) -> Self {
-        self.inprocess = on;
         self
     }
 
@@ -305,7 +290,6 @@ impl ReachDriver {
             None
         };
         if let Some(s) = session.as_deref_mut() {
-            s.set_inprocess(options.inprocess);
             if let Some(threshold) = options.parallel_threshold {
                 s.set_parallel_threshold(threshold);
             }

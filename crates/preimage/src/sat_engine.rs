@@ -38,6 +38,12 @@ pub enum SatEngineKind {
 /// ([`StepEncoding`]) and enumerate all solutions projected onto the
 /// present-state variables.
 ///
+/// The success-driven kind also opens incremental sessions for
+/// reachability ([`PreimageEngine::open_session`]). A session inprocesses
+/// its clause database when its effort schedule calls for a pass (see
+/// [`presat_allsat::IncrementalAllSat::retire`]); that never changes a
+/// result, only work counters and the live clause volume.
+///
 /// # Examples
 ///
 /// ```
@@ -56,7 +62,6 @@ pub struct SatPreimage {
     kind: SatEngineKind,
     env: Option<CubeSet>,
     jobs: usize,
-    inprocess: bool,
     /// Spawn gate of parallel enumerations (see
     /// [`SatPreimage::with_par_threshold`]).
     par_threshold: u64,
@@ -68,7 +73,6 @@ impl SatPreimage {
             kind,
             env: None,
             jobs: 1,
-            inprocess: true,
             // Unlike the bare engine (which always spawns), preimage steps
             // gate on encoding size: small reachability frontiers lose more
             // to fleet spawn than the fleet wins back.
@@ -129,18 +133,6 @@ impl SatPreimage {
     /// The configured worker-thread count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Enables or disables root-level inprocessing in incremental sessions
-    /// (on by default). Only sessions inprocess — retirement boundaries
-    /// are where stale groups make subsumption and vivification pay, and
-    /// the session runs a pass there only once enough search effort has
-    /// accumulated — so this has no effect on the per-call (rebuild) path
-    /// or on the blocking baselines. Results are identical either way;
-    /// only work counters and memory move.
-    pub fn with_inprocess(mut self, on: bool) -> Self {
-        self.inprocess = on;
-        self
     }
 
     /// Sets the spawn gate: preimage steps whose `state-vars × clauses`
@@ -266,16 +258,14 @@ impl PreimageEngine for SatPreimage {
         let config = SuccessDrivenAllSat::new()
             .with_signature(signature)
             .with_model_guidance(model_guidance);
-        let mut session = SatPreimageSession::open(
+        Some(Box::new(SatPreimageSession::open(
             circuit,
             config,
             self.jobs,
             self.par_threshold,
             self.env.as_ref(),
             format!("{}+incremental", PreimageEngine::name(self)),
-        );
-        PreimageSession::set_inprocess(&mut session, self.inprocess);
-        Some(Box::new(session))
+        )))
     }
 }
 

@@ -182,10 +182,6 @@ impl PreimageSession for SatPreimageSession {
         }
     }
 
-    fn set_inprocess(&mut self, on: bool) {
-        self.inner.set_inprocess(on);
-    }
-
     fn set_parallel_threshold(&mut self, threshold: u64) {
         self.inner.set_par_threshold(threshold);
     }

@@ -79,7 +79,9 @@ pub struct Job {
     /// call — even a budget-stopped one — so a "no more predecessors"
     /// UNSAT proof restarts from scratch each slice; a quantum smaller
     /// than that proof would livelock. Each stall doubles the effective
-    /// quantum ([`Job::run_slice`]) until the job moves again.
+    /// quantum ([`Job::run_slice`]) until the job moves again. `reach`
+    /// jobs leave this at 0: their driver counts its own stalls and
+    /// doubles the step budget itself.
     stalls: u32,
     timer: Timer,
     finished: bool,
@@ -656,14 +658,6 @@ impl Job {
                 let slice_b = Budget::unlimited().with_conflicts(quantum);
                 let step = driver.step(&*engine, circuit, &slice_b, &mut NullSink);
                 let rows = driver.iteration_rows();
-                *stalls = match step {
-                    ReachStep::Interrupted(_)
-                        if rows[*emitted_rows..].iter().all(|r| r.new_states == 0) =>
-                    {
-                        stalls.saturating_add(1)
-                    }
-                    _ => 0,
-                };
                 for row in &rows[*emitted_rows..] {
                     out.send_line(&iteration_event(
                         id,
@@ -797,6 +791,8 @@ fn emit_done_reach(
 mod tests {
     use super::*;
     use crate::protocol::parse_request;
+    use presat_obs::json::extract_u64;
+    use presat_preimage::parse_state_spec;
     use std::io::Write;
     use std::sync::{Arc, Mutex};
 
@@ -938,5 +934,44 @@ mod tests {
             all.iter().any(|l| l.contains(r#""event":"iteration""#)),
             "{all:?}"
         );
+    }
+
+    /// A stalled reach slice (interrupted, no new state) doubles the next
+    /// slice's conflict allowance once: the driver counts the stalls, and
+    /// the job must not boost the quantum a second time.
+    #[test]
+    fn stalled_reach_slices_double_the_quantum_once() {
+        let circuit = presat_circuit::generators::parity(6);
+        let target = parse_state_spec("6=1", circuit.num_latches()).expect("spec parses");
+        let (out, buf) = capture();
+        let request = Request::Reach {
+            id: "p".into(),
+            session: "s".into(),
+            circuit,
+            target,
+            limits: RequestLimits::default(),
+            max_iter: None,
+        };
+        let mut job = Job::new(request, 0, out).expect("job builds");
+        let mut stalls = 0u32;
+        let mut seen = 0;
+        for slice in 0.. {
+            assert!(slice < 100_000, "job failed to terminate");
+            let r = job.run_slice(1, None);
+            assert!(
+                r.conflicts_spent <= 1 << stalls,
+                "slice {slice} spent {} conflicts after {stalls} stalled slices",
+                r.conflicts_spent
+            );
+            if r.outcome == SliceOutcome::Done {
+                break;
+            }
+            let all = lines(&buf);
+            let progressed = all[seen..]
+                .iter()
+                .any(|l| extract_u64(l, "new_states").is_some_and(|n| n > 0));
+            seen = all.len();
+            stalls = if progressed { 0 } else { stalls + 1 };
+        }
     }
 }

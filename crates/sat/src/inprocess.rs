@@ -7,9 +7,8 @@
 //!
 //! * **root reduction** — clauses satisfied by a level-0 literal are
 //!   tombstoned; level-0-falsified literals are erased;
-//! * **subsumption / self-subsuming resolution** — over occurrence lists
-//!   shared with the [`crate::simplify`] preprocessor (see
-//!   [`crate::subsume`]);
+//! * **subsumption / self-subsuming resolution** — over the occurrence
+//!   lists of [`crate::subsume`];
 //! * **vivification** — assume the negation of a clause literal-by-literal
 //!   under unit propagation and shrink the clause to the prefix that
 //!   already yields a conflict or an implied literal.
@@ -19,7 +18,7 @@
 //! Every rewrite replaces a clause `C` by a clause `C' ⊆ C` with `F ⊨ C'`
 //! (or deletes `C` when `F ⊨ C` already) — the clause set before and after
 //! has exactly the same models, so the all-solutions engines above produce
-//! identical cube sets with inprocessing on or off. Three sharp edges are
+//! identical cube sets whether or not a pass ran. Three sharp edges are
 //! handled explicitly:
 //!
 //! * **learnt vs problem clauses** — a learnt clause is itself only a
@@ -48,70 +47,37 @@ use crate::types::Lbool;
 
 use super::{Reason, Solver};
 
-/// Behaviour knobs for [`Solver::inprocess`]. Budgets are per *round*;
-/// a default-constructed config enables inprocessing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// Master switch; with `false`, [`Solver::inprocess`] is a no-op and
-    /// the solver behaves bit-identically to one that never calls it.
-    pub inprocess: bool,
-    /// Subsumption budget: literal-level subset checks per round.
-    pub inprocess_subsumption_checks: u64,
-    /// Vivification budget: unit propagations per round.
-    pub inprocess_vivify_props: u64,
-    /// Maximum subsume→vivify rounds per [`Solver::inprocess`] call
-    /// (stops early once a round changes nothing).
-    pub inprocess_rounds: u32,
-}
+/// Subsumption budget: literal-level subset checks per round.
+const SUBSUMPTION_CHECKS: u64 = 200_000;
 
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            inprocess: true,
-            inprocess_subsumption_checks: 200_000,
-            inprocess_vivify_props: 50_000,
-            inprocess_rounds: 2,
-        }
-    }
-}
+/// Vivification budget: unit propagations per round.
+const VIVIFY_PROPS: u64 = 50_000;
+
+/// Maximum subsume→vivify rounds per [`Solver::inprocess`] call (it stops
+/// early once a round changes nothing).
+const ROUNDS: u32 = 2;
 
 impl Solver {
-    /// Current inprocessing configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Replaces the inprocessing configuration.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// Enables or disables root-level inprocessing (shorthand for editing
-    /// [`SolverConfig::inprocess`]).
-    pub fn set_inprocess(&mut self, on: bool) {
-        self.config.inprocess = on;
-    }
-
     /// Runs root-level inprocessing (see the module docs): root reduction,
     /// subsumption, self-subsuming resolution, and vivification, for up to
-    /// [`SolverConfig::inprocess_rounds`] rounds or until a round changes
-    /// nothing. Equivalence-preserving: the model set of the clause
-    /// database is untouched. Returns [`Solver::is_ok`] — strengthening
-    /// can refute the formula outright.
+    /// two rounds (`ROUNDS`) or until a round changes nothing.
+    /// Equivalence-preserving: the model set of the clause database is
+    /// untouched. Returns [`Solver::is_ok`] — strengthening can refute the
+    /// formula outright.
     ///
     /// # Panics
     ///
     /// Panics if called above decision level 0.
     pub fn inprocess(&mut self) -> bool {
         assert_eq!(self.decision_level(), 0, "inprocess requires level 0");
-        if !self.ok || !self.config.inprocess {
-            return self.ok;
+        if !self.ok {
+            return false;
         }
         if self.propagate().is_some() {
             self.ok = false;
             return false;
         }
-        for _ in 0..self.config.inprocess_rounds {
+        for _ in 0..ROUNDS {
             self.stats.inprocess_rounds += 1;
             let subsumed = self.inprocess_subsume();
             if !self.ok {
@@ -182,25 +148,22 @@ impl Solver {
             root_changed.push(dropped > 0);
         }
 
-        let out = sub.run(
-            self.config.inprocess_subsumption_checks,
-            |c_id, d_id, pivot| {
-                if !eligible[d_id as usize] {
-                    return Action::Skip;
+        let out = sub.run(SUBSUMPTION_CHECKS, |c_id, d_id, pivot| {
+            if !eligible[d_id as usize] {
+                return Action::Skip;
+            }
+            match pivot {
+                // Deleting a problem clause on the strength of a learnt
+                // subsumer would let a later `reduce_db` weaken the
+                // formula; strengthening is always sound (the resolvent
+                // joins the formula as a consequence).
+                None if learnt_of[d_id as usize] || !learnt_of[c_id as usize] => {
+                    Action::DeleteTarget
                 }
-                match pivot {
-                    // Deleting a problem clause on the strength of a learnt
-                    // subsumer would let a later `reduce_db` weaken the
-                    // formula; strengthening is always sound (the resolvent
-                    // joins the formula as a consequence).
-                    None if learnt_of[d_id as usize] || !learnt_of[c_id as usize] => {
-                        Action::DeleteTarget
-                    }
-                    None => Action::Skip,
-                    Some(_) => Action::StrengthenTarget,
-                }
-            },
-        );
+                None => Action::Skip,
+                Some(_) => Action::StrengthenTarget,
+            }
+        });
         self.stats.subsumed_clauses += out.deleted;
         self.stats.strengthened_lits += out.strengthened_lits;
         if out.unsat {
@@ -236,7 +199,6 @@ impl Solver {
     /// whether anything changed.
     fn inprocess_vivify(&mut self) -> bool {
         let start = self.stats.propagations;
-        let budget = self.config.inprocess_vivify_props;
         let targets: Vec<ClauseRef> = {
             let db = &self.db;
             db.live_refs().filter(|&c| db.len_of(c) >= 3).collect()
@@ -245,7 +207,7 @@ impl Solver {
         let mut lits: Vec<Lit> = Vec::new();
         let mut kept: Vec<Lit> = Vec::new();
         for cref in targets {
-            if self.stats.propagations - start >= budget {
+            if self.stats.propagations - start >= VIVIFY_PROPS {
                 break;
             }
             if self.db.is_deleted(cref) {
@@ -452,17 +414,6 @@ mod tests {
             "wide clause should shrink: {:?}",
             s.stats()
         );
-    }
-
-    #[test]
-    fn inprocess_off_is_a_no_op() {
-        let mut s = Solver::new(3);
-        s.set_inprocess(false);
-        s.add_clause([lit(0, true), lit(1, true)]);
-        s.add_clause([lit(0, true), lit(1, true), lit(2, true)]);
-        let before = *s.stats();
-        assert!(s.inprocess());
-        assert_eq!(*s.stats(), before);
     }
 
     #[test]

@@ -60,11 +60,10 @@
 mod budget;
 mod clause;
 mod heap;
-pub mod simplify;
 mod solver;
 mod subsume;
 mod types;
 
 pub use budget::{Budget, BudgetPool, CancelToken};
-pub use solver::{Solver, SolverConfig};
+pub use solver::Solver;
 pub use types::{Lbool, SolveResult, SolverStats, StopReason};

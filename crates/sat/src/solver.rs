@@ -14,7 +14,6 @@ use crate::types::{Lbool, SolveResult, SolverStats, StopReason};
 // widening their visibility.
 #[path = "inprocess.rs"]
 mod inprocess;
-pub use inprocess::SolverConfig;
 
 /// A watch-list entry for a clause of length ≥ 3: the clause plus a
 /// *blocker* literal whose satisfaction lets propagation skip the clause
@@ -169,8 +168,6 @@ pub struct Solver {
     /// is full. The clause set no longer faithfully represents the input,
     /// so every later solve answers `Unknown(ResourceExhausted)`.
     resource_exhausted: bool,
-    /// Root-level inprocessing knobs (see [`SolverConfig`]).
-    config: SolverConfig,
 }
 
 impl Solver {
@@ -206,7 +203,6 @@ impl Solver {
             pool_charged_propagations: 0,
             has_limits: false,
             resource_exhausted: false,
-            config: SolverConfig::default(),
         };
         s.grow_to(num_vars);
         s

@@ -1,9 +1,8 @@
-//! Occurrence-list subsumption core shared by the preprocessor
-//! ([`crate::simplify`]) and the root-level inprocessor
+//! Occurrence-list subsumption core of the root-level inprocessor
 //! (`Solver::inprocess`).
 //!
-//! Both clients feed clauses in as plain literal slices and get back the
-//! same two equivalence-preserving rules:
+//! The inprocessor feeds clauses in as plain literal slices and gets back
+//! two equivalence-preserving rules:
 //!
 //! * **subsumption** — `C ⊆ D` lets `D` be deleted;
 //! * **self-subsuming resolution** — `C \ {l} ⊆ D` with `¬l ∈ D` lets
@@ -216,11 +215,6 @@ impl Subsumer {
             }
         }
         out
-    }
-
-    /// Consumes the driver, returning the surviving clauses in id order.
-    pub(crate) fn into_live_clauses(self) -> Vec<Vec<Lit>> {
-        self.clauses.into_iter().filter(|c| !c.is_empty()).collect()
     }
 }
 

@@ -28,12 +28,6 @@
 //! step skips the worker fleet and runs sequentially (`0` = always
 //! parallel). It only moves scheduling and work counters — the output is
 //! bit-identical regardless.
-//! `--no-inprocess` disables root-level solver inprocessing at incremental
-//! session boundaries (subsumption, self-subsuming resolution,
-//! vivification), which the session otherwise runs at the first boundary
-//! and then whenever the search since the last pass outweighs its cost.
-//! Inprocessing is equivalence-preserving, so results are identical
-//! either way — only work counters and live clause volume move.
 //! Combining `--engine` with an option the selected engine ignores prints
 //! a one-line warning on stderr naming the options that engine consumes.
 //! `reach` drives the fixed point through one persistent solver session by
@@ -126,10 +120,6 @@ fn print_usage() {
          \x20        --par-threshold <n>  size product below which a step\n\
          \x20                    runs sequentially despite --jobs (0 = always\n\
          \x20                    parallel)\n\
-         \x20        --no-inprocess  disable root-level inprocessing, which\n\
-         \x20                    incremental sessions schedule by search\n\
-         \x20                    effort (results are identical either way;\n\
-         \x20                    only counters move)\n\
          \x20        --timeout-ms <n>       wall-clock budget (solve/allsat/reach);\n\
          \x20                    on expiry the run stops with a partial result\n\
          \x20                    flagged incomplete, never a fake UNSAT\n\
@@ -209,22 +199,11 @@ fn jobs_from_flag(args: &[String]) -> Result<usize, String> {
 /// The `--engine` names the circuit commands accept, for error messages.
 const CIRCUIT_ENGINES: &str = "blocking, min-blocking, success-driven, chrono, bdd-sub, bdd-mono";
 
-/// Parses `--inprocess` / `--no-inprocess` (default: on). Inprocessing is
-/// equivalence-preserving, so this only moves work counters, never results.
-fn inprocess_from_flags(args: &[String]) -> Result<bool, String> {
-    if has_flag(args, "--inprocess") && has_flag(args, "--no-inprocess") {
-        return Err("--inprocess and --no-inprocess are mutually exclusive".into());
-    }
-    Ok(!has_flag(args, "--no-inprocess"))
-}
-
 /// Engine-tunable options and the engines that consume them. Any other
 /// engine silently ignores the flag, which [`warn_ignored_engine_flags`]
 /// turns into a visible stderr warning.
 const ENGINE_FLAGS: &[(&str, &[&str])] = &[
     ("--jobs", &["success-driven"]),
-    ("--inprocess", &["success-driven"]),
-    ("--no-inprocess", &["success-driven"]),
     ("--par-threshold", &["success-driven"]),
 ];
 
@@ -270,16 +249,13 @@ fn par_threshold_from_flag(args: &[String]) -> Result<Option<u64>, String> {
 
 fn sat_engine_from_flag(args: &[String]) -> Result<Box<dyn PreimageEngine>, String> {
     let jobs = jobs_from_flag(args)?;
-    let inprocess = inprocess_from_flags(args)?;
     let name = flag_value(args, "--engine").unwrap_or("success-driven");
     let engine: Box<dyn PreimageEngine> = match name {
         "blocking" => Box::new(SatPreimage::blocking()),
         "min-blocking" => Box::new(SatPreimage::min_blocking()),
         "chrono" => Box::new(SatPreimage::chrono()),
         "success-driven" => {
-            let mut engine = SatPreimage::success_driven()
-                .with_jobs(jobs)
-                .with_inprocess(inprocess);
+            let mut engine = SatPreimage::success_driven().with_jobs(jobs);
             if let Some(t) = par_threshold_from_flag(args)? {
                 engine = engine.with_par_threshold(t);
             }
@@ -527,7 +503,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             // the rebuild-per-iteration escape hatch. Results are
             // bit-identical either way.
             incremental: !has_flag(args, "--no-incremental"),
-            inprocess: inprocess_from_flags(args)?,
             total_budget: limits.budget,
             parallel_threshold,
             ..ReachOptions::default()

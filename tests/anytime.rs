@@ -9,6 +9,8 @@
 //! masquerading as "UNSAT". An uninterrupted run under generous limits is
 //! bit-identical to the unlimited one.
 
+use std::time::Duration;
+
 use presat::allsat::{
     AllSatEngine, AllSatProblem, BlockingAllSat, Budget, CancelToken, ChronoAllSat, EnumLimits,
     MinimizedBlockingAllSat, ParallelAllSat, StopReason, SuccessDrivenAllSat,
@@ -473,22 +475,33 @@ fn cancelled_reach_reports_cancellation() {
 
 /// Unlimited `EnumLimits` are the identity: `enumerate_limited` with no
 /// limits installed is bit-identical to plain `enumerate` on every engine.
+/// So is a live but generous limit set that never trips: every poll site
+/// runs, and the answer must still be complete and bit-identical.
 #[test]
 fn no_limits_is_bit_identical_to_unlimited() {
+    let none = EnumLimits::none();
+    let generous = EnumLimits::none()
+        .with_budget(
+            Budget::unlimited()
+                .with_conflicts(u64::MAX / 2)
+                .with_timeout(Duration::from_secs(3600)),
+        )
+        .with_cancel(CancelToken::new());
     let mut rng = SplitMix64::seed_from_u64(0xA16);
     for _ in 0..6 {
         let cnf = random_cnf(&mut rng, 8, 22);
         let problem = AllSatProblem::new(cnf, Var::range(5).collect());
-        let limits = EnumLimits::none();
-        for jobs in [1usize, 4] {
-            let plain = ParallelAllSat::new(jobs).enumerate(&problem);
-            let limited = ParallelAllSat::new(jobs).enumerate_limited(
-                &problem,
-                &limits,
-                &mut presat::obs::NullSink,
-            );
-            assert_eq!(plain.cubes.cubes(), limited.cubes.cubes());
-            assert!(limited.complete && limited.stop_reason.is_none());
+        for limits in [&none, &generous] {
+            for jobs in [1usize, 4] {
+                let plain = ParallelAllSat::new(jobs).enumerate(&problem);
+                let limited = ParallelAllSat::new(jobs).enumerate_limited(
+                    &problem,
+                    limits,
+                    &mut presat::obs::NullSink,
+                );
+                assert_eq!(plain.cubes.cubes(), limited.cubes.cubes());
+                assert!(limited.complete && limited.stop_reason.is_none());
+            }
         }
     }
 }

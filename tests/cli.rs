@@ -397,56 +397,15 @@ fn engine_ignored_flags_warn_on_stderr() {
         "0=1",
         "--engine",
         "bdd-sub",
-        "--no-inprocess",
+        "--par-threshold",
+        "0",
     ]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("--no-inprocess") && stderr.contains("no engine-specific options"),
+        stderr.contains("--par-threshold") && stderr.contains("no engine-specific options"),
         "{stderr}"
     );
-}
-
-/// `--no-inprocess` is accepted by the circuit commands and never changes
-/// the result — inprocessing is equivalence-preserving.
-#[test]
-fn no_inprocess_flag_preserves_results() {
-    let path = write_temp("cnt3i.aag", COUNTER3_AAG);
-    let on = presat(&["reach", path.to_str().unwrap(), "--target", "0"]);
-    let off = presat(&[
-        "reach",
-        path.to_str().unwrap(),
-        "--target",
-        "0",
-        "--no-inprocess",
-    ]);
-    assert!(on.status.success() && off.status.success());
-    // Per-iteration wall times vary run to run; compare everything else.
-    let strip_times = |raw: &[u8]| -> Vec<String> {
-        String::from_utf8_lossy(raw)
-            .lines()
-            .map(|l| match l.find(" in ") {
-                Some(i) => l[..i].to_string(),
-                None => l.to_string(),
-            })
-            .collect()
-    };
-    assert_eq!(
-        strip_times(&on.stdout),
-        strip_times(&off.stdout),
-        "inprocessing changed the report"
-    );
-    // The two spellings together are rejected.
-    let out = presat(&[
-        "reach",
-        path.to_str().unwrap(),
-        "--target",
-        "0",
-        "--inprocess",
-        "--no-inprocess",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
 
 #[test]

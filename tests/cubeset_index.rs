@@ -8,14 +8,17 @@
 //! not just set equality. All streams are seeded [`SplitMix64`]; a failure
 //! message carries the seed and parameters needed to replay it.
 
+use std::ops::RangeInclusive;
+
 use presat::logic::rng::SplitMix64;
 use presat::logic::{Cube, CubeSet, Lit, NaiveCubeSet, Var};
 
-/// One random cube: `width` literals drawn over `nv` variables (variable
-/// collisions resolved by `from_lits`' dedup; contradictions retried).
-fn random_cube(rng: &mut SplitMix64, nv: usize, max_width: usize) -> Cube {
+/// One random cube: a width drawn from `widths`, then that many literals
+/// drawn over `nv` variables (variable collisions resolved by
+/// `from_lits`' dedup; contradictions retried).
+fn random_cube(rng: &mut SplitMix64, nv: usize, widths: RangeInclusive<usize>) -> Cube {
     loop {
-        let width = rng.gen_range(1..max_width + 1);
+        let width = rng.gen_range(*widths.start()..*widths.end() + 1);
         let lits: Vec<Lit> = (0..width)
             .map(|_| Lit::with_phase(Var::new(rng.gen_range(0..nv)), rng.gen_bool(0.5)))
             .collect();
@@ -25,28 +28,41 @@ fn random_cube(rng: &mut SplitMix64, nv: usize, max_width: usize) -> Cube {
     }
 }
 
+/// Streams longer than this compare the cube sequences only at the end;
+/// comparing after every insert would make them quadratic.
+const STEPWISE_MAX_INSERTS: usize = 1_000;
+
 /// Feeds the same stream to both stores and asserts identical insert
-/// verdicts and identical cube sequences after every single insert.
-fn assert_differential(seed: u64, nv: usize, max_width: usize, inserts: usize) {
+/// verdicts after every single insert, and identical cube sequences after
+/// every insert (short streams) or at the end (long ones).
+fn assert_differential(seed: u64, nv: usize, widths: RangeInclusive<usize>, inserts: usize) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut naive = NaiveCubeSet::new();
     let mut indexed = CubeSet::new();
     for step in 0..inserts {
-        let c = random_cube(&mut rng, nv, max_width);
+        let c = random_cube(&mut rng, nv, widths.clone());
         let a = naive.insert(c.clone());
         let b = indexed.insert(c.clone());
         assert_eq!(
             a, b,
             "insert verdict diverged at step {step} (seed {seed}, nv {nv}, \
-             width {max_width}) on cube {c}"
+             widths {widths:?}) on cube {c}"
         );
-        assert_eq!(
-            naive.cubes(),
-            indexed.cubes(),
-            "cube sequence diverged at step {step} (seed {seed}, nv {nv}, \
-             width {max_width})"
-        );
+        if inserts <= STEPWISE_MAX_INSERTS {
+            assert_eq!(
+                naive.cubes(),
+                indexed.cubes(),
+                "cube sequence diverged at step {step} (seed {seed}, nv {nv}, \
+                 widths {widths:?})"
+            );
+        }
     }
+    assert_eq!(
+        naive.cubes(),
+        indexed.cubes(),
+        "cube sequence diverged after {inserts} inserts (seed {seed}, nv {nv}, \
+         widths {widths:?})"
+    );
 }
 
 #[test]
@@ -54,16 +70,20 @@ fn random_streams_match_naive_bit_for_bit() {
     // Varying width/density: narrow cubes over few variables absorb
     // heavily; wide cubes over many variables almost never collide. Both
     // regimes — and the transition — must match the reference exactly.
-    for (seed, nv, max_width, inserts) in [
-        (0x1001, 4, 2, 200),   // dense: constant absorption traffic
-        (0x1002, 8, 3, 300),   // medium density
-        (0x1003, 16, 5, 300),  // mixed
-        (0x1004, 32, 4, 300),  // wide universe, wide prefilter spread
-        (0x1005, 64, 8, 200),  // sparse: mostly disjoint cubes
-        (0x1006, 100, 12, 200), // signature aliasing (vars 64.. fold onto 0..)
-        (0x1007, 6, 1, 150),   // unit cubes only
+    for (seed, nv, widths, inserts) in [
+        (0x1001, 4, 1..=2, 200),    // dense: constant absorption traffic
+        (0x1002, 8, 1..=3, 300),    // medium density
+        (0x1003, 16, 1..=5, 300),   // mixed
+        (0x1004, 32, 1..=4, 300),   // wide universe, wide prefilter spread
+        (0x1005, 64, 1..=8, 200),   // sparse: mostly disjoint cubes
+        (0x1006, 100, 1..=12, 200), // signature aliasing (vars 64.. fold onto 0..)
+        (0x1007, 6, 1..=1, 150),    // unit cubes only
+        // The two long streams of the R12 scaling sweep: sparse growth,
+        // where almost every insert survives, and dense absorption.
+        (0x5105 + 10_000, 64, 3..=10, 10_000),
+        (0xDE45, 12, 1..=3, 10_000),
     ] {
-        assert_differential(seed, nv, max_width, inserts);
+        assert_differential(seed, nv, widths, inserts);
     }
 }
 
@@ -78,12 +98,12 @@ fn interleaved_unions_match_naive() {
     let mut naive = NaiveCubeSet::new();
     let mut stream = Vec::new();
     for _ in 0..150 {
-        let c = random_cube(&mut rng, 10, 4);
+        let c = random_cube(&mut rng, 10, 1..=4);
         left.insert(c.clone());
         stream.push(c);
     }
     for _ in 0..150 {
-        let c = random_cube(&mut rng, 10, 4);
+        let c = random_cube(&mut rng, 10, 1..=4);
         right.insert(c.clone());
         stream.push(c);
     }
@@ -116,7 +136,7 @@ fn universe_cube_absorbs_everything_in_both_stores() {
     let mut naive = NaiveCubeSet::new();
     let mut indexed = CubeSet::new();
     for _ in 0..50 {
-        let c = random_cube(&mut rng, 12, 4);
+        let c = random_cube(&mut rng, 12, 1..=4);
         naive.insert(c.clone());
         indexed.insert(c);
     }
@@ -129,7 +149,7 @@ fn universe_cube_absorbs_everything_in_both_stores() {
     // …and everything after it is rejected.
     assert!(!naive.insert(Cube::top()));
     assert!(!indexed.insert(Cube::top()));
-    let c = random_cube(&mut rng, 12, 4);
+    let c = random_cube(&mut rng, 12, 1..=4);
     assert!(!naive.insert(c.clone()));
     assert!(!indexed.insert(c));
     assert_eq!(naive.cubes(), indexed.cubes());
@@ -187,7 +207,7 @@ fn index_counters_accumulate_under_load() {
     let mut rng = SplitMix64::seed_from_u64(0xBEEF);
     let mut indexed = CubeSet::new();
     for _ in 0..400 {
-        indexed.insert(random_cube(&mut rng, 10, 4));
+        indexed.insert(random_cube(&mut rng, 10, 1..=4));
     }
     let st = indexed.index_stats();
     assert!(st.subsumption_checks > 0);

@@ -21,16 +21,6 @@ fn env_incremental() -> bool {
         .unwrap_or(true)
 }
 
-/// Whether sessions inprocess at retirement boundaries, from
-/// `PRESAT_TEST_INPROCESS` (default on; `0` = off). Inprocessing is
-/// equivalence-preserving, so every identity this suite asserts must hold
-/// in both modes; `scripts/verify.sh` runs the suite twice to prove it.
-fn env_inprocess() -> bool {
-    std::env::var("PRESAT_TEST_INPROCESS")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
-
 fn reach(circuit: &Circuit, target: &StateSet, jobs: usize, incremental: bool) -> ReachReport {
     backward_reach(
         &SatPreimage::success_driven().with_jobs(jobs),
@@ -38,7 +28,6 @@ fn reach(circuit: &Circuit, target: &StateSet, jobs: usize, incremental: bool) -
         target,
         ReachOptions {
             incremental,
-            inprocess: env_inprocess(),
             ..ReachOptions::default()
         },
     )
@@ -398,6 +387,10 @@ fn env_selected_mode_agrees_with_oracle() {
         (
             generators::counter(3, false),
             StateSet::from_state_bits(5, 3),
+        ),
+        (
+            generators::counter(4, false),
+            StateSet::from_state_bits(9, 4),
         ),
         (generators::lfsr(4), StateSet::from_state_bits(1, 4)),
         (

@@ -9,36 +9,25 @@
 //! * seeded random CNFs, inprocessed and then fully enumerated, against
 //!   the BDD package as ground truth (canonical model sets + `satcount`);
 //! * every circuit generator family plus the embedded benchmarks, through
-//!   the full backward-reachability fixed point, inprocessing on vs. off
-//!   and against the exhaustive-simulation oracle;
+//!   the full backward-reachability fixed point, the inprocessing session
+//!   against the rebuild path (which never inprocesses) and against the
+//!   exhaustive-simulation oracle;
 //! * mid-session round trips (enumerate → retire/inprocess → enumerate)
 //!   at 1 and 4 worker threads, each round pinned to the BDD projection
 //!   of an equivalent monolithic formula;
 //! * the session's effort schedule: a deep fixed point inprocesses far
 //!   less often than it retires groups, yet still subsumes clauses.
-//!
-//! `scripts/verify.sh` runs the suite at `PRESAT_TEST_INPROCESS=0` and
-//! `=1`, so every oracle comparison here is exercised in both modes.
 
 use presat::allsat::{EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
 use presat::bdd::BddManager;
 use presat::circuit::{embedded, generators, Circuit};
 use presat::logic::rng::SplitMix64;
 use presat::logic::{Assignment, Cnf, Lit, Var};
-use presat::preimage::{backward_reach, oracle, ReachOptions, SatPreimage, StateSet};
+use presat::preimage::{backward_reach, oracle, ReachOptions, ReachReport, SatPreimage, StateSet};
 use presat::sat::{SolveResult, Solver};
 
 /// Fixed fuzz seed: the suite is deterministic so a failure reproduces.
 const FUZZ_SEED: u64 = 0x17B0_CE55;
-
-/// Whether inprocessing is on for the env-parameterized tests, from
-/// `PRESAT_TEST_INPROCESS` (default on; `0` = off). `scripts/verify.sh`
-/// runs the suite in both modes.
-fn env_inprocess() -> bool {
-    std::env::var("PRESAT_TEST_INPROCESS")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
 
 /// Random CNF with a clause-width mix of 2..=4, so the inprocessor sees
 /// permanent binaries, subsumption candidates, and vivification targets.
@@ -137,49 +126,55 @@ fn repeated_inprocessing_rounds_stay_equivalent() {
     }
 }
 
-/// One backward-reachability fixed point per circuit family, inprocessing
-/// on vs. off and against the exhaustive-simulation oracle. Inside the
-/// incremental session a pass runs at the first retirement and then
-/// whenever enough search effort has accumulated, so every circuit here
-/// is inprocessed at least once.
+/// Runs the fixed point through the incremental session (which
+/// inprocesses) or the rebuild path (which never does).
+fn reach(circuit: &Circuit, target: &StateSet, jobs: usize, incremental: bool) -> ReachReport {
+    backward_reach(
+        &SatPreimage::success_driven().with_jobs(jobs),
+        circuit,
+        target,
+        ReachOptions {
+            incremental,
+            ..ReachOptions::default()
+        },
+    )
+}
+
+/// One backward-reachability fixed point per circuit family, the session
+/// against the rebuild path and against the exhaustive-simulation oracle.
+/// Inside the incremental session a pass runs at the first retirement and
+/// then whenever enough search effort has accumulated, so every circuit
+/// here is inprocessed at least once.
 fn assert_family_reach_invariant(circuit: &Circuit, target: &StateSet) {
     let n = circuit.num_latches();
     let expect = oracle::backward_reachable_bits(circuit, target);
     for jobs in [1usize, 4] {
-        let run = |inprocess: bool| {
-            backward_reach(
-                &SatPreimage::success_driven().with_jobs(jobs),
-                circuit,
-                target,
-                ReachOptions {
-                    incremental: true,
-                    inprocess,
-                    ..ReachOptions::default()
-                },
-            )
-        };
-        let on = run(true);
-        let off = run(false);
+        let session = reach(circuit, target, jobs, true);
+        let rebuild = reach(circuit, target, jobs, false);
         let label = format!("{} (target {target}, jobs {jobs})", circuit.name());
-        assert_eq!(
-            on.reached.cubes(),
-            off.reached.cubes(),
-            "inprocessing changed the reached set: {label}"
+        assert!(
+            session.stats.allsat.sat.inprocess_rounds > 0,
+            "the session never inprocessed: {label}"
         );
-        assert_eq!(on.converged, off.converged, "converged: {label}");
         assert_eq!(
-            on.iterations.len(),
-            off.iterations.len(),
+            session.reached.cubes(),
+            rebuild.reached.cubes(),
+            "inprocessing session changed the reached set: {label}"
+        );
+        assert_eq!(session.converged, rebuild.converged, "converged: {label}");
+        assert_eq!(
+            session.iterations.len(),
+            rebuild.iterations.len(),
             "iteration count: {label}"
         );
         assert_eq!(
-            on.reached_states,
+            session.reached_states,
             expect.len() as u128,
             "oracle cardinality: {label}"
         );
         for &b in &expect {
             assert!(
-                on.reached.contains_bits(b, n),
+                session.reached.contains_bits(b, n),
                 "oracle state {b:0n$b} missing: {label}"
             );
         }
@@ -227,14 +222,13 @@ fn embedded_benchmarks_preserve_reachability_under_inprocessing() {
 }
 
 /// Mid-session round trip: enumerate → retire (inprocessing may fire) →
-/// enumerate, ten rounds deep, with the inprocessing-on session compared
-/// against an inprocessing-off twin *and* against the BDD projection of
-/// an equivalent monolithic formula every round.
+/// enumerate, ten rounds deep, with the session compared against the BDD
+/// projection of an equivalent monolithic formula every round.
 ///
 /// The session inprocesses at its first retirement and then only once
-/// enough search effort has accumulated. The on-session must still
-/// inprocess at least twice after that first pass, read from the per-call
-/// stats that carry each pass's counters.
+/// enough search effort has accumulated. It must still inprocess at least
+/// twice after that first pass, read from the per-call stats that carry
+/// each pass's counters.
 fn mid_session_round_trip(jobs: usize) {
     let n = 6;
     let mut rng = SplitMix64::seed_from_u64(FUZZ_SEED ^ (0x40B + jobs as u64));
@@ -248,11 +242,7 @@ fn mid_session_round_trip(jobs: usize) {
         base.add_clause(c);
     }
     let important: Vec<Var> = Var::range(n).collect();
-    let mut on = IncrementalAllSat::new(base.clone(), important.clone(), SuccessDrivenAllSat::new(), jobs);
-    let mut off =
-        IncrementalAllSat::new(base, important.clone(), SuccessDrivenAllSat::new(), jobs);
-    on.set_inprocess(true);
-    off.set_inprocess(false);
+    let mut session = IncrementalAllSat::new(base, important, SuccessDrivenAllSat::new(), jobs);
 
     // The cold mirror: every group clause ever added, activation units for
     // the current group, retired groups forced off.
@@ -263,36 +253,29 @@ fn mid_session_round_trip(jobs: usize) {
     // by the retirement just before it.
     let mut rounds_per_call: Vec<u64> = Vec::new();
     for round in 0..10 {
-        let act_on = Lit::pos(on.add_var());
-        let act_off = Lit::pos(off.add_var());
-        assert_eq!(act_on, act_off, "sessions must allocate in lockstep");
+        let act = Lit::pos(session.add_var());
         num_vars += 1;
         for _ in 0..4 {
-            let mut c = vec![!act_on];
+            let mut c = vec![!act];
             for _ in 0..3 {
                 c.push(rand_lit(&mut rng));
             }
             group_clauses.push(c.clone());
-            on.add_clause(c.clone());
-            off.add_clause(c);
+            session.add_clause(c);
         }
-        let limits = EnumLimits::none();
-        let got_on = on.enumerate_limited(&[act_on], &limits, &mut presat::obs::NullSink);
-        let got_off = off.enumerate_limited(&[act_off], &limits, &mut presat::obs::NullSink);
-        assert!(got_on.complete && got_off.complete, "round {round}");
-        assert_eq!(
-            got_on.cubes.cubes(),
-            got_off.cubes.cubes(),
-            "round {round} (jobs {jobs}): inprocessing changed the enumeration"
+        let got = session.enumerate_limited(
+            &[act],
+            &EnumLimits::none(),
+            &mut presat::obs::NullSink,
         );
-        assert_eq!(got_off.stats.sat.inprocess_rounds, 0, "round {round}");
-        rounds_per_call.push(got_on.stats.sat.inprocess_rounds);
+        assert!(got.complete, "round {round}");
+        rounds_per_call.push(got.stats.sat.inprocess_rounds);
 
         let mut mirror = Cnf::new(num_vars);
         for c in base_clauses.iter().chain(group_clauses.iter()) {
             mirror.add_clause(c.clone());
         }
-        mirror.add_clause(vec![act_on]);
+        mirror.add_clause(vec![act]);
         for &r in &retired {
             mirror.add_clause(vec![!r]);
         }
@@ -300,16 +283,14 @@ fn mid_session_round_trip(jobs: usize) {
         let f = m.from_cnf(&mirror);
         let aux: Vec<Var> = (n..num_vars).map(Var::new).collect();
         let truth = m.exists(f, &aux);
-        let got = m.from_cube_set(&got_on.cubes);
         assert!(
-            got == truth,
+            m.from_cube_set(&got.cubes) == truth,
             "round {round} (jobs {jobs}): session diverges from the BDD projection"
         );
 
-        // Retirement may run the next inprocessing pass on `on`.
-        retired.push(act_on);
-        on.retire(act_on);
-        off.retire(act_off);
+        // Retirement may run the next inprocessing pass.
+        retired.push(act);
+        session.retire(act);
     }
     // Call 0 precedes every retirement and call 1 follows the first,
     // which always inprocesses; later calls show the effort schedule.
@@ -337,81 +318,27 @@ fn mid_session_round_trip_at_jobs_4() {
 /// at every one of them (about two rounds each) would cost several times
 /// the search it serves. At most one round per eight iterations may run,
 /// the passes that do run must still subsume clauses, and the reached set
-/// must match the inprocessing-off run cube for cube.
+/// must match the rebuild path (which never inprocesses) cube for cube.
 #[test]
 fn deep_fixed_point_inprocesses_by_effort_not_per_retirement() {
     let circuit = generators::counter(8, false);
     let target = StateSet::from_state_bits(0, 8);
-    let run = |inprocess: bool| {
-        backward_reach(
-            &SatPreimage::success_driven(),
-            &circuit,
-            &target,
-            ReachOptions {
-                incremental: true,
-                inprocess,
-                ..ReachOptions::default()
-            },
-        )
-    };
-    let on = run(true);
-    let off = run(false);
-    assert!(on.converged && on.complete);
-    assert_eq!(on.iterations.len(), 256);
-    let sat = &on.stats.allsat.sat;
-    let cap = on.iterations.len() as u64 / 8;
+    let session = reach(&circuit, &target, 1, true);
+    let rebuild = reach(&circuit, &target, 1, false);
+    assert!(session.converged && session.complete);
+    assert_eq!(session.iterations.len(), 256);
+    let sat = &session.stats.allsat.sat;
+    let cap = session.iterations.len() as u64 / 8;
     assert!(
         sat.inprocess_rounds > 0 && sat.inprocess_rounds <= cap,
         "{} inprocessing rounds over {} iterations (cap {cap})",
         sat.inprocess_rounds,
-        on.iterations.len()
+        session.iterations.len()
     );
     assert!(
         sat.subsumed_clauses > 0,
         "the scheduled passes subsumed nothing"
     );
-    assert_eq!(off.stats.allsat.sat.inprocess_rounds, 0);
-    assert_eq!(on.reached.cubes(), off.reached.cubes());
-}
-
-/// Env-parameterized oracle check: the whole-fixed-point comparison runs
-/// with inprocessing set from `PRESAT_TEST_INPROCESS`, so verify.sh's
-/// double run pins both modes against ground truth.
-#[test]
-fn env_selected_inprocess_mode_agrees_with_oracle() {
-    let inprocess = env_inprocess();
-    for (circuit, target) in [
-        (
-            generators::counter(4, false),
-            StateSet::from_state_bits(9, 4),
-        ),
-        (generators::lfsr(4), StateSet::from_state_bits(1, 4)),
-        (
-            generators::round_robin_arbiter(2),
-            StateSet::from_partial(&[(2, true)]),
-        ),
-    ] {
-        let n = circuit.num_latches();
-        let expect = oracle::backward_reachable_bits(&circuit, &target);
-        let report = backward_reach(
-            &SatPreimage::success_driven(),
-            &circuit,
-            &target,
-            ReachOptions {
-                incremental: true,
-                inprocess,
-                ..ReachOptions::default()
-            },
-        );
-        assert!(report.converged);
-        assert_eq!(
-            report.reached_states,
-            expect.len() as u128,
-            "{} (inprocess={inprocess})",
-            circuit.name()
-        );
-        for &b in &expect {
-            assert!(report.reached.contains_bits(b, n));
-        }
-    }
+    assert_eq!(rebuild.stats.allsat.sat.inprocess_rounds, 0);
+    assert_eq!(session.reached.cubes(), rebuild.reached.cubes());
 }

@@ -7,11 +7,10 @@
 //! same shape. Work counters (decisions, conflicts) may differ with
 //! scheduling; solutions and cubes may not.
 
-use presat::allsat::{
-    enumerate_detailed, AllSatEngine, AllSatProblem, ParallelAllSat, SuccessDrivenAllSat,
-};
+use presat::allsat::{AllSatEngine, AllSatProblem, ParallelAllSat, SuccessDrivenAllSat};
 use presat::circuit::generators;
 use presat::logic::{truth_table, Cnf, Lit, Var};
+use presat::obs::{Event, VecSink};
 use presat::preimage::{backward_reach, PreimageEngine, ReachOptions, SatPreimage, StateSet};
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -165,9 +164,16 @@ fn per_cube_work_sums_to_merged_totals() {
         let problem = AllSatProblem::new(cnf, important);
         let seq = SuccessDrivenAllSat::new().enumerate(&problem);
         for jobs in [2, 4] {
-            let engine = ParallelAllSat::new(jobs);
-            let (result, per_cube) = enumerate_detailed(&engine, &problem);
-            let summed: u64 = per_cube.iter().map(|&(_, calls)| calls).sum();
+            let mut sink = VecSink::new();
+            let result = ParallelAllSat::new(jobs).enumerate_with_sink(&problem, &mut sink);
+            let summed: u64 = sink
+                .events
+                .iter()
+                .map(|e| match *e {
+                    Event::CubeDone { solver_calls, .. } => solver_calls,
+                    _ => 0,
+                })
+                .sum();
             assert_eq!(
                 summed, result.stats.solver_calls,
                 "seed {seed} jobs {jobs}: per-cube solver calls must sum"
