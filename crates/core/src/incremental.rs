@@ -19,16 +19,18 @@
 //!   negated activation literal (assumption negations are pushed into
 //!   learnt clauses by conflict analysis), so they become inert — never
 //!   wrong — once the group is retired.
-//! * **The dynamic signature cache** persists: a [`SigKey::Dynamic`] key
-//!   captures the implied suffix values and the exact surviving-literal
-//!   contents of the residual suffix cone, which *determine* the suffix
-//!   solution set given that the global formula is satisfiable under the
-//!   prefix — and the engine certifies satisfiability with a fresh model
-//!   before ever consulting the cache. New clauses added between calls
-//!   (blocking clauses over state variables, activation-tagged target
-//!   clauses under a *currently assumed* activation literal) appear in the
-//!   cone while unsatisfied, so they change the key exactly when they can
-//!   change the suffix set.
+//! * **The dynamic signature cache** persists: a residual key
+//!   ([`ResidualIndex::write_key`]) captures the implied suffix values and
+//!   the exact surviving-literal contents of the residual suffix cone,
+//!   which *determine* the suffix solution set given that the global
+//!   formula is satisfiable under the prefix — and the engine certifies
+//!   satisfiability with a fresh model before ever consulting the cache.
+//!   The keys stay interned in the cache's arena across calls, and the
+//!   residual index's visit marks grow with the mirror CNF. New clauses
+//!   added between calls (blocking clauses over state variables,
+//!   activation-tagged target clauses under a *currently assumed*
+//!   activation literal) appear in the cone while unsatisfied, so they
+//!   change the key exactly when they can change the suffix set.
 //! * **Static connectivity keys** are *not* stable under formula growth (a
 //!   new clause can connect previously independent variables), so in
 //!   [`SignatureMode::Static`] the cache is cleared and the connectivity
@@ -38,8 +40,6 @@
 //! cached in iteration *k* are reused verbatim in iteration *k+1* when
 //! their signature recurs.
 
-use std::collections::HashMap;
-
 use presat_logic::{Cnf, Lit, Var};
 use presat_obs::{Event, NullSink, ObsSink, StopReason};
 use presat_sat::{Budget, Solver};
@@ -47,9 +47,9 @@ use presat_sat::{Budget, Solver};
 use crate::engine::{AllSatResult, EnumerationStats};
 use crate::limits::EnumLimits;
 use crate::parallel::{enumerate_partitioned, gates_sequential};
-use crate::signature::{ConnectivityIndex, ResidualIndex};
-use crate::solution_graph::{SolutionGraph, SolutionNodeId};
-use crate::success_driven::{Search, SigKey, SignatureMode, SuccessDrivenAllSat};
+use crate::signature::{ConnectivityIndex, ResidualIndex, SignatureCache};
+use crate::solution_graph::SolutionGraph;
+use crate::success_driven::{Search, SignatureMode, SuccessDrivenAllSat};
 
 /// Search effort, as a multiple of the last inprocessing pass's cost, that
 /// must accumulate before [`IncrementalAllSat::retire`] runs another pass.
@@ -114,7 +114,7 @@ pub struct IncrementalAllSat {
     important: Vec<Var>,
     solver: Solver,
     graph: SolutionGraph,
-    cache: HashMap<SigKey, SolutionNodeId>,
+    cache: SignatureCache,
     residual: Option<ResidualIndex>,
     /// Clause count already covered by `residual`.
     indexed_clauses: usize,
@@ -177,7 +177,7 @@ impl IncrementalAllSat {
             important,
             solver,
             graph: SolutionGraph::new(k),
-            cache: HashMap::new(),
+            cache: SignatureCache::default(),
             residual,
             indexed_clauses,
             pending_compactions: 0,
@@ -352,6 +352,7 @@ impl IncrementalAllSat {
                 residual: self.residual.take(),
                 graph: std::mem::replace(&mut self.graph, SolutionGraph::new(k)),
                 cache: std::mem::take(&mut self.cache),
+                keys: Vec::new(),
                 stats: EnumerationStats::default(),
                 prefix_lits: assumptions.to_vec(),
                 prefix_vals: Vec::with_capacity(k),

@@ -37,7 +37,6 @@
 //! spends the *caller's* budget once — not once per worker. The wall-clock
 //! deadline is an absolute instant and therefore shared by construction.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use presat_logic::{Cnf, Lit, Var};
@@ -46,7 +45,7 @@ use presat_sat::{Budget, BudgetPool, CancelToken, Solver};
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 use crate::limits::{first_reason, EnumLimits};
-use crate::signature::{ConnectivityIndex, ResidualIndex};
+use crate::signature::{ConnectivityIndex, ResidualIndex, SignatureCache};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
 use crate::success_driven::{Search, SignatureMode, SuccessDrivenAllSat};
 
@@ -443,7 +442,7 @@ fn run_worker(
     let mut residual =
         (config.signature == SignatureMode::Dynamic).then(|| ResidualIndex::build(cnf));
     let mut graph = SolutionGraph::new(k);
-    let mut cache = HashMap::new();
+    let mut cache = SignatureCache::default();
     let mut outcomes = Vec::new();
 
     loop {
@@ -492,6 +491,7 @@ fn run_worker(
             residual: residual.take(),
             graph,
             cache,
+            keys: Vec::new(),
             stats: EnumerationStats::default(),
             prefix_lits,
             prefix_vals,

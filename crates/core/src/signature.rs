@@ -21,8 +21,18 @@
 //! computed on the unreduced formula, a superset of the reduced-formula
 //! connectivity), so over-distinguishing — never unsoundness — is the
 //! failure mode.
+//!
+//! Both signatures are written as flat `u32` keys onto the end of a
+//! caller's buffer ([`ConnectivityIndex::write_key`],
+//! [`ResidualIndex::write_key`]), and [`SignatureCache`] interns finished
+//! keys in one arena, comparing them word by word on a hash match.
+
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 use presat_logic::{Cnf, Var};
+
+use crate::solution_graph::SolutionNodeId;
 
 /// Precomputed relevant-prefix index for a problem.
 #[derive(Clone, Debug)]
@@ -31,9 +41,6 @@ pub struct ConnectivityIndex {
     /// suffix starting at depth `d`, for `d` in `0..=k`.
     relevant: Vec<Vec<u32>>,
 }
-
-/// A cache key: the depth plus the values of the relevant prefix positions.
-pub(crate) type Signature = (u32, Vec<bool>);
 
 impl ConnectivityIndex {
     /// Builds the index for `cnf` with branching order `important`.
@@ -97,27 +104,17 @@ impl ConnectivityIndex {
         &self.relevant[depth]
     }
 
-    /// Builds the cache key for a prefix: `prefix_values[p]` is the value
-    /// assigned to branching position `p` (`p < depth`).
-    pub(crate) fn signature(&self, depth: usize, prefix_values: &[bool]) -> Signature {
+    /// Appends the cache key of a prefix to `out`: the depth, then one
+    /// word (0 or 1) per relevant prefix position. `prefix_values[p]` is
+    /// the value assigned to branching position `p` (`p < depth`).
+    pub(crate) fn write_key(&self, depth: usize, prefix_values: &[bool], out: &mut Vec<u32>) {
         debug_assert!(prefix_values.len() >= depth);
-        (
-            depth as u32,
+        out.push(depth as u32);
+        out.extend(
             self.relevant[depth]
                 .iter()
-                .map(|&p| prefix_values[p as usize])
-                .collect(),
-        )
-    }
-
-    /// Average number of relevant positions across depths — a compactness
-    /// diagnostic reported by the benchmark tables (smaller = more reuse).
-    pub fn mean_relevant(&self) -> f64 {
-        if self.relevant.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.relevant.iter().map(Vec::len).sum();
-        total as f64 / self.relevant.len() as f64
+                .map(|&p| u32::from(prefix_values[p as usize])),
+        );
     }
 }
 
@@ -139,23 +136,37 @@ impl ConnectivityIndex {
 pub struct ResidualIndex {
     /// Var index → clause indices containing it.
     clauses_of_var: Vec<Vec<u32>>,
+    /// Visit marks, kept between keys and grown with the formula: a
+    /// variable or clause is visited in the current key iff its mark
+    /// equals `epoch`.
+    var_mark: Vec<u32>,
+    clause_mark: Vec<u32>,
+    epoch: u32,
+    /// Scratch, empty between keys: the search stack of variable indices,
+    /// the clause being read, the surviving literal codes of the residual
+    /// clauses back to back, and per residual clause its fingerprint and
+    /// range in `lits`.
+    frontier: Vec<u32>,
+    clause: Vec<u32>,
+    lits: Vec<u32>,
+    clauses: Vec<(u64, usize, usize)>,
 }
-
-/// The exact residual-cone key: the sorted, deduplicated list of surviving
-/// clauses in the suffix component, each as its sorted surviving literal
-/// codes.
-pub(crate) type ResidualSignature = Vec<Vec<u32>>;
 
 impl ResidualIndex {
     /// Builds the incidence index for `cnf`.
     pub fn build(cnf: &Cnf) -> Self {
-        let mut clauses_of_var: Vec<Vec<u32>> = vec![Vec::new(); cnf.num_vars()];
-        for (ci, clause) in cnf.clauses().iter().enumerate() {
-            for &l in clause {
-                clauses_of_var[l.var().index()].push(ci as u32);
-            }
-        }
-        ResidualIndex { clauses_of_var }
+        let mut index = ResidualIndex {
+            clauses_of_var: Vec::new(),
+            var_mark: Vec::new(),
+            clause_mark: Vec::new(),
+            epoch: 0,
+            frontier: Vec::new(),
+            clause: Vec::new(),
+            lits: Vec::new(),
+            clauses: Vec::new(),
+        };
+        index.extend(cnf, 0);
+        index
     }
 
     /// Extends the incidence index to cover clauses (and variables) added
@@ -171,18 +182,258 @@ impl ResidualIndex {
         }
     }
 
-    /// Computes the residual signature of the suffix starting at the given
-    /// variables, under the propagated partial assignment `alpha`.
+    /// Appends the residual key of the suffix `important[depth..]` to
+    /// `out`, reading the propagated prefix through `value`: it must
+    /// assign every prefix variable (it is the result of unit propagation
+    /// under the prefix) and may assign suffix variables that propagation
+    /// implied.
     ///
-    /// `alpha` must assign every prefix variable (it is the result of unit
-    /// propagation under the prefix); suffix variables must be unassigned
-    /// in it.
-    pub(crate) fn signature(
-        &self,
+    /// The key is `[depth, n, implied…, cone…]`. Each of the `n` implied
+    /// suffix positions `p` is one word `p << 1 | value`. The cone follows
+    /// as length-prefixed clauses: each clause's surviving literal codes
+    /// sorted and deduplicated, the clauses deduplicated and ordered by a
+    /// fingerprint of their contents, ties broken by the contents. The
+    /// clauses run to the end of the key, so it decodes uniquely: two keys
+    /// are equal exactly when their depths, implied values and cones are.
+    pub(crate) fn write_key(
+        &mut self,
         cnf: &Cnf,
-        alpha: &presat_logic::Assignment,
-        suffix: &[Var],
-    ) -> ResidualSignature {
+        important: &[Var],
+        depth: usize,
+        value: impl Fn(Var) -> Option<bool>,
+        out: &mut Vec<u32>,
+    ) {
+        self.next_epoch(cnf);
+        let epoch = self.epoch;
+        out.push(depth as u32);
+        let count_at = out.len();
+        out.push(0);
+        for (p, &v) in important.iter().enumerate().skip(depth) {
+            match value(v) {
+                Some(b) => out.push((p as u32) << 1 | u32::from(b)),
+                None if self.var_mark[v.index()] != epoch => {
+                    self.var_mark[v.index()] = epoch;
+                    self.frontier.push(v.index() as u32);
+                }
+                None => {}
+            }
+        }
+        out[count_at] = (out.len() - count_at - 1) as u32;
+
+        while let Some(v) = self.frontier.pop() {
+            for &ci in &self.clauses_of_var[v as usize] {
+                if self.clause_mark[ci as usize] == epoch {
+                    continue;
+                }
+                self.clause_mark[ci as usize] = epoch;
+                self.clause.clear();
+                let mut satisfied = false;
+                for &l in &cnf.clauses()[ci as usize] {
+                    match value(l.var()) {
+                        Some(b) if b == l.is_pos() => {
+                            satisfied = true;
+                            break;
+                        }
+                        Some(_) => {}
+                        None => self.clause.push(l.code() as u32),
+                    }
+                }
+                if satisfied {
+                    continue;
+                }
+                self.clause.sort_unstable();
+                self.clause.dedup();
+                let start = self.lits.len();
+                let mut fingerprint = self.clause.len() as u64;
+                for &code in &self.clause {
+                    fingerprint = (fingerprint.rotate_left(29) ^ u64::from(code))
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let w = code >> 1;
+                    if self.var_mark[w as usize] != epoch {
+                        self.var_mark[w as usize] = epoch;
+                        self.frontier.push(w);
+                    }
+                }
+                self.lits.extend_from_slice(&self.clause);
+                self.clauses.push((fingerprint, start, self.lits.len()));
+            }
+        }
+
+        let lits = &self.lits;
+        self.clauses.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| lits[a.1..a.2].cmp(&lits[b.1..b.2]))
+        });
+        // Equal contents have sorted next to each other.
+        self.clauses
+            .dedup_by(|a, b| a.0 == b.0 && lits[a.1..a.2] == lits[b.1..b.2]);
+        for &(_, start, end) in &self.clauses {
+            out.push((end - start) as u32);
+            out.extend_from_slice(&lits[start..end]);
+        }
+        self.clauses.clear();
+        self.lits.clear();
+    }
+
+    /// Starts a new visit epoch, growing the marks to `cnf`'s size. New
+    /// marks are 0, which is never a current epoch.
+    fn next_epoch(&mut self, cnf: &Cnf) {
+        if self.var_mark.len() < cnf.num_vars() {
+            self.var_mark.resize(cnf.num_vars(), 0);
+        }
+        if self.clause_mark.len() < cnf.num_clauses() {
+            self.clause_mark.resize(cnf.num_clauses(), 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // A mark left 2^32 epochs ago would read as current.
+            self.var_mark.fill(0);
+            self.clause_mark.fill(0);
+            self.epoch = 1;
+        }
+    }
+}
+
+/// The success cache: finished keys interned back to back in one arena of
+/// words, found through an open-addressing table on each key's 64-bit
+/// hash. The caller computes the hash once per key ([`Self::hash`]) and
+/// passes it to [`Self::get`] and [`Self::insert`]. A lookup compares the
+/// stored words one by one on a hash match, so the key is never hashed
+/// lossily and reuse stays exact. The hash is seeded per cache, since the
+/// keys derive from formulas read from outside the program.
+#[derive(Debug, Default)]
+pub(crate) struct SignatureCache {
+    state: RandomState,
+    words: Vec<u32>,
+    /// Power-of-two table, at most half full. A slot with `len == 0` is
+    /// empty: every key holds at least its depth word.
+    slots: Vec<Slot>,
+    entries: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    hash: u64,
+    start: usize,
+    len: usize,
+    node: SolutionNodeId,
+}
+
+const EMPTY: Slot = Slot {
+    hash: 0,
+    start: 0,
+    len: 0,
+    node: SolutionNodeId::BOTTOM,
+};
+
+impl SignatureCache {
+    /// The hash [`Self::get`] and [`Self::insert`] take for `key`.
+    pub(crate) fn hash(&self, key: &[u32]) -> u64 {
+        let mut h = self.state.build_hasher();
+        let mut pairs = key.chunks_exact(2);
+        for pair in &mut pairs {
+            h.write_u64(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+        }
+        if let [last] = pairs.remainder() {
+            h.write_u32(*last);
+        }
+        h.finish()
+    }
+
+    /// The node cached under `key`, whose hash is `hash`.
+    pub(crate) fn get(&self, key: &[u32], hash: u64) -> Option<SolutionNodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = &self.slots[i];
+            if slot.len == 0 {
+                return None;
+            }
+            if slot.hash == hash && self.words[slot.start..slot.start + slot.len] == *key {
+                return Some(slot.node);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Caches `node` under `key`, whose hash is `hash`. The key must not
+    /// be cached yet (the engine inserts only after a miss).
+    pub(crate) fn insert(&mut self, key: &[u32], hash: u64, node: SolutionNodeId) {
+        debug_assert!(!key.is_empty(), "every key holds its depth word");
+        debug_assert!(self.get(key, hash).is_none(), "key inserted twice");
+        if 2 * (self.entries + 1) > self.slots.len() {
+            self.grow();
+        }
+        let slot = Slot {
+            hash,
+            start: self.words.len(),
+            len: key.len(),
+            node,
+        };
+        self.words.extend_from_slice(key);
+        self.place(slot);
+        self.entries += 1;
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.slots.clear();
+        self.entries = 0;
+    }
+
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; cap]);
+        for slot in old.into_iter().filter(|s| s.len != 0) {
+            self.place(slot);
+        }
+    }
+
+    /// Puts `slot` into the first free slot of its probe sequence.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot.hash as usize & mask;
+        while self.slots[i].len != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use presat_logic::rng::SplitMix64;
+    use presat_logic::{Assignment, Lit};
+    use presat_sat::Solver;
+
+    fn lit(v: usize, pos: bool) -> Lit {
+        Lit::with_phase(Var::new(v), pos)
+    }
+
+    /// `(depth, implied suffix values, residual cone)`: the key's meaning.
+    type Triple = (u32, Vec<(u32, bool)>, Vec<Vec<u32>>);
+
+    /// The nested-vector signature the flat key replaced, kept as the
+    /// reference: implied suffix values, then the sorted, deduplicated
+    /// residual clauses, each its sorted surviving literal codes.
+    fn reference(cnf: &Cnf, alpha: &Assignment, important: &[Var], depth: usize) -> Triple {
+        let mut clauses_of_var: Vec<Vec<u32>> = vec![Vec::new(); cnf.num_vars()];
+        for (ci, clause) in cnf.clauses().iter().enumerate() {
+            for &l in clause {
+                clauses_of_var[l.var().index()].push(ci as u32);
+            }
+        }
+        let suffix = &important[depth..];
+        let implied: Vec<(u32, bool)> = suffix
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &v)| alpha.value(v).map(|b| ((depth + i) as u32, b)))
+            .collect();
         let mut clause_seen = vec![false; cnf.num_clauses()];
         let mut var_seen = vec![false; cnf.num_vars()];
         let mut frontier: Vec<usize> = Vec::new();
@@ -194,27 +445,20 @@ impl ResidualIndex {
         }
         let mut residuals: Vec<Vec<u32>> = Vec::new();
         while let Some(v) = frontier.pop() {
-            for &ci in &self.clauses_of_var[v] {
+            for &ci in &clauses_of_var[v] {
                 if clause_seen[ci as usize] {
                     continue;
                 }
                 clause_seen[ci as usize] = true;
                 let clause = &cnf.clauses()[ci as usize];
-                let mut satisfied = false;
-                let mut surviving: Vec<u32> = Vec::with_capacity(clause.len());
-                for &l in clause {
-                    match alpha.lit_value(l) {
-                        Some(true) => {
-                            satisfied = true;
-                            break;
-                        }
-                        Some(false) => {}
-                        None => surviving.push(l.code() as u32),
-                    }
-                }
-                if satisfied {
+                if clause.iter().any(|&l| alpha.lit_value(l) == Some(true)) {
                     continue;
                 }
+                let mut surviving: Vec<u32> = clause
+                    .iter()
+                    .filter(|&&l| alpha.lit_value(l).is_none())
+                    .map(|l| l.code() as u32)
+                    .collect();
                 for &code in &surviving {
                     let w = (code >> 1) as usize;
                     if !var_seen[w] {
@@ -229,17 +473,53 @@ impl ResidualIndex {
         }
         residuals.sort_unstable();
         residuals.dedup();
-        residuals
+        (depth as u32, implied, residuals)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use presat_logic::Lit;
+    /// Decodes a flat residual key, checking that its clauses are strictly
+    /// increasing in the key's canonical order (so none repeats) and
+    /// returning the cone sorted as the reference sorts it.
+    fn decode(key: &[u32]) -> Triple {
+        let depth = key[0];
+        let n = key[1] as usize;
+        let implied = key[2..2 + n]
+            .iter()
+            .map(|&w| (w >> 1, w & 1 == 1))
+            .collect();
+        let mut cone: Vec<Vec<u32>> = Vec::new();
+        let mut rest = &key[2 + n..];
+        while let Some((&len, tail)) = rest.split_first() {
+            let (clause, tail) = tail.split_at(len as usize);
+            assert!(clause.windows(2).all(|w| w[0] < w[1]), "clause {clause:?}");
+            cone.push(clause.to_vec());
+            rest = tail;
+        }
+        let mut sorted = cone.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), cone.len(), "duplicate clause in {key:?}");
+        (depth, implied, sorted)
+    }
 
-    fn lit(v: usize, pos: bool) -> Lit {
-        Lit::with_phase(Var::new(v), pos)
+    fn key_of(
+        idx: &mut ResidualIndex,
+        cnf: &Cnf,
+        alpha: &Assignment,
+        important: &[Var],
+        depth: usize,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        idx.write_key(cnf, important, depth, |v| alpha.value(v), &mut out);
+        out
+    }
+
+    fn random_cnf(rng: &mut SplitMix64, n: usize, m: usize) -> Cnf {
+        let mut cnf = Cnf::new(n);
+        for _ in 0..m {
+            let width = 1 + rng.gen_range(0..4);
+            cnf.add_clause((0..width).map(|_| lit(rng.gen_range(0..n), rng.gen_bool(0.5))));
+        }
+        cnf
     }
 
     #[test]
@@ -289,19 +569,25 @@ mod tests {
         let mut cnf = Cnf::new(3);
         cnf.add_clause([lit(1, true), lit(2, true)]);
         let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1), Var::new(2)]);
+        let key = |prefix: &[bool]| {
+            let mut out = Vec::new();
+            idx.write_key(2, prefix, &mut out);
+            out
+        };
         // At depth 2, only position 1 matters.
-        let s1 = idx.signature(2, &[true, false]);
-        let s2 = idx.signature(2, &[false, false]);
-        assert_eq!(s1, s2, "x0's value must not distinguish signatures");
-        let s3 = idx.signature(2, &[true, true]);
-        assert_ne!(s1, s3);
+        assert_eq!(key(&[true, false]), [2, 0]);
+        assert_eq!(
+            key(&[false, false]),
+            [2, 0],
+            "x0's value must not distinguish keys"
+        );
+        assert_eq!(key(&[true, true]), [2, 1]);
     }
 
     #[test]
     fn residual_signature_merges_equivalent_prefixes() {
-        use presat_logic::Assignment;
         // Parity over 3 vars, direct encoding: prefixes 00 and 11 (even
-        // parity) must share a signature at depth 2; 01/10 share the other.
+        // parity) must share a key at depth 2; 01/10 share the other.
         let n = 3;
         let mut cnf = Cnf::new(n);
         for bits in 0..8u32 {
@@ -309,54 +595,192 @@ mod tests {
                 cnf.add_clause((0..n).map(|i| lit(i, bits >> i & 1 == 0)));
             }
         }
-        let idx = ResidualIndex::build(&cnf);
-        let suffix = [Var::new(2)];
-        let sig = |b0: bool, b1: bool| {
+        let important: Vec<Var> = Var::range(n).collect();
+        let mut idx = ResidualIndex::build(&cnf);
+        let mut key = |b0: bool, b1: bool| {
             let mut a = Assignment::new(n);
             a.assign(Var::new(0), b0);
             a.assign(Var::new(1), b1);
-            idx.signature(&cnf, &a, &suffix)
+            key_of(&mut idx, &cnf, &a, &important, 2)
         };
-        assert_eq!(sig(false, false), sig(true, true));
-        assert_eq!(sig(false, true), sig(true, false));
-        assert_ne!(sig(false, false), sig(false, true));
+        assert_eq!(key(false, false), key(true, true));
+        assert_eq!(key(false, true), key(true, false));
+        assert_ne!(key(false, false), key(false, true));
     }
 
     #[test]
     fn residual_signature_drops_satisfied_clauses() {
-        use presat_logic::Assignment;
         let mut cnf = Cnf::new(2);
         cnf.add_clause([lit(0, true), lit(1, true)]);
-        let idx = ResidualIndex::build(&cnf);
+        let important = [Var::new(0), Var::new(1)];
+        let mut idx = ResidualIndex::build(&cnf);
         let mut a = Assignment::new(2);
         a.assign(Var::new(0), true); // clause satisfied → empty residual
-        assert!(idx.signature(&cnf, &a, &[Var::new(1)]).is_empty());
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0]);
         a.assign(Var::new(0), false); // clause shrinks to (x1)
-        let s = idx.signature(&cnf, &a, &[Var::new(1)]);
-        assert_eq!(s, vec![vec![Lit::pos(Var::new(1)).code() as u32]]);
+        let x1 = Lit::pos(Var::new(1)).code() as u32;
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0, 1, x1]);
     }
 
     #[test]
     fn residual_signature_reaches_through_aux() {
-        use presat_logic::Assignment;
         // suffix x1 — aux x2 — clause with prefix x0 falsified literal.
         let mut cnf = Cnf::new(3);
         cnf.add_clause([lit(1, true), lit(2, true)]);
         cnf.add_clause([lit(2, false), lit(0, true)]);
-        let idx = ResidualIndex::build(&cnf);
+        let important = [Var::new(0), Var::new(1)];
+        let mut idx = ResidualIndex::build(&cnf);
         let mut a = Assignment::new(3);
         a.assign(Var::new(0), false);
-        let s = idx.signature(&cnf, &a, &[Var::new(1)]);
+        let (_, implied, cone) = decode(&key_of(&mut idx, &cnf, &a, &important, 1));
+        assert!(implied.is_empty());
         // Both clauses survive: (x1 ∨ x2) and (¬x2) [x0 literal removed].
-        assert_eq!(s.len(), 2);
+        assert_eq!(cone.len(), 2);
     }
 
     #[test]
-    fn mean_relevant_reports_average() {
-        let mut cnf = Cnf::new(2);
-        cnf.add_clause([lit(0, true), lit(1, true)]);
-        let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1)]);
-        // relevants: d0: [], d1: [0], d2: [] → mean 1/3
-        assert!((idx.mean_relevant() - 1.0 / 3.0).abs() < 1e-9);
+    fn flat_keys_decode_to_the_reference_signature() {
+        let mut rng = SplitMix64::seed_from_u64(0x51C0);
+        for round in 0..200 {
+            let n = 4 + rng.gen_range(0..8);
+            let m = 2 + rng.gen_range(0..3 * n);
+            let cnf = random_cnf(&mut rng, n, m);
+            let k = 1 + rng.gen_range(0..n);
+            let important: Vec<Var> = Var::range(k).collect();
+            let mut solver = Solver::from_cnf(&cnf);
+            let mut idx = ResidualIndex::build(&cnf);
+            let mut seen: Vec<(Vec<u32>, Triple)> = Vec::new();
+            for _ in 0..8 {
+                let depth = rng.gen_range(0..k + 1);
+                let prefix: Vec<Lit> = important[..depth]
+                    .iter()
+                    .map(|&v| Lit::with_phase(v, rng.gen_bool(0.5)))
+                    .collect();
+                let mut flat = Vec::new();
+                let alpha = solver.propagate_under(&prefix, |s| {
+                    idx.write_key(&cnf, &important, depth, |v| s.value(v), &mut flat);
+                    let mut a = Assignment::new(n);
+                    for v in Var::range(n) {
+                        if let Some(b) = s.value(v) {
+                            a.assign(v, b);
+                        }
+                    }
+                    a
+                });
+                let Some(alpha) = alpha else {
+                    assert!(flat.is_empty(), "no key on a propagation conflict");
+                    continue;
+                };
+                let want = reference(&cnf, &alpha, &important, depth);
+                assert_eq!(decode(&flat), want, "round {round}, prefix {prefix:?}");
+                // Equal flat keys exactly when the references are equal.
+                for (other_flat, other_want) in &seen {
+                    assert_eq!(flat == *other_flat, want == *other_want, "round {round}");
+                }
+                seen.push((flat, want));
+            }
+        }
+    }
+
+    #[test]
+    fn clause_order_and_duplicates_do_not_change_the_key() {
+        let [x0, x1, x2, x3] = [0, 1, 2, 3].map(|v| lit(v, true));
+        // The cone {x0 ∨ ¬x1 ∨ x2, x1 ∨ x3, ¬x0 ∨ ¬x2 ∨ ¬x3, x3} written
+        // three ways: as is; with clauses and literals reordered and a
+        // literal repeated; and with duplicate clauses as well.
+        let formulas = [
+            vec![
+                vec![x0, !x1, x2],
+                vec![x1, x3],
+                vec![!x2, !x3, !x0],
+                vec![x3],
+            ],
+            vec![
+                vec![x3, x1],
+                vec![!x0, !x2, !x3, !x2],
+                vec![x3],
+                vec![x2, !x1, x0],
+            ],
+            vec![
+                vec![x3],
+                vec![x2, x0, !x1, x2],
+                vec![!x3, !x2, !x0],
+                vec![x1, x3, x1],
+                vec![x3],
+                vec![x3, x1],
+            ],
+        ];
+        let important: Vec<Var> = Var::range(4).collect();
+        let keys: Vec<Vec<u32>> = formulas
+            .iter()
+            .map(|clauses| {
+                let mut cnf = Cnf::new(4);
+                for c in clauses {
+                    cnf.add_clause(c.iter().copied());
+                }
+                let mut idx = ResidualIndex::build(&cnf);
+                key_of(&mut idx, &cnf, &Assignment::new(4), &important, 0)
+            })
+            .collect();
+        assert_eq!(keys[0], keys[1]);
+        assert_eq!(keys[0], keys[2]);
+        assert_eq!(decode(&keys[0]).2.len(), 4);
+    }
+
+    #[test]
+    fn visit_marks_survive_the_epoch_wrap() {
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let cnf = random_cnf(&mut rng, 10, 30);
+        let important: Vec<Var> = Var::range(6).collect();
+        let mut alpha = Assignment::new(10);
+        alpha.assign(Var::new(0), true);
+        alpha.assign(Var::new(1), false);
+        let want = reference(&cnf, &alpha, &important, 2);
+        let mut idx = ResidualIndex::build(&cnf);
+        // Marks left at epoch 1 long ago, and the epoch about to wrap: the
+        // wrap must clear them, or the key's walk would skip every clause.
+        idx.next_epoch(&cnf);
+        idx.var_mark.fill(1);
+        idx.clause_mark.fill(1);
+        idx.epoch = u32::MAX - 1;
+        for _ in 0..3 {
+            assert_eq!(decode(&key_of(&mut idx, &cnf, &alpha, &important, 2)), want);
+        }
+        assert_eq!(idx.epoch, 1 + 1);
+    }
+
+    #[test]
+    fn colliding_hashes_stay_distinct() {
+        let mut cache = SignatureCache::default();
+        let (a, b, c) = ([3, 0, 1, 8], [3, 0, 1, 9], [3, 0, 1]);
+        cache.insert(&a, 42, SolutionNodeId::TOP);
+        cache.insert(&b, 42, SolutionNodeId::BOTTOM);
+        assert_eq!(cache.get(&a, 42), Some(SolutionNodeId::TOP));
+        assert_eq!(cache.get(&b, 42), Some(SolutionNodeId::BOTTOM));
+        assert_eq!(cache.get(&c, 42), None);
+        assert_eq!(cache.get(&a, 43), None, "a key is found under its own hash");
+        assert_eq!(cache.hash(&a), cache.hash(&[3, 0, 1, 8]));
+    }
+
+    #[test]
+    fn entries_survive_table_growth() {
+        // One distinct node per entry: a node at each level of a tall graph.
+        let mut g = crate::SolutionGraph::new(5000);
+        let mut cache = SignatureCache::default();
+        let keys: Vec<Vec<u32>> = (0..5000u32).map(|i| vec![i % 20, i, i / 7]).collect();
+        let nodes: Vec<SolutionNodeId> = (0..5000)
+            .map(|i| g.mk(i, SolutionNodeId::BOTTOM, SolutionNodeId::TOP))
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            // Every eighth key shares one hash, so growth moves collision runs too.
+            let hash = if i % 8 == 0 { 5 } else { cache.hash(key) };
+            cache.insert(key, hash, nodes[i]);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let hash = if i % 8 == 0 { 5 } else { cache.hash(key) };
+            assert_eq!(cache.get(key, hash), Some(nodes[i]), "entry {i}");
+        }
+        cache.clear();
+        assert_eq!(cache.get(&keys[1], cache.hash(&keys[1])), None);
     }
 }

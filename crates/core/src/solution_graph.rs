@@ -145,7 +145,9 @@ impl SolutionGraph {
     }
 
     /// Exact number of important-variable minterms represented by `root`
-    /// (over all `num_levels` positions).
+    /// (over all `num_levels` positions), saturating at `u128::MAX`: a
+    /// graph over 128 or more positions can hold more. Test emptiness by
+    /// `root == SolutionNodeId::BOTTOM`, not by this count.
     pub fn minterm_count(&self, root: SolutionNodeId) -> u128 {
         self.minterm_count_from(root, 0)
     }
@@ -154,7 +156,8 @@ impl SolutionGraph {
     /// suffix positions `from..num_levels` only. `root` must sit at level
     /// `>= from` (every node created at depth `from` does). The enumeration
     /// search uses this to account reused subgraphs against a
-    /// solution-count cap without re-walking them.
+    /// solution-count cap without re-walking them. Saturates at
+    /// `u128::MAX`, like [`Self::minterm_count`].
     pub fn minterm_count_from(&self, root: SolutionNodeId, from: u32) -> u128 {
         let mut memo: HashMap<SolutionNodeId, u128> = HashMap::new();
         self.count_rec(root, from, &mut memo)
@@ -180,12 +183,20 @@ impl SolutionGraph {
             c
         } else {
             let node = self.nodes[n.index()];
-            let c = self.count_rec(node.lo, node.level + 1, memo)
-                + self.count_rec(node.hi, node.level + 1, memo);
+            let c = self
+                .count_rec(node.lo, node.level + 1, memo)
+                .saturating_add(self.count_rec(node.hi, node.level + 1, memo));
             memo.insert(n, c);
             c
         };
-        below << (level - from)
+        // Each skipped level doubles the count (`below` is at least 1);
+        // shift only when no set bit is lost.
+        let shift = level - from;
+        if shift <= below.leading_zeros() {
+            below << shift
+        } else {
+            u128::MAX
+        }
     }
 
     /// `true` if the total position assignment `bits` (bit *i* = value at
@@ -221,9 +232,9 @@ impl SolutionGraph {
     }
 
     /// Number of ⊤-paths from `root` — i.e. how many cubes
-    /// [`Self::to_cube_set`] would produce, without materialising them.
-    /// The daemon reports this per live session as the accumulated
-    /// result-set cube count.
+    /// [`Self::to_cube_set`] would produce, without materialising them —
+    /// saturating at `u64::MAX`. The daemon reports this per live session
+    /// as the accumulated result-set cube count.
     pub fn cube_count(&self, root: SolutionNodeId) -> u64 {
         let mut memo: HashMap<SolutionNodeId, u64> = HashMap::new();
         self.cube_count_rec(root, &mut memo)
@@ -240,7 +251,9 @@ impl SolutionGraph {
             return c;
         }
         let node = self.nodes[n.index()];
-        let c = self.cube_count_rec(node.lo, memo) + self.cube_count_rec(node.hi, memo);
+        let c = self
+            .cube_count_rec(node.lo, memo)
+            .saturating_add(self.cube_count_rec(node.hi, memo));
         memo.insert(n, c);
         c
     }
@@ -593,6 +606,33 @@ mod tests {
         let g = SolutionGraph::new(3);
         assert_eq!(g.minterm_count(SolutionNodeId::TOP), 8);
         assert_eq!(g.minterm_count(SolutionNodeId::BOTTOM), 0);
+    }
+
+    #[test]
+    fn counts_saturate_past_128_positions() {
+        use SolutionNodeId as N;
+        // {x0 = x1} over 129 positions holds 2^128 states, one more than
+        // u128 holds.
+        let mut g = SolutionGraph::new(129);
+        let x1_off = g.mk(1, N::TOP, N::BOTTOM);
+        let x1_on = g.mk(1, N::BOTTOM, N::TOP);
+        let equal = g.mk(0, x1_off, x1_on);
+        assert_eq!(g.minterm_count(equal), u128::MAX);
+        assert_eq!(g.minterm_count_from(x1_off, 1), 1 << 127);
+        assert_eq!(g.cube_count(equal), 2);
+        // ⊤ over 130 positions holds 2^130 states.
+        let wide = SolutionGraph::new(130);
+        assert_eq!(wide.minterm_count(N::TOP), u128::MAX);
+        assert_eq!(wide.minterm_count_from(N::TOP, 3), 1 << 127);
+        // Odd parity over 66 positions: 2^65 paths, more than u64 holds.
+        let k = 66;
+        let mut g = SolutionGraph::new(k);
+        let (mut even, mut odd) = (N::TOP, N::BOTTOM);
+        for level in (0..k).rev() {
+            (even, odd) = (g.mk(level, even, odd), g.mk(level, odd, even));
+        }
+        assert_eq!(g.minterm_count(odd), 1 << 65);
+        assert_eq!(g.cube_count(odd), u64::MAX);
     }
 
     #[test]

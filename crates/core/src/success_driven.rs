@@ -1,14 +1,12 @@
 //! The novel engine: success-driven search with a shared solution graph.
 
-use std::collections::HashMap;
-
 use presat_logic::{Assignment, Cnf, Lit, Var};
 use presat_obs::{Event, ObsSink, StopReason};
 use presat_sat::{SolveResult, Solver};
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 use crate::limits::EnumLimits;
-use crate::signature::{ConnectivityIndex, ResidualIndex, ResidualSignature};
+use crate::signature::{ConnectivityIndex, ResidualIndex, SignatureCache};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
 
 /// How the success-driven engine recognizes equivalent subspaces.
@@ -44,7 +42,9 @@ pub enum SignatureMode {
 ///    enumerated, the resulting [`SolutionGraph`] node is cached under a
 ///    sound subspace signature (see [`SignatureMode`]); re-entering an
 ///    equivalent subspace reuses the whole subgraph, turning exponentially
-///    many isomorphic subspaces into one.
+///    many isomorphic subspaces into one. A signature is a flat key of
+///    `u32` words, hashed once and compared word by word on a hash match,
+///    so reuse is exact.
 ///
 /// The output solution graph doubles as a compact representation of the
 /// enumerated set (the preimage, in `presat-preimage`); no explicit cube
@@ -119,15 +119,6 @@ impl SuccessDrivenAllSat {
     }
 }
 
-/// Exact cache key; never hashed lossily, so reuse cannot be unsound.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum SigKey {
-    /// Depth and connectivity signature of the prefix.
-    Static(u32, Vec<bool>),
-    /// Depth, unit-implied suffix values, residual suffix cone.
-    Dynamic(u32, Vec<(u32, bool)>, ResidualSignature),
-}
-
 /// One in-flight enumeration: the sub-solver, the signature indices, the
 /// solution graph under construction, and the branching prefix. The
 /// sequential engine runs one `Search` for the whole problem; the parallel
@@ -135,6 +126,10 @@ pub(crate) enum SigKey {
 /// persistent pieces (solver, indices, graph, cache) through a worker so
 /// they warm up across that worker's cubes; the incremental session
 /// (`crate::incremental`) threads them across whole `enumerate` calls.
+///
+/// Cache keys are flat `u32` words. Each open search node's key sits on
+/// `keys`, above its ancestors' keys, from its miss until its subtree
+/// returns; only a finished node's key is copied into the cache's arena.
 ///
 /// `prefix_lits` may carry extra non-branching assumptions (activation
 /// literals) *ahead* of the branching prefix: `prefix_vals` indexes
@@ -147,7 +142,9 @@ pub(crate) struct Search<'p> {
     pub(crate) conn: Option<ConnectivityIndex>,
     pub(crate) residual: Option<ResidualIndex>,
     pub(crate) graph: SolutionGraph,
-    pub(crate) cache: HashMap<SigKey, SolutionNodeId>,
+    pub(crate) cache: SignatureCache,
+    /// The key stack: the keys of the open search nodes, back to back.
+    pub(crate) keys: Vec<u32>,
     pub(crate) stats: EnumerationStats,
     pub(crate) prefix_lits: Vec<Lit>,
     pub(crate) prefix_vals: Vec<bool>,
@@ -167,28 +164,21 @@ pub(crate) struct Search<'p> {
 }
 
 impl Search<'_> {
-    /// Computes the cache key for the current prefix at `depth`, or `None`
-    /// if reuse is off. `Some(Err(()))` signals that unit propagation under
-    /// the prefix already conflicts (the subspace is empty).
-    fn signature_at(&mut self, depth: usize) -> Option<Result<SigKey, ()>> {
+    /// Pushes the cache key for the current prefix at `depth` onto the key
+    /// stack, or returns `None` if reuse is off. `Some(false)` signals
+    /// that unit propagation under the prefix already conflicts (the
+    /// subspace is empty); nothing is pushed then.
+    fn push_key(&mut self, depth: usize) -> Option<bool> {
         if let Some(conn) = &self.conn {
-            return Some(Ok(SigKey::Static(
-                depth as u32,
-                conn.signature(depth, &self.prefix_vals).1,
-            )));
+            conn.write_key(depth, &self.prefix_vals, &mut self.keys);
+            return Some(true);
         }
-        let residual = self.residual.as_ref()?;
-        let Some(alpha) = self.solver.propagate_under(&self.prefix_lits) else {
-            return Some(Err(()));
-        };
-        let suffix = &self.important[depth..];
-        let implied: Vec<(u32, bool)> = suffix
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &v)| alpha.value(v).map(|b| ((depth + i) as u32, b)))
-            .collect();
-        let cone = residual.signature(self.cnf, &alpha, suffix);
-        Some(Ok(SigKey::Dynamic(depth as u32, implied, cone)))
+        let residual = self.residual.as_mut()?;
+        let (cnf, important, keys) = (self.cnf, self.important, &mut self.keys);
+        let pushed = self.solver.propagate_under(&self.prefix_lits, |s| {
+            residual.write_key(cnf, important, depth, |v| s.value(v), keys);
+        });
+        Some(pushed.is_some())
     }
 
     /// Enumerates the subspace under the current prefix (of length `depth`)
@@ -227,9 +217,12 @@ impl Search<'_> {
             self.count_solutions(1);
             return SolutionNodeId::TOP;
         }
-        let sig = match self.signature_at(depth) {
-            Some(Ok(sig)) => {
-                if let Some(&node) = self.cache.get(&sig) {
+        let start = self.keys.len();
+        let key_hash = match self.push_key(depth) {
+            Some(true) => {
+                let hash = self.cache.hash(&self.keys[start..]);
+                if let Some(node) = self.cache.get(&self.keys[start..], hash) {
+                    self.keys.truncate(start);
                     self.stats.cache_hits += 1;
                     self.sink.record(&Event::CacheHit {
                         depth: depth as u32,
@@ -246,11 +239,11 @@ impl Search<'_> {
                 self.sink.record(&Event::CacheMiss {
                     depth: depth as u32,
                 });
-                Some(sig)
+                Some(hash)
             }
             // Propagation conflict: the subspace is provably empty. (With a
             // model in hand this cannot happen, but the check is sound.)
-            Some(Err(())) => return SolutionNodeId::BOTTOM,
+            Some(false) => return SolutionNodeId::BOTTOM,
             None => None,
         };
 
@@ -263,7 +256,7 @@ impl Search<'_> {
         // it descends solver-free until it diverges from the model.
         self.prefix_lits.push(Lit::with_phase(var, hint_phase));
         self.prefix_vals.push(hint_phase);
-        let hinted = self.explore(depth + 1, self.model_guidance.then(|| model.clone()));
+        let hinted = self.explore(depth + 1, self.model_guidance.then_some(model));
         self.prefix_lits.pop();
         self.prefix_vals.pop();
 
@@ -279,14 +272,15 @@ impl Search<'_> {
             (hinted, other)
         };
         let node = self.graph.mk(depth, lo, hi);
-        if let Some(sig) = sig {
+        if let Some(hash) = key_hash {
             // A node finished after a stop may be truncated; caching it
             // would let a later (possibly complete) run silently reuse an
             // under-approximation. Only exhaustively explored subspaces
             // enter the cache.
             if self.stopped.is_none() {
-                self.cache.insert(sig, node);
+                self.cache.insert(&self.keys[start..], hash, node);
             }
+            self.keys.truncate(start);
         }
         node
     }
@@ -326,7 +320,8 @@ impl AllSatEngine for SuccessDrivenAllSat {
             residual: (self.signature == SignatureMode::Dynamic)
                 .then(|| ResidualIndex::build(&problem.cnf)),
             graph: SolutionGraph::new(k),
-            cache: HashMap::new(),
+            cache: SignatureCache::default(),
+            keys: Vec::new(),
             stats: EnumerationStats::default(),
             prefix_lits: Vec::with_capacity(k),
             prefix_vals: Vec::with_capacity(k),

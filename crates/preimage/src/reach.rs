@@ -99,9 +99,11 @@ pub struct ReachIteration {
     pub iteration: usize,
     /// Cubes in the frontier fed to the engine this iteration.
     pub frontier_cubes: usize,
-    /// States newly discovered this iteration.
+    /// States newly discovered this iteration (saturating at
+    /// `u128::MAX`, see [`SolutionGraph::minterm_count`]).
     pub new_states: u128,
-    /// Cumulative backward-reachable states after this iteration.
+    /// Cumulative backward-reachable states after this iteration
+    /// (saturating like `new_states`).
     pub reached_states: u128,
     /// Wall-clock time of this iteration's preimage call.
     pub elapsed: Duration,
@@ -123,7 +125,7 @@ pub struct ReachIteration {
 pub struct ReachReport {
     /// All states that can reach the target (including the target itself).
     pub reached: StateSet,
-    /// Exact cardinality of `reached`.
+    /// Cardinality of `reached`, saturating at `u128::MAX`.
     pub reached_states: u128,
     /// Per-iteration rows.
     pub iterations: Vec<ReachIteration>,
@@ -448,7 +450,7 @@ impl ReachDriver {
             // An interrupted preimage: an empty new_node here means "ran
             // out of budget", NOT "fixed point" — the frontier stays
             // installed and a later step resumes it.
-            self.stalls = if new_states == 0 {
+            self.stalls = if new_node == SolutionNodeId::BOTTOM {
                 self.stalls.saturating_add(1)
             } else {
                 0
@@ -460,25 +462,20 @@ impl ReachDriver {
         self.stalls = 0;
         // The frontier is fully enumerated: advance to the accumulated new
         // states (from this step and any interrupted slices before it).
-        let next_frontier = if self.options.simplify_frontier && self.pending != SolutionNodeId::BOTTOM
-        {
-            // Care set = everything not reached when this frontier was
-            // installed; inside the already-reached region the frontier
-            // may grow arbitrarily (those states are known
-            // backward-reachable), which lets sibling substitution shrink
-            // the representation.
-            let care = self
-                .graph
-                .diff(SolutionNodeId::TOP, self.frontier_base_reached);
-            self.graph.simplify(self.pending, care)
-        } else {
-            self.pending
-        };
-        self.frontier_node = if self.graph.minterm_count(self.pending) == 0 {
-            SolutionNodeId::BOTTOM
-        } else {
-            next_frontier
-        };
+        self.frontier_node =
+            if self.options.simplify_frontier && self.pending != SolutionNodeId::BOTTOM {
+                // Care set = everything not reached when this frontier was
+                // installed; inside the already-reached region the frontier
+                // may grow arbitrarily (those states are known
+                // backward-reachable), which lets sibling substitution
+                // shrink the representation.
+                let care = self
+                    .graph
+                    .diff(SolutionNodeId::TOP, self.frontier_base_reached);
+                self.graph.simplify(self.pending, care)
+            } else {
+                self.pending
+            };
         self.pending = SolutionNodeId::BOTTOM;
         self.frontier_base_reached = self.reached;
         ReachStep::Advanced
@@ -506,7 +503,7 @@ impl ReachDriver {
         &self.iterations
     }
 
-    /// Exact cardinality of the current reached set.
+    /// Cardinality of the current reached set, saturating at `u128::MAX`.
     pub fn reached_states(&self) -> u128 {
         self.graph.minterm_count(self.reached)
     }

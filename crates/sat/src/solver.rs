@@ -245,9 +245,8 @@ impl Solver {
     /// are converted to absolute thresholds against the solver's cumulative
     /// statistics, so one installed budget is shared across *all* following
     /// calls until replaced — exactly what a multi-call enumeration wants.
-    /// A search that trips a limit returns
-    /// [`SolveResult::Unknown`](crate::SolveResult::Unknown) with the
-    /// matching [`StopReason`] — never a spurious `Unsat`. Install
+    /// A search that trips a limit returns [`SolveResult::Unknown`] with
+    /// the matching [`StopReason`] — never a spurious `Unsat`. Install
     /// [`Budget::unlimited`] to remove all limits.
     pub fn set_budget(&mut self, budget: Budget) {
         self.limit_conflicts = budget
@@ -1119,14 +1118,21 @@ impl Solver {
         }
     }
 
-    /// Runs unit propagation under `assumptions` without search and
-    /// returns the implied partial assignment (including the assumptions
-    /// and all level-0 facts), or `None` if propagation alone derives a
+    /// Runs unit propagation under `assumptions` without search and, while
+    /// the implied partial assignment is in place, returns what `read`
+    /// computes from the solver: [`Solver::value`] then reports the
+    /// assumptions, their consequences and all level-0 facts. Returns
+    /// `None`, without calling `read`, if propagation alone derives a
     /// conflict. The solver state is fully restored afterwards.
     ///
     /// This is the cheap consequence oracle used by the success-driven
-    /// all-SAT engine to compute subspace signatures.
-    pub fn propagate_under(&mut self, assumptions: &[Lit]) -> Option<Assignment> {
+    /// all-SAT engine to compute subspace signatures; `read` sees the
+    /// assignment in place, so nothing is copied.
+    pub fn propagate_under<R>(
+        &mut self,
+        assumptions: &[Lit],
+        read: impl FnOnce(&Solver) -> R,
+    ) -> Option<R> {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok || self.propagate().is_some() {
             self.ok = false;
@@ -1154,17 +1160,7 @@ impl Solver {
                 }
             }
         }
-        let result = if failed {
-            None
-        } else {
-            let mut a = Assignment::new(self.num_vars());
-            for (i, &v) in self.assigns.iter().enumerate() {
-                if let Some(b) = v.to_option() {
-                    a.assign(Var::new(i), b);
-                }
-            }
-            Some(a)
-        };
+        let result = (!failed).then(|| read(self));
         self.cancel_until(0);
         result
     }
@@ -1830,15 +1826,20 @@ mod tests {
         }
     }
 
+    /// Every variable's value as `propagate_under` shows it.
+    fn values(s: &Solver) -> Vec<Option<bool>> {
+        Var::range(s.num_vars()).map(|v| s.value(v)).collect()
+    }
+
     #[test]
     fn propagate_under_derives_implications() {
         let mut s = Solver::new(3);
         s.add_clause([lit(0, false), lit(1, true)]); // x0 → x1
         s.add_clause([lit(1, false), lit(2, true)]); // x1 → x2
-        let a = s.propagate_under(&[lit(0, true)]).expect("no conflict");
-        assert_eq!(a.value(Var::new(0)), Some(true));
-        assert_eq!(a.value(Var::new(1)), Some(true));
-        assert_eq!(a.value(Var::new(2)), Some(true));
+        let a = s
+            .propagate_under(&[lit(0, true)], values)
+            .expect("no conflict");
+        assert_eq!(a, [Some(true); 3]);
         // State restored: nothing is assigned at level 0.
         assert_eq!(s.value(Var::new(1)), None);
         // And the solver still solves normally.
@@ -1850,18 +1851,21 @@ mod tests {
         let mut s = Solver::new(2);
         s.add_clause([lit(0, false), lit(1, true)]);
         s.add_clause([lit(0, false), lit(1, false)]);
-        assert!(s.propagate_under(&[lit(0, true)]).is_none());
+        let mut read = false;
+        assert!(s
+            .propagate_under(&[lit(0, true)], |_| read = true)
+            .is_none());
+        assert!(!read, "no view of a conflicting prefix");
         // Non-conflicting assumptions still work afterwards.
-        assert!(s.propagate_under(&[lit(0, false)]).is_some());
+        assert!(s.propagate_under(&[lit(0, false)], values).is_some());
     }
 
     #[test]
     fn propagate_under_includes_level0_facts() {
         let mut s = Solver::new(2);
         s.add_clause([lit(1, true)]);
-        let a = s.propagate_under(&[]).expect("no conflict");
-        assert_eq!(a.value(Var::new(1)), Some(true));
-        assert_eq!(a.value(Var::new(0)), None);
+        let a = s.propagate_under(&[], values).expect("no conflict");
+        assert_eq!(a, [None, Some(true)]);
     }
 
     #[test]

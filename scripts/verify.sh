@@ -31,6 +31,12 @@ PRESAT_TEST_INCREMENTAL=1 cargo test -q -p presat --test incremental --offline
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Doc gate: every intra-doc link must resolve, in private modules too —
+# the engine modules are private, so a plain `cargo doc` never renders
+# their docs and a link to a deleted item would dangle silently. --lib
+# sidesteps cargo's doc-name collision between presatd's lib and bin.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --document-private-items --offline
+
 # The benchmark package (perf/, a workspace of its own) reads the library
 # crates' pub API field by field — counters, job accessors, engine
 # options — so build, test and lint it here: a library change that breaks

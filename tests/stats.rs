@@ -2,13 +2,16 @@
 //! instances small enough to know the answer by hand, and the event trace
 //! must agree with the counters.
 
-use presat::allsat::{AllSatEngine, AllSatProblem, BlockingAllSat, SuccessDrivenAllSat};
+use presat::allsat::{
+    AllSatEngine, AllSatProblem, BlockingAllSat, EnumLimits, SignatureMode, SuccessDrivenAllSat,
+};
 use presat::circuit::generators;
-use presat::logic::{Cnf, Lit, Var};
+use presat::logic::rng::SplitMix64;
+use presat::logic::{Cnf, Cube, CubeSet, Lit, Var};
 use presat::obs::json::{self, Json};
-use presat::obs::{AllSatCounters, Event, PreimageCounters, SatCounters, Stats, VecSink};
+use presat::obs::{AllSatCounters, Event, NullSink, PreimageCounters, SatCounters, Stats, VecSink};
 use presat::preimage::{
-    backward_reach_with_sink, PreimageEngine, ReachOptions, SatPreimage, StateSet,
+    backward_reach, backward_reach_with_sink, PreimageEngine, ReachOptions, SatPreimage, StateSet,
 };
 
 /// `v0 ↔ v1` over three variables: exactly 4 models (v2 free both ways).
@@ -291,4 +294,166 @@ fn every_json_sat_counter_has_a_matching_csv_column() {
     seen.sort_unstable();
     let expected: Vec<u64> = (1..=17).chain(101..=120).chain(201..=213).collect();
     assert_eq!(seen, expected);
+}
+
+/// A seeded random 3-CNF over `n` variables with `m` clauses.
+fn random_3cnf(seed: u64, n: usize, m: usize) -> Cnf {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut cnf = Cnf::new(n);
+    for _ in 0..m {
+        let clause: Vec<Lit> = (0..3)
+            .map(|_| Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5)))
+            .collect();
+        cnf.add_clause(clause);
+    }
+    cnf
+}
+
+/// FNV-1a over a cube list in emission order: pins the exact cubes and
+/// their order in one word.
+fn cube_digest<'a>(cubes: impl IntoIterator<Item = &'a Cube>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    };
+    for cube in cubes {
+        for l in cube.lits() {
+            mix(l.code() as u64 + 1);
+        }
+        mix(0);
+    }
+    h
+}
+
+/// The success-driven work counters a key change must not move, in this
+/// order: solver calls, cache hits, cache misses, graph nodes, CDCL
+/// conflicts, decisions and propagations, cube count, cube-list digest.
+fn pinned(stats: &AllSatCounters, cubes: &CubeSet) -> [u64; 9] {
+    [
+        stats.solver_calls,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.graph_nodes,
+        stats.sat.conflicts,
+        stats.sat.decisions,
+        stats.sat.propagations,
+        cubes.len() as u64,
+        cube_digest(cubes),
+    ]
+}
+
+/// Golden values captured before the success cache's keys moved from
+/// nested vectors to flat interned words. A key representation that
+/// merges or splits subspaces differently moves `cache_hits` first.
+#[test]
+fn success_driven_work_counters_are_pinned() {
+    const DYNAMIC: [[u64; 9]; 5] = [
+        [
+            538,
+            226,
+            537,
+            188,
+            21,
+            1951,
+            22562,
+            157,
+            12008381990299188993,
+        ],
+        [166, 37, 165, 94, 26, 221, 6672, 30, 15262964068055389360],
+        [227, 73, 226, 149, 17, 447, 9717, 72, 7765513137712084942],
+        [
+            584,
+            278,
+            583,
+            184,
+            20,
+            1683,
+            25948,
+            205,
+            9600756842237977287,
+        ],
+        [
+            299,
+            176,
+            298,
+            130,
+            21,
+            1004,
+            13438,
+            103,
+            2778428500851464385,
+        ],
+    ];
+    const STATIC: [[u64; 9]; 5] = [
+        [
+            1009,
+            0,
+            1008,
+            188,
+            20,
+            2163,
+            20639,
+            157,
+            12008381990299188993,
+        ],
+        [302, 0, 301, 94, 26, 248, 6412, 30, 15262964068055389360],
+        [461, 0, 460, 149, 17, 510, 9877, 72, 7765513137712084942],
+        [
+            1164,
+            0,
+            1163,
+            184,
+            21,
+            1861,
+            24640,
+            205,
+            9600756842237977287,
+        ],
+        [790, 0, 789, 130, 22, 1210, 16064, 103, 2778428500851464385],
+    ];
+    for (mode, want) in [
+        (SignatureMode::Dynamic, DYNAMIC),
+        (SignatureMode::Static, STATIC),
+    ] {
+        for (seed, want) in (1..).zip(want) {
+            let problem = AllSatProblem::new(random_3cnf(seed, 24, 66), Var::range(12).collect());
+            let r = SuccessDrivenAllSat::new()
+                .with_signature(mode)
+                .enumerate(&problem);
+            assert_eq!(pinned(&r.stats, &r.cubes), want, "{mode:?} seed {seed}");
+        }
+    }
+
+    // Random 3-CNFs this dense leave static keys no reuse; a parity
+    // preimage (8 data latches and the parity latch) does.
+    let r = SatPreimage::success_driven_with(SignatureMode::Static, true)
+        .preimage(&generators::parity(8), &StateSet::from_state_bits(3, 9));
+    assert_eq!(
+        pinned(&r.stats.allsat, r.states.cubes()),
+        [257, 127, 256, 17, 0, 255, 6822, 128, 15443515899006749957]
+    );
+
+    // Under a solution cap a cache hit counts its minterms in one step.
+    let problem = AllSatProblem::new(random_3cnf(1, 24, 66), Var::range(12).collect());
+    let limits = EnumLimits::none().with_max_solutions(40);
+    let r = SuccessDrivenAllSat::new().enumerate_limited(&problem, &limits, &mut NullSink);
+    assert!(!r.complete);
+    assert_eq!(
+        pinned(&r.stats, &r.cubes),
+        [62, 19, 68, 24, 3, 250, 2476, 6, 2676513839598341414]
+    );
+
+    // A session fixed point: one cache across every iteration.
+    let report = backward_reach(
+        &SatPreimage::success_driven(),
+        &generators::counter(6, false),
+        &StateSet::from_state_bits(0, 6),
+        ReachOptions::default(),
+    );
+    assert!(report.converged);
+    assert_eq!(
+        pinned(&report.stats.allsat, report.reached.cubes()),
+        [189, 61, 125, 8, 1, 0, 9405, 1, 12638153115695167455]
+    );
 }
