@@ -363,6 +363,7 @@ impl IncrementalAllSat {
                 stopped: None,
             };
             root = search.explore(0, None);
+            search.solver.backtrack(0);
             search.stats.sat = *search.solver.stats();
             search.stats.sat_conflicts = search.stats.sat.conflicts;
             search.stats.sat_decisions = search.stats.sat.decisions;

@@ -502,6 +502,7 @@ fn run_worker(
             stopped: None,
         };
         let root = search.explore(kp, None);
+        search.solver.backtrack(0);
         search.stats.sat = *search.solver.stats();
         if limits.max_solutions.is_some() {
             let delta = search.solutions_found.saturating_sub(found_before);
@@ -669,6 +670,23 @@ mod tests {
             let par = ParallelAllSat::new(4).with_signature(mode).enumerate(&p);
             assert_eq!(par.cubes, seq.cubes, "mode {mode:?}");
         }
+    }
+
+    #[test]
+    fn partition_cubes_refuted_by_propagation_skip_their_solve() {
+        // The chain x0 → x1 → x2 → x3: half of the 2^3 partition cubes
+        // over x0..x2 contradict it, and propagation alone says so.
+        let mut cnf = Cnf::new(4);
+        for i in 0..3 {
+            cnf.add_clause([lit(i, false), lit(i + 1, true)]);
+        }
+        let p = AllSatProblem::new(cnf, (0..4).map(Var::new).collect());
+        assert_eq!(prefix_len(2, 4), 3);
+        let r = ParallelAllSat::new(2).enumerate(&p);
+        assert_eq!(r.cubes, SuccessDrivenAllSat::new().enumerate(&p).cubes);
+        assert_eq!(r.minterm_count(4), 5);
+        // One call per live cube, plus one for the free x3 below x0 = 0.
+        assert_eq!(r.stats.solver_calls, 5);
     }
 
     #[test]

@@ -656,21 +656,21 @@ mod tests {
                     .iter()
                     .map(|&v| Lit::with_phase(v, rng.gen_bool(0.5)))
                     .collect();
-                let mut flat = Vec::new();
-                let alpha = solver.propagate_under(&prefix, |s| {
-                    idx.write_key(&cnf, &important, depth, |v| s.value(v), &mut flat);
-                    let mut a = Assignment::new(n);
-                    for v in Var::range(n) {
-                        if let Some(b) = s.value(v) {
-                            a.assign(v, b);
-                        }
-                    }
-                    a
-                });
-                let Some(alpha) = alpha else {
-                    assert!(flat.is_empty(), "no key on a propagation conflict");
+                // The prefix on the trail, one assumption level per
+                // literal, as the search holds it; no key on a conflict.
+                if !prefix.iter().all(|&p| solver.assume(p)) {
+                    solver.backtrack(0);
                     continue;
-                };
+                }
+                let mut flat = Vec::new();
+                idx.write_key(&cnf, &important, depth, |v| solver.value(v), &mut flat);
+                let mut alpha = Assignment::new(n);
+                for v in Var::range(n) {
+                    if let Some(b) = solver.value(v) {
+                        alpha.assign(v, b);
+                    }
+                }
+                solver.backtrack(0);
                 let want = reference(&cnf, &alpha, &important, depth);
                 assert_eq!(decode(&flat), want, "round {round}, prefix {prefix:?}");
                 // Equal flat keys exactly when the references are equal.

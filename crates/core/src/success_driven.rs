@@ -31,8 +31,11 @@ pub enum SignatureMode {
 /// The search branches on the important variables in problem order; at each
 /// node a CDCL sub-solver decides (under the branching prefix as
 /// assumptions) whether the subspace still contains solutions, pruning dead
-/// subtrees wholesale. Two mechanisms make this dramatically cheaper than
-/// plain exhaustive search:
+/// subtrees wholesale. The prefix stays on the sub-solver's trail, one
+/// assumption level per literal: a child propagates only its own literal,
+/// a child that propagation refutes is empty without a solver call, and a
+/// call starts from the prefix already in place. Two mechanisms make this
+/// dramatically cheaper than plain exhaustive search:
 ///
 /// 1. **Model guidance** — a satisfying model returned at a node is a
 ///    certificate for the entire branch that agrees with it, so that branch
@@ -135,6 +138,15 @@ impl SuccessDrivenAllSat {
 /// literals) *ahead* of the branching prefix: `prefix_vals` indexes
 /// branching positions only, so the two vectors are allowed to differ in
 /// length by the number of base assumptions.
+///
+/// The solver trail holds the prefix: for some `m ≤ prefix_lits.len()`,
+/// levels `1..=m` hold `prefix_lits[..m]`, one assumption level each
+/// ([`Solver::assume`]). `explore` opens the missing levels on entry,
+/// reads its key off the trail, and cuts the trail back to its own levels
+/// after each child. Whoever calls the outermost `explore` returns the
+/// solver to level 0 right after it, before anything that needs the root
+/// (adding clauses, retiring a group, inprocessing, cloning, resetting
+/// stats).
 pub(crate) struct Search<'p> {
     pub(crate) cnf: &'p Cnf,
     pub(crate) important: &'p [Var],
@@ -164,27 +176,53 @@ pub(crate) struct Search<'p> {
 }
 
 impl Search<'_> {
+    /// Brings the solver trail to the current prefix, one assumption level
+    /// per literal of `prefix_lits`: cuts the levels above it, then
+    /// re-opens any a solve left missing (one that backjumped below its
+    /// entry level and answered `Unsat` returns lower). Returns `false` if
+    /// propagation refutes the prefix.
+    fn establish(&mut self) -> bool {
+        let n = self.prefix_lits.len();
+        self.solver.backtrack(n);
+        while self.solver.level() < n {
+            let level = self.solver.level();
+            if !self.solver.assume(self.prefix_lits[level]) {
+                self.solver.backtrack(level);
+                return false;
+            }
+        }
+        true
+    }
+
     /// Pushes the cache key for the current prefix at `depth` onto the key
-    /// stack, or returns `None` if reuse is off. `Some(false)` signals
-    /// that unit propagation under the prefix already conflicts (the
-    /// subspace is empty); nothing is pushed then.
-    fn push_key(&mut self, depth: usize) -> Option<bool> {
+    /// stack; returns `false`, pushing nothing, if reuse is off. A dynamic
+    /// key reads the implied values off the live trail, which `explore`
+    /// holds at the prefix's propagation closure.
+    fn push_key(&mut self, depth: usize) -> bool {
         if let Some(conn) = &self.conn {
             conn.write_key(depth, &self.prefix_vals, &mut self.keys);
-            return Some(true);
+            return true;
         }
-        let residual = self.residual.as_mut()?;
-        let (cnf, important, keys) = (self.cnf, self.important, &mut self.keys);
-        let pushed = self.solver.propagate_under(&self.prefix_lits, |s| {
-            residual.write_key(cnf, important, depth, |v| s.value(v), keys);
-        });
-        Some(pushed.is_some())
+        let Some(residual) = self.residual.as_mut() else {
+            return false;
+        };
+        let solver = &self.solver;
+        residual.write_key(
+            self.cnf,
+            self.important,
+            depth,
+            |v| solver.value(v),
+            &mut self.keys,
+        );
+        true
     }
 
     /// Enumerates the subspace under the current prefix (of length `depth`)
     /// and returns its solution-graph node. The prefix may be any seeded
     /// partial assignment of the first `depth` branching levels — the
-    /// parallel engine seeds it with a partition cube.
+    /// parallel engine seeds it with a partition cube. The solver trail may
+    /// hold any prefix of `prefix_lits` on entry, and holds at most
+    /// `prefix_lits` on return.
     pub(crate) fn explore(&mut self, depth: usize, hint: Option<Assignment>) -> SolutionNodeId {
         // Anytime unwinding: once stopped, every unexplored subspace
         // reports empty — the accumulated result stays a disjoint subset
@@ -192,8 +230,14 @@ impl Search<'_> {
         if self.stopped.is_some() {
             return SolutionNodeId::BOTTOM;
         }
+        // A subspace that propagation refutes is empty: no solver call.
+        if !self.establish() {
+            return SolutionNodeId::BOTTOM;
+        }
         // A hint is a model consistent with the current prefix; without
-        // one, ask the sub-solver whether the subspace is still live.
+        // one, ask the sub-solver whether the subspace is still live. The
+        // solve starts from the prefix levels already on the trail and
+        // keeps them on a `Sat` answer.
         let model = match hint {
             Some(m) => m,
             None => {
@@ -218,33 +262,29 @@ impl Search<'_> {
             return SolutionNodeId::TOP;
         }
         let start = self.keys.len();
-        let key_hash = match self.push_key(depth) {
-            Some(true) => {
-                let hash = self.cache.hash(&self.keys[start..]);
-                if let Some(node) = self.cache.get(&self.keys[start..], hash) {
-                    self.keys.truncate(start);
-                    self.stats.cache_hits += 1;
-                    self.sink.record(&Event::CacheHit {
-                        depth: depth as u32,
-                    });
-                    if self.max_solutions.is_some() {
-                        // The reused subgraph is complete: its minterms all
-                        // enter the result in one step.
-                        let found = self.graph.minterm_count_from(node, depth as u32);
-                        self.count_solutions(u64::try_from(found).unwrap_or(u64::MAX));
-                    }
-                    return node;
-                }
-                self.stats.cache_misses += 1;
-                self.sink.record(&Event::CacheMiss {
+        let key_hash = if self.push_key(depth) {
+            let hash = self.cache.hash(&self.keys[start..]);
+            if let Some(node) = self.cache.get(&self.keys[start..], hash) {
+                self.keys.truncate(start);
+                self.stats.cache_hits += 1;
+                self.sink.record(&Event::CacheHit {
                     depth: depth as u32,
                 });
-                Some(hash)
+                if self.max_solutions.is_some() {
+                    // The reused subgraph is complete: its minterms all
+                    // enter the result in one step.
+                    let found = self.graph.minterm_count_from(node, depth as u32);
+                    self.count_solutions(u64::try_from(found).unwrap_or(u64::MAX));
+                }
+                return node;
             }
-            // Propagation conflict: the subspace is provably empty. (With a
-            // model in hand this cannot happen, but the check is sound.)
-            Some(false) => return SolutionNodeId::BOTTOM,
-            None => None,
+            self.stats.cache_misses += 1;
+            self.sink.record(&Event::CacheMiss {
+                depth: depth as u32,
+            });
+            Some(hash)
+        } else {
+            None
         };
 
         let var = self.important[depth];
@@ -253,18 +293,21 @@ impl Search<'_> {
             .expect("solver models are total over the formula space");
 
         // Hinted branch first: the model certifies it, so with guidance on
-        // it descends solver-free until it diverges from the model.
+        // it descends solver-free until it diverges from the model. Each
+        // child returns the trail to this node's levels.
         self.prefix_lits.push(Lit::with_phase(var, hint_phase));
         self.prefix_vals.push(hint_phase);
         let hinted = self.explore(depth + 1, self.model_guidance.then_some(model));
         self.prefix_lits.pop();
         self.prefix_vals.pop();
+        self.solver.backtrack(self.prefix_lits.len());
 
         self.prefix_lits.push(Lit::with_phase(var, !hint_phase));
         self.prefix_vals.push(!hint_phase);
         let other = self.explore(depth + 1, None);
         self.prefix_lits.pop();
         self.prefix_vals.pop();
+        self.solver.backtrack(self.prefix_lits.len());
 
         let (lo, hi) = if hint_phase {
             (other, hinted)
@@ -332,6 +375,7 @@ impl AllSatEngine for SuccessDrivenAllSat {
             stopped: None,
         };
         let root = search.explore(0, None);
+        search.solver.backtrack(0);
         search.stats.graph_nodes = search.graph.reachable_count(root) as u64;
         search.stats.sat = *search.solver.stats();
         let db = search.stats.sat.problem_clauses + search.solver.live_learnt_count() as u64;
@@ -536,5 +580,8 @@ mod tests {
         let expect = truth_table::project_models_set(&cnf, &important);
         assert!(r.cubes.semantically_eq(&expect, &important));
         assert_eq!(r.minterm_count(2), 2);
+        // One call per x0 branch: each x1 branch that disagrees with x0 is
+        // refuted by propagation alone.
+        assert_eq!(r.stats.solver_calls, 2);
     }
 }

@@ -370,9 +370,9 @@ impl Solver {
     ///
     /// # Panics
     ///
-    /// Panics if called while the solver is mid-search (it never is through
-    /// the public API) or if a literal references an unknown variable —
-    /// grow the space with [`Solver::add_var`] first.
+    /// Panics if called above decision level 0 (backtrack to level 0 after
+    /// [`Solver::assume`] or [`Solver::decide`]) or if a literal references
+    /// an unknown variable — grow the space with [`Solver::add_var`] first.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
         if !self.ok {
@@ -947,6 +947,15 @@ impl Solver {
     /// On `Unsat`, [`Solver::unsat_core`] holds the subset of `assumptions`
     /// that participated in the refutation. The solver remains usable — the
     /// assumptions are retracted, not asserted.
+    ///
+    /// The call may start with a prefix of `assumptions` already on the
+    /// trail: entered at decision level `e`, levels `1..=e` must hold
+    /// `assumptions[..e]`, one level each, as [`Solver::assume`] opens
+    /// them. Only the levels above `e` are retracted: a `Sat` answer
+    /// returns at level `e` with those levels intact (and still closed
+    /// under unit propagation with every clause learnt meanwhile). An
+    /// `Unsat` or `Unknown` answer may return lower, when the search
+    /// backjumped below `e` or stopped; it never returns higher.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.stats.solves += 1;
         // Stamp the arena gauge even if stats were just reset: per-call
@@ -969,8 +978,12 @@ impl Solver {
                 return SolveResult::Unknown(reason);
             }
         }
-        debug_assert_eq!(self.decision_level(), 0);
-        if self.propagate().is_some() {
+        let entry = self.decision_level();
+        debug_assert!(
+            self.holds_assumption_levels(assumptions),
+            "levels 1..={entry} do not hold a prefix of {assumptions:?}"
+        );
+        if entry == 0 && self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
         }
@@ -991,8 +1004,22 @@ impl Solver {
                 SearchOutcome::Stopped(reason) => break SolveResult::Unknown(reason),
             }
         };
-        self.cancel_until(0);
+        self.cancel_until(entry);
         result
+    }
+
+    /// The entry contract of [`Solver::solve_with_assumptions`]: each open
+    /// level `i + 1` stands for `assumptions[i]`, which is true at or below
+    /// it, and the trail above level 0 is fully propagated.
+    fn holds_assumption_levels(&self, assumptions: &[Lit]) -> bool {
+        let level = self.decision_level();
+        level == 0
+            || (level <= assumptions.len()
+                && self.qhead == self.trail.len()
+                && assumptions[..level].iter().enumerate().all(|(i, &a)| {
+                    self.lit_value(a) == Lbool::True
+                        && self.levels[a.var().index()] as usize <= i + 1
+                }))
     }
 
     fn extract_model(&self) -> Assignment {
@@ -1118,53 +1145,6 @@ impl Solver {
         }
     }
 
-    /// Runs unit propagation under `assumptions` without search and, while
-    /// the implied partial assignment is in place, returns what `read`
-    /// computes from the solver: [`Solver::value`] then reports the
-    /// assumptions, their consequences and all level-0 facts. Returns
-    /// `None`, without calling `read`, if propagation alone derives a
-    /// conflict. The solver state is fully restored afterwards.
-    ///
-    /// This is the cheap consequence oracle used by the success-driven
-    /// all-SAT engine to compute subspace signatures; `read` sees the
-    /// assignment in place, so nothing is copied.
-    pub fn propagate_under<R>(
-        &mut self,
-        assumptions: &[Lit],
-        read: impl FnOnce(&Solver) -> R,
-    ) -> Option<R> {
-        debug_assert_eq!(self.decision_level(), 0);
-        if !self.ok || self.propagate().is_some() {
-            self.ok = false;
-            return None;
-        }
-        let mut failed = false;
-        for &p in assumptions {
-            assert!(
-                p.var().index() < self.num_vars(),
-                "assumption {p} outside solver variable space"
-            );
-            match self.lit_value(p) {
-                Lbool::True => continue,
-                Lbool::False => {
-                    failed = true;
-                    break;
-                }
-                Lbool::Undef => {
-                    self.new_decision_level();
-                    self.enqueue(p, Reason::None);
-                    if self.propagate().is_some() {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let result = (!failed).then(|| read(self));
-        self.cancel_until(0);
-        result
-    }
-
     /// Zeroes the accumulated statistics. Parallel enumeration workers
     /// call this on their cloned solvers so each clone reports only the
     /// work it did itself and per-worker snapshots sum cleanly.
@@ -1186,9 +1166,9 @@ impl Solver {
     ///
     /// Hardening for partitioned (multi-threaded) search: a clone must not
     /// inherit transient per-call state, so this asserts the solver sits at
-    /// decision level 0 (no assumption level lingers from an interrupted
-    /// call — `solve_with_assumptions` always retracts its assumptions)
-    /// and hands back a clone with a cleared failed-assumption core, no
+    /// decision level 0 (callers that [`Solver::assume`] or
+    /// [`Solver::decide`] backtrack to level 0 first) and hands back a
+    /// clone with a cleared failed-assumption core, no
     /// budget, deadline, or cancel token, and zeroed statistics. Everything
     /// that makes an incremental solver warm — level-0 facts, problem and
     /// learnt clauses, saved phases, activities — is retained.
@@ -1257,7 +1237,9 @@ impl Solver {
     /// and the opposite watcher is skipped by its now-true `¬act` blocker.
     ///
     /// Returns the number of clauses tombstoned. Must be called at decision
-    /// level 0 (every public entry point restores level 0).
+    /// level 0: a caller that left levels open with [`Solver::assume`],
+    /// [`Solver::decide`] or a solve entered above level 0 backtracks to
+    /// level 0 first.
     pub fn retire_group(&mut self, act: Lit) -> u64 {
         assert_eq!(self.decision_level(), 0, "retire_group requires level 0");
         let dead = !act;
@@ -1327,13 +1309,52 @@ impl Solver {
     pub fn decide(&mut self, lit: Lit) -> bool {
         debug_assert!(self.lit_value(lit).is_undef(), "decide on assigned {lit}");
         self.stats.decisions += 1;
-        self.new_decision_level();
-        self.enqueue(lit, Reason::None);
-        if self.propagate().is_some() {
+        if !self.open_level(lit) {
             self.stats.conflicts += 1;
             return false;
         }
         true
+    }
+
+    /// Opens one assumption level for `lit` and propagates to a fixed
+    /// point, so that level `i` of the trail stands for the `i`-th assumed
+    /// literal — the alignment [`Solver::solve_with_assumptions`] uses,
+    /// which may then start from these levels. An already-true literal
+    /// opens an empty level. Returns `false` if `lit` is false (no level is
+    /// opened) or its propagation conflicts (the conflicting level stays
+    /// open); either way the caller must [`Solver::backtrack`] to the level
+    /// it assumed from before going on. At level 0 the pending root
+    /// propagation runs first; a refuted formula returns `false` and
+    /// poisons the solver like any level-0 conflict. Counts no decision
+    /// and never adds a clause.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lit` references an unknown variable.
+    pub fn assume(&mut self, lit: Lit) -> bool {
+        assert!(
+            lit.var().index() < self.num_vars(),
+            "assumption {lit} outside solver variable space"
+        );
+        if self.decision_level() == 0 && !self.propagate_root() {
+            return false;
+        }
+        match self.lit_value(lit) {
+            Lbool::True => {
+                self.new_decision_level();
+                true
+            }
+            Lbool::False => false,
+            Lbool::Undef => self.open_level(lit),
+        }
+    }
+
+    /// Opens a decision level holding `lit` alone and propagates it;
+    /// `false` on a conflict, with the level left open.
+    fn open_level(&mut self, lit: Lit) -> bool {
+        self.new_decision_level();
+        self.enqueue(lit, Reason::None);
+        self.propagate().is_none()
     }
 
     /// Undoes every assignment above decision level `level`, restoring
@@ -1826,46 +1847,185 @@ mod tests {
         }
     }
 
-    /// Every variable's value as `propagate_under` shows it.
+    /// Every variable's value on the current trail.
     fn values(s: &Solver) -> Vec<Option<bool>> {
         Var::range(s.num_vars()).map(|v| s.value(v)).collect()
     }
 
     #[test]
-    fn propagate_under_derives_implications() {
+    fn assume_derives_implications() {
         let mut s = Solver::new(3);
         s.add_clause([lit(0, false), lit(1, true)]); // x0 → x1
         s.add_clause([lit(1, false), lit(2, true)]); // x1 → x2
-        let a = s
-            .propagate_under(&[lit(0, true)], values)
-            .expect("no conflict");
-        assert_eq!(a, [Some(true); 3]);
-        // State restored: nothing is assigned at level 0.
-        assert_eq!(s.value(Var::new(1)), None);
+        assert!(s.assume(lit(0, true)));
+        assert_eq!(values(&s), [Some(true); 3]);
+        s.backtrack(0);
+        // Backtracking restores the root: nothing is assigned at level 0.
+        assert_eq!(values(&s), [None; 3]);
         // And the solver still solves normally.
         assert!(s.solve().is_sat());
     }
 
     #[test]
-    fn propagate_under_reports_conflict() {
+    fn assume_reports_conflict() {
         let mut s = Solver::new(2);
         s.add_clause([lit(0, false), lit(1, true)]);
         s.add_clause([lit(0, false), lit(1, false)]);
-        let mut read = false;
-        assert!(s
-            .propagate_under(&[lit(0, true)], |_| read = true)
-            .is_none());
-        assert!(!read, "no view of a conflicting prefix");
+        assert!(!s.assume(lit(0, true)));
+        s.backtrack(0);
         // Non-conflicting assumptions still work afterwards.
-        assert!(s.propagate_under(&[lit(0, false)], values).is_some());
+        assert!(s.assume(lit(0, false)));
+        assert_eq!(values(&s), [Some(false), None]);
     }
 
     #[test]
-    fn propagate_under_includes_level0_facts() {
+    fn assume_sees_level0_facts() {
         let mut s = Solver::new(2);
         s.add_clause([lit(1, true)]);
-        let a = s.propagate_under(&[], values).expect("no conflict");
-        assert_eq!(a, [None, Some(true)]);
+        assert!(s.assume(lit(0, false)));
+        assert_eq!(values(&s), [Some(false), Some(true)]);
+        assert_eq!(s.level_of(Var::new(1)), Some(0));
+    }
+
+    #[test]
+    fn assume_opens_one_level_per_literal() {
+        let mut s = Solver::new(4);
+        s.add_clause([lit(0, false), lit(1, true)]); // x0 → x1
+        s.add_clause([lit(2, false), lit(3, true)]); // x2 → x3
+        s.add_clause([lit(2, false), lit(3, false)]); // x2 → ¬x3
+        assert!(s.assume(lit(0, true)));
+        assert_eq!(s.level(), 1);
+        // x1 is already implied: an empty level keeps level i = literal i.
+        assert!(s.assume(lit(1, true)));
+        assert_eq!(s.level(), 2);
+        assert_eq!(s.trail_prefix(1).len(), s.trail_prefix(2).len());
+        assert_eq!(s.level_of(Var::new(1)), Some(1));
+        // A false literal opens no level.
+        assert!(!s.assume(lit(1, false)));
+        assert_eq!(s.level(), 2);
+        // A conflict leaves its level open for the caller to cut.
+        assert!(!s.assume(lit(2, true)));
+        assert_eq!(s.level(), 3);
+        s.backtrack(2);
+        assert!(s.assume(lit(2, false)));
+        assert_eq!(s.level(), 3);
+        assert_eq!(s.stats().decisions, 0, "assumptions are not decisions");
+        s.backtrack(0);
+        assert_eq!(values(&s), [None; 4]);
+    }
+
+    /// A random 3-CNF over `n` variables with `m` clauses.
+    fn random_3cnf(
+        rng: &mut presat_logic::rng::SplitMix64,
+        n: usize,
+        m: usize,
+    ) -> presat_logic::Cnf {
+        let mut cnf = presat_logic::Cnf::new(n);
+        for _ in 0..m {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| lit(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                .collect();
+            cnf.add_clause(c);
+        }
+        cnf
+    }
+
+    #[test]
+    fn solve_entered_above_level_zero_agrees_with_fresh_calls() {
+        use presat_logic::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0xE17);
+        let mut entered = [0usize; 2];
+        for round in 0..60 {
+            let n = 8 + round % 3;
+            let cnf = random_3cnf(&mut rng, n, (7 * n) / 2);
+            let mut s = Solver::from_cnf(&cnf);
+            for query in 0..12 {
+                let mut assumptions: Vec<Lit> = Vec::new();
+                for _ in 0..rng.gen_range(0..7) {
+                    let v = rng.gen_range(0..n);
+                    if assumptions.iter().all(|a| a.var().index() != v) {
+                        assumptions.push(lit(v, rng.gen_bool(0.5)));
+                    }
+                }
+                let j = rng.gen_range(0..assumptions.len() + 1);
+                let mut fresh = s.clone_at_root();
+                let want = fresh.solve_with_assumptions(&assumptions);
+                let at = format!("round {round}, query {query}, {assumptions:?} from {j}");
+                if !assumptions[..j].iter().all(|&a| s.assume(a)) {
+                    // Propagation alone refuted the prefix.
+                    assert!(matches!(want, SolveResult::Unsat), "{at}");
+                    s.backtrack(0);
+                    continue;
+                }
+                assert_eq!(s.level(), j);
+                entered[usize::from(j > 0)] += 1;
+                let got = s.solve_with_assumptions(&assumptions);
+                assert_eq!(got.is_sat(), want.is_sat(), "{at}");
+                if let SolveResult::Sat(model) = &got {
+                    assert!(cnf.is_satisfied_by(model), "{at}");
+                    assert!(assumptions
+                        .iter()
+                        .all(|&a| model.value(a.var()) == Some(a.is_pos())));
+                    // The entry levels survive the call, one per literal.
+                    assert_eq!(s.level(), j, "{at}");
+                    assert!(s.holds_assumption_levels(&assumptions[..j]), "{at}");
+                } else {
+                    assert!(s.level() <= j, "{at}");
+                    assert!(s.holds_assumption_levels(&assumptions), "{at}");
+                    // A valid core: assumptions whose conjunction with the
+                    // formula alone is unsatisfiable.
+                    let mut core_cnf = cnf.clone();
+                    for &a in s.unsat_core() {
+                        assert!(assumptions.contains(&a), "{at}: core {a} not assumed");
+                        core_cnf.add_unit(a);
+                    }
+                    assert!(!truth_table::is_satisfiable(&core_cnf), "{at}");
+                }
+                s.backtrack(0);
+            }
+        }
+        assert!(entered[0] > 50 && entered[1] > 200, "{entered:?}");
+    }
+
+    #[test]
+    fn backjump_below_the_entry_level_keeps_a_consistent_prefix() {
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|v| lit(v, true));
+        // Under a, the branch ¬c conflicts on d and learns (¬a ∨ c), which
+        // asserts c at a's level 1, below the entry level 2. (Bumping c
+        // makes it the first decision; its saved phase is false.)
+        let mut s = Solver::new(5);
+        s.add_clause([!a, c, d]);
+        s.add_clause([!a, c, !d]);
+        s.bump_var(c.var());
+        assert!(s.assume(a) && s.assume(b));
+        let model = s.solve_with_assumptions(&[a, b]).into_model().expect("sat");
+        assert_eq!(model.value(c.var()), Some(true));
+        assert!(s.stats().conflicts > 0, "the search never backjumped");
+        assert_eq!(s.level(), 2);
+        assert!(s.holds_assumption_levels(&[a, b]));
+        assert_eq!(s.level_of(c.var()), Some(1), "c asserted below entry");
+        assert_eq!(s.level_of(b.var()), Some(2));
+        s.backtrack(0);
+
+        // With c refuted under a as well, the search learns (¬a ∨ c) and
+        // then ¬a at level 0, and answers Unsat from below its entry level.
+        let mut s = Solver::new(5);
+        for clause in [[!a, c, d], [!a, c, !d], [!a, !c, e], [!a, !c, !e]] {
+            s.add_clause(clause);
+        }
+        s.bump_var(c.var());
+        assert!(s.assume(a) && s.assume(b));
+        let refuted = s.solve_with_assumptions(&[a, b]);
+        assert!(matches!(refuted, SolveResult::Unsat));
+        assert_eq!(s.unsat_core(), [a]);
+        assert!(s.level() < 2);
+        assert!(s.holds_assumption_levels(&[a, b]));
+        // Re-opening the prefix finds it refuted by propagation.
+        s.backtrack(0);
+        assert!(!s.assume(a));
+        assert!(s.assume(!a) && s.assume(b));
+        assert!(s.solve_with_assumptions(&[!a, b]).is_sat());
+        assert_eq!(s.level(), 2);
     }
 
     #[test]

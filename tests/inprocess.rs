@@ -222,8 +222,8 @@ fn embedded_benchmarks_preserve_reachability_under_inprocessing() {
 }
 
 /// Mid-session round trip: enumerate → retire (inprocessing may fire) →
-/// enumerate, ten rounds deep, with the session compared against the BDD
-/// projection of an equivalent monolithic formula every round.
+/// enumerate, twenty rounds deep, with the session compared against the
+/// BDD projection of an equivalent monolithic formula every round.
 ///
 /// The session inprocesses at its first retirement and then only once
 /// enough search effort has accumulated. It must still inprocess at least
@@ -252,7 +252,7 @@ fn mid_session_round_trip(jobs: usize) {
     // Inprocessing rounds each call's stats carry: the pass (if any) run
     // by the retirement just before it.
     let mut rounds_per_call: Vec<u64> = Vec::new();
-    for round in 0..10 {
+    for round in 0..20 {
         let act = Lit::pos(session.add_var());
         num_vars += 1;
         for _ in 0..4 {
