@@ -8,7 +8,7 @@ use presat_obs::{Event, ObsSink, StopReason};
 use presat_sat::{SolveResult, Solver};
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
-use crate::lift::lift_cube;
+use crate::lift::Lifter;
 use crate::limits::EnumLimits;
 
 /// Naive all-solutions enumeration: solve, project the model onto the
@@ -58,8 +58,8 @@ impl AllSatEngine for BlockingAllSat {
 
 /// All-solutions enumeration with *lifted* blocking clauses: each model's
 /// projected cube is first enlarged by dropping irrelevant literals
-/// ([`lift_cube`]), and the blocking clause excludes the whole enlarged
-/// cube — `2^(n-k)` minterms at a stroke.
+/// ([`crate::lift_cube`]), and the blocking clause excludes the whole
+/// enlarged cube — `2^(n-k)` minterms at a stroke.
 ///
 /// This is the stronger classical baseline (McMillan-style cube
 /// enlargement); it collapses the minterm explosion wherever single cubes
@@ -109,6 +109,13 @@ impl AllSatEngine for MinimizedBlockingAllSat {
 /// The shared blocking loop: solve, project the model onto the important
 /// variables (lifting the cube first when `lift` is set), block the cube,
 /// repeat until UNSAT or a limit stops the run.
+///
+/// Every stored cube is blocked, so each new model lies outside all of
+/// them, and the cube store need not look for a stored cube that subsumes
+/// the new one. An unlifted cube is the model's full minterm, which
+/// differs from every stored minterm, so it is appended. A lifted cube
+/// holds its model, so no stored cube subsumes it, but it may absorb older
+/// cubes: only the store's backward sweep runs.
 fn enumerate_blocking(
     problem: &AllSatProblem,
     limits: &EnumLimits,
@@ -121,6 +128,7 @@ fn enumerate_blocking(
     let mut stats = EnumerationStats::default();
     let mut cubes = CubeSet::new();
     let mut stopped: Option<StopReason> = None;
+    let mut lifter = lift.then(|| Lifter::new(&problem.cnf, &problem.important));
     loop {
         stats.solver_calls += 1;
         match solver.solve() {
@@ -132,10 +140,9 @@ fn enumerate_blocking(
                 break;
             }
             SolveResult::Sat(model) => {
-                let cube = if lift {
-                    lift_cube(&problem.cnf, &model, &problem.important)
-                } else {
-                    model.project(&problem.important)
+                let cube = match &mut lifter {
+                    Some(lifter) => lifter.lift(&model),
+                    None => model.project(&problem.important),
                 };
                 stats.cubes_emitted += 1;
                 // Solver models are total, so the unlifted projection is
@@ -152,7 +159,11 @@ fn enumerate_blocking(
                 sink.record(&Event::BlockingClause {
                     width: cube.len() as u32,
                 });
-                cubes.insert(cube);
+                if lift {
+                    cubes.insert_unsubsumed(cube);
+                } else {
+                    cubes.push_disjoint(cube);
+                }
                 if !blocked {
                     // Blocking the last remaining projection point made
                     // the formula unsatisfiable at level 0.

@@ -42,7 +42,7 @@ use presat_obs::{Event, ObsSink, StopReason};
 use presat_sat::Solver;
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
-use crate::lift::lift_cube;
+use crate::lift::Lifter;
 use crate::limits::EnumLimits;
 use crate::solution_graph::SolutionGraph;
 
@@ -150,6 +150,7 @@ impl AllSatEngine for ChronoAllSat {
         let mut cubes = CubeSet::new();
         let mut stopped: Option<StopReason> = None;
         let mut levels: Vec<ChronoLevel> = Vec::new();
+        let mut lifter = Lifter::new(&problem.cnf, &problem.important);
         let mut polls = 0u64;
         let mut minterms_emitted = 0u64;
 
@@ -200,7 +201,7 @@ impl AllSatEngine for ChronoAllSat {
                 // Total model. Lift it, absorb fully-covered deep levels,
                 // emit, and flip to the next branch.
                 let model = solver.model_snapshot();
-                let lifted = lift_cube(&problem.cnf, &model, &problem.important);
+                let lifted = lifter.lift(&model);
                 let mut level_has_kept = vec![false; levels.len() + 1];
                 for l in lifted.lits() {
                     let lv = solver.level_of(l.var()).expect("model literal assigned");
@@ -230,7 +231,9 @@ impl AllSatEngine for ChronoAllSat {
                 });
                 let free = (k - cube.len()).min(63) as u32;
                 minterms_emitted = minterms_emitted.saturating_add(1u64 << free);
-                cubes.insert(cube);
+                // The absorb rule keeps the cubes pairwise disjoint, so
+                // none subsumes another: append without the store's scans.
+                cubes.push_disjoint(cube);
                 if limits.max_solutions.is_some_and(|max| minterms_emitted >= max) {
                     stopped = Some(StopReason::MaxSolutions);
                     break;

@@ -10,89 +10,162 @@
 //!
 //! This is the standard cube-enlargement technique the paper's novel engine
 //! is measured against (and that the minimized-blocking baseline uses).
+//!
+//! An enumeration lifts one model per emitted cube over the same formula,
+//! so a [`Lifter`] indexes the formula once: for each literal of an
+//! important variable, the clauses that hold it. Lifting a model then
+//! visits only the clauses that hold an important variable's model
+//! literal. A clause's cover count (its literals the model satisfies) is
+//! computed when the drop test first reads it, and an epoch stamp marks it
+//! as computed for this model, so nothing is reset between models and a
+//! lift allocates only the cube it returns. [`lift_cube`] is the one-shot
+//! form.
 
-use presat_logic::{Assignment, Cnf, Cube, Var};
+use presat_logic::{Assignment, Cnf, Cube, Lit, Var};
 
 /// Lifts the projection of `model` onto `important`: returns a cube over
 /// the important variables that (a) contains the model's projection and
 /// (b) is contained in the projection of `cnf`'s models.
 ///
 /// Literals are dropped greedily in reverse `important` order; the result
-/// is a maximal-for-this-order (not globally minimum) implicant.
+/// is a maximal-for-this-order (not globally minimum) implicant. The
+/// engines, which lift many models of one formula, build one `Lifter`
+/// per enumeration instead.
 ///
 /// # Panics
 ///
-/// Panics if `model` is not a model of `cnf` (debug builds), or if `model`
-/// leaves an important variable unassigned.
+/// Panics if `model` is not a model of `cnf` (debug builds), if `model`
+/// leaves an important variable unassigned, or if `important` repeats a
+/// variable.
 pub fn lift_cube(cnf: &Cnf, model: &Assignment, important: &[Var]) -> Cube {
-    debug_assert_eq!(cnf.eval(model), Some(true), "lifting requires a model");
-    let num_vars = cnf.num_vars();
+    Lifter::new(cnf, important).lift(model)
+}
 
-    // Which variables are important, by index.
-    let mut is_important = vec![false; num_vars];
-    for &v in important {
-        is_important[v.index()] = true;
-    }
+/// [`lift_cube`] for many models of one formula: the clause index is built
+/// once, and each [`Lifter::lift`] touches only the clauses that hold an
+/// important variable's model literal.
+pub(crate) struct Lifter<'a> {
+    cnf: &'a Cnf,
+    important: &'a [Var],
+    /// The clauses that hold an important literal, each with its literals
+    /// deduplicated (a duplicate literal satisfies its clause once):
+    /// clause `c` is `lits[starts[c]..starts[c + 1]]`.
+    lits: Vec<Lit>,
+    starts: Vec<u32>,
+    /// For each literal code, the clauses above that hold the literal, once
+    /// each. Only important variables' literals have entries.
+    occ: Vec<Vec<u32>>,
+    /// Per clause: the number of its literals that the current model
+    /// satisfies and that are still kept. Valid only where `stamp` equals
+    /// `epoch`; other clauses have not been read for this model yet.
+    cover: Vec<u32>,
+    stamp: Vec<u32>,
+    /// Stamp of the current model; advanced once per [`Lifter::lift`].
+    epoch: u32,
+}
 
-    // For every clause, the number of its literals satisfied by the model
-    // and currently kept. Initially every model-satisfied literal is kept.
-    let mut cover_count: Vec<u32> = Vec::with_capacity(cnf.num_clauses());
-    // For every important variable, the clauses in which its model literal
-    // is a satisfier.
-    let mut critical_in: Vec<Vec<u32>> = vec![Vec::new(); num_vars];
-    let mut dedup = Vec::new();
-    for (ci, clause) in cnf.clauses().iter().enumerate() {
-        // Duplicate literals inside a clause must count as one satisfier,
-        // or the drop condition below would double-count them.
-        dedup.clear();
-        dedup.extend_from_slice(clause);
-        dedup.sort_unstable();
-        dedup.dedup();
-        let mut count = 0;
-        for &l in &dedup {
-            if model.lit_value(l) == Some(true) {
-                count += 1;
+impl<'a> Lifter<'a> {
+    /// Indexes `cnf`'s clauses under the literals of the `important`
+    /// variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `important` repeats a variable or names one outside
+    /// `cnf`'s variable space.
+    pub(crate) fn new(cnf: &'a Cnf, important: &'a [Var]) -> Self {
+        let mut is_important = vec![false; cnf.num_vars()];
+        for &v in important {
+            assert!(!is_important[v.index()], "duplicate important variable {v}");
+            is_important[v.index()] = true;
+        }
+        let mut lits = Vec::new();
+        let mut starts = vec![0u32];
+        let mut occ = vec![Vec::new(); 2 * cnf.num_vars()];
+        let mut clause_lits = Vec::new();
+        for clause in cnf.clauses() {
+            clause_lits.clear();
+            clause_lits.extend_from_slice(clause);
+            clause_lits.sort_unstable();
+            clause_lits.dedup();
+            if !clause_lits.iter().any(|l| is_important[l.var().index()]) {
+                continue;
+            }
+            let c = u32::try_from(starts.len() - 1).expect("clause index fits u32");
+            for l in &clause_lits {
                 if is_important[l.var().index()] {
-                    critical_in[l.var().index()].push(ci as u32);
+                    occ[l.code()].push(c);
                 }
             }
+            lits.extend_from_slice(&clause_lits);
+            starts.push(u32::try_from(lits.len()).expect("literal index fits u32"));
         }
-        cover_count.push(count);
+        let num_clauses = starts.len() - 1;
+        Lifter {
+            cnf,
+            important,
+            lits,
+            starts,
+            occ,
+            cover: vec![0; num_clauses],
+            stamp: vec![0; num_clauses],
+            epoch: 0,
+        }
     }
 
-    // Greedy drop pass, reverse order: later branching variables first, so
-    // the success-driven engine's deepest levels benefit most.
-    let mut dropped = vec![false; num_vars];
-    for &v in important.iter().rev() {
-        let vi = v.index();
-        assert!(
-            model.value(v).is_some(),
-            "important variable {v} unassigned in model"
-        );
-        if critical_in[vi]
-            .iter()
-            .all(|&ci| cover_count[ci as usize] >= 2)
-        {
-            dropped[vi] = true;
-            for &ci in &critical_in[vi] {
-                cover_count[ci as usize] -= 1;
+    /// Lifts the projection of `model` onto the important variables, as
+    /// [`lift_cube`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is not a model of the formula (debug builds) or
+    /// leaves an important variable unassigned.
+    pub(crate) fn lift(&mut self, model: &Assignment) -> Cube {
+        debug_assert_eq!(self.cnf.eval(model), Some(true), "lifting requires a model");
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2^32 models ago would read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        // Greedy drop pass, reverse order: later branching variables first,
+        // so the success-driven engine's deepest levels benefit most.
+        let mut kept = Vec::with_capacity(self.important.len());
+        for &v in self.important.iter().rev() {
+            let phase = model
+                .value(v)
+                .unwrap_or_else(|| panic!("important variable {v} unassigned in model"));
+            let lit = Lit::with_phase(v, phase);
+            let held = &self.occ[lit.code()];
+            let droppable = held.iter().all(|&c| {
+                let c = c as usize;
+                if self.stamp[c] != epoch {
+                    // First read for this model. No drop has lowered the
+                    // count yet: a drop reads every clause it lowers.
+                    self.stamp[c] = epoch;
+                    self.cover[c] = self.lits[self.starts[c] as usize..self.starts[c + 1] as usize]
+                        .iter()
+                        .filter(|&&l| model.lit_value(l) == Some(true))
+                        .count() as u32;
+                }
+                self.cover[c] >= 2
+            });
+            if droppable {
+                for &c in held {
+                    self.cover[c as usize] -= 1;
+                }
+            } else {
+                kept.push(lit);
             }
         }
+        Cube::from_lits(kept).expect("important variables are distinct")
     }
-
-    model.project(
-        &important
-            .iter()
-            .copied()
-            .filter(|v| !dropped[v.index()])
-            .collect::<Vec<_>>(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presat_logic::{truth_table, Lit};
+    use presat_logic::truth_table;
 
     fn lit(v: usize, pos: bool) -> Lit {
         Lit::with_phase(Var::new(v), pos)
@@ -179,6 +252,98 @@ mod tests {
             let cube = lift_cube(&cnf, &m, &important);
             assert!(projection.covers_cube(&cube, &important));
         }
+    }
+
+    /// The one-shot lift that [`Lifter`] replaced: every cover count is
+    /// rebuilt from the whole formula for each model.
+    fn reference_lift(cnf: &Cnf, model: &Assignment, important: &[Var]) -> Cube {
+        let num_vars = cnf.num_vars();
+        let mut is_important = vec![false; num_vars];
+        for &v in important {
+            is_important[v.index()] = true;
+        }
+        let mut cover_count: Vec<u32> = Vec::with_capacity(cnf.num_clauses());
+        let mut critical_in: Vec<Vec<u32>> = vec![Vec::new(); num_vars];
+        let mut dedup = Vec::new();
+        for (ci, clause) in cnf.clauses().iter().enumerate() {
+            dedup.clear();
+            dedup.extend_from_slice(clause);
+            dedup.sort_unstable();
+            dedup.dedup();
+            let mut count = 0;
+            for &l in &dedup {
+                if model.lit_value(l) == Some(true) {
+                    count += 1;
+                    if is_important[l.var().index()] {
+                        critical_in[l.var().index()].push(ci as u32);
+                    }
+                }
+            }
+            cover_count.push(count);
+        }
+        let mut dropped = vec![false; num_vars];
+        for &v in important.iter().rev() {
+            let vi = v.index();
+            if critical_in[vi]
+                .iter()
+                .all(|&ci| cover_count[ci as usize] >= 2)
+            {
+                dropped[vi] = true;
+                for &ci in &critical_in[vi] {
+                    cover_count[ci as usize] -= 1;
+                }
+            }
+        }
+        model.project(
+            &important
+                .iter()
+                .copied()
+                .filter(|v| !dropped[v.index()])
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn reused_lifter_matches_reference_lift() {
+        use presat_logic::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0x11F7);
+        let mut lifts = 0;
+        for round in 0..30 {
+            let n = rng.gen_range(4..8);
+            let mut cnf = Cnf::new(n);
+            for _ in 0..rng.gen_range(3..8) {
+                let mut c: Vec<Lit> = (0..rng.gen_range(1..4))
+                    .map(|_| lit(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                    .collect();
+                // Duplicate literals must count once; a tautology's
+                // complementary pair has exactly one true literal.
+                if rng.gen_bool(0.3) {
+                    c.push(c[0]);
+                }
+                if rng.gen_bool(0.2) {
+                    c.push(!c[0]);
+                }
+                cnf.add_clause(c);
+            }
+            let models = truth_table::enumerate_models(&cnf);
+            let mut order: Vec<Var> = Var::range(n).collect();
+            rng.shuffle(&mut order);
+            for k in 0..=n {
+                let important = &order[..k];
+                // One lifter for every model: a cover count left over from
+                // the previous model would show as a wrong cube.
+                let mut lifter = Lifter::new(&cnf, important);
+                for m in &models {
+                    assert_eq!(
+                        lifter.lift(m),
+                        reference_lift(&cnf, m, important),
+                        "round {round}, k {k}, model {m:?}"
+                    );
+                    lifts += 1;
+                }
+            }
+        }
+        assert!(lifts >= 1_000, "only {lifts} lifts");
     }
 
     #[test]

@@ -47,16 +47,15 @@ pub struct Cube {
     /// decided by the literal list; `sig` is a pure function of `lits`, so
     /// including it in the derived `PartialEq`/`Hash` changes nothing.
     lits: Vec<Lit>,
-    /// Cached variable-signature mask: bit `v % 64` is set for every
-    /// mentioned variable `v`. Phase-independent, so `a ⊆ b` on literals
+    /// Cached literal-signature mask: bit `l.code() % 64` is set for every
+    /// literal `l`, so `x` and `¬x` set different bits. `a ⊆ b` on literals
     /// implies `a.sig & !b.sig == 0` — the one-AND subsumption prefilter.
     sig: u64,
 }
 
 /// The signature mask of a literal slice (see [`Cube::signature`]).
 fn sig_of(lits: &[Lit]) -> u64 {
-    lits.iter()
-        .fold(0u64, |s, l| s | 1u64 << (l.var().index() & 63))
+    lits.iter().fold(0u64, |s, l| s | 1u64 << (l.code() & 63))
 }
 
 impl Cube {
@@ -111,12 +110,18 @@ impl Cube {
         &self.lits
     }
 
-    /// The cached 64-bit variable-signature mask: bit `v % 64` is set for
-    /// every variable `v` this cube mentions, regardless of phase.
+    /// The cached 64-bit literal-signature mask: bit `l.code() % 64` is set
+    /// for every literal `l` of this cube. A literal's code is
+    /// `var << 1 | sign`, so `x` and `¬x` set neighbouring bits, and every
+    /// 32 variables the codes fold onto the same 64 bits.
     ///
-    /// If `a.subsumes(b)` then `a`'s variables are a subset of `b`'s, so
+    /// If `a.subsumes(b)` then `a`'s literals are a subset of `b`'s, so
     /// `a.signature() & !b.signature() == 0`; a single AND therefore
-    /// refutes most non-subsumptions before any literal comparison.
+    /// refutes most non-subsumptions before any literal comparison. Over
+    /// variables that are pairwise distinct modulo 32 (any 32 consecutive
+    /// ones, say) the test is exact: it passes only for true subsumption.
+    /// Only the subsumption prefilters read it: [`Cube::subsumes`] and the
+    /// cube store's index.
     pub fn signature(&self) -> u64 {
         self.sig
     }
@@ -175,7 +180,7 @@ impl Cube {
     /// # Ok::<(), presat_logic::CubeFromLitsError>(())
     /// ```
     pub fn subsumes(&self, other: &Cube) -> bool {
-        // A subset's variables are a subset: one AND refutes most pairs.
+        // A subset's literals are a subset: one AND refutes most pairs.
         if self.sig & !other.sig != 0 {
             return false;
         }
@@ -409,16 +414,63 @@ mod tests {
     }
 
     #[test]
-    fn signature_tracks_mentioned_vars() {
+    fn signature_sets_one_bit_per_literal_code() {
         assert_eq!(Cube::top().signature(), 0);
-        let c = Cube::from_lits([lit(0, true), lit(65, false)]).unwrap();
-        // 65 % 64 == 1: the mask folds high variables onto low bits.
-        assert_eq!(c.signature(), 0b11);
-        assert_eq!(c.without_var(Var::new(65)).signature(), 0b01);
+        // x0 is code 0, ¬x1 code 3, x3 code 6.
+        let c = Cube::from_lits([lit(0, true), lit(1, false)]).unwrap();
+        assert_eq!(c.signature(), 0b1001);
+        assert_eq!(c.without_var(Var::new(1)).signature(), 0b0001);
         let d = c.intersect(&Cube::unit(lit(3, true))).unwrap();
-        assert_eq!(d.signature(), 0b1011);
-        // Phase-independent: both phases of a variable set the same bit.
-        assert_eq!(Cube::unit(lit(2, true)).signature(), Cube::unit(lit(2, false)).signature());
+        assert_eq!(d.signature(), 0b100_1001);
+        // Phase-aware: x and ¬x set neighbouring, different bits.
+        assert_eq!(Cube::unit(lit(2, true)).signature(), 1 << 4);
+        assert_eq!(Cube::unit(lit(2, false)).signature(), 1 << 5);
+        // Codes fold every 64: x32 (code 64) and ¬x33 (code 67) land on
+        // the bits of x0 and ¬x1.
+        let folded = Cube::from_lits([lit(32, true), lit(33, false)]).unwrap();
+        assert_eq!(folded.signature(), c.signature());
+    }
+
+    #[test]
+    fn subsumption_implies_signature_inclusion() {
+        use crate::rng::SplitMix64;
+        fn random_cube(rng: &mut SplitMix64, nv: usize) -> Cube {
+            loop {
+                let width = rng.gen_range(0..7);
+                let lits: Vec<Lit> = (0..width)
+                    .map(|_| lit(rng.gen_range(0..nv), rng.gen_bool(0.5)))
+                    .collect();
+                if let Ok(c) = Cube::from_lits(lits) {
+                    return c;
+                }
+            }
+        }
+        let mut rng = SplitMix64::seed_from_u64(0x5167);
+        // 8 variables: subsumption is frequent and the prefilter exact;
+        // 100: codes fold onto the same bits and the prefilter may pass
+        // pairs that do not subsume.
+        let mut subsumed = 0;
+        for nv in [8, 100] {
+            for _ in 0..2_000 {
+                let b = random_cube(&mut rng, nv);
+                // Half the pairs draw `a` as a subset of `b`, so
+                // subsumption is common at both widths.
+                let a = if rng.gen_bool(0.5) {
+                    let keep: Vec<Lit> = b.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                    Cube::from_lits(keep).unwrap()
+                } else {
+                    random_cube(&mut rng, nv)
+                };
+                if a.subsumes(&b) {
+                    subsumed += 1;
+                    assert_eq!(a.signature() & !b.signature(), 0, "{a} subsumes {b}");
+                }
+                if nv <= 32 && a.signature() & !b.signature() == 0 {
+                    assert!(a.subsumes(&b), "exact prefilter passed {a} against {b}");
+                }
+            }
+        }
+        assert!(subsumed > 1_000, "only {subsumed} subsuming pairs");
     }
 
     #[test]

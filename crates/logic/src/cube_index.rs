@@ -20,7 +20,10 @@
 //! Each list stores the entries' [`Cube::signature`]s and cube ids as two
 //! parallel arrays, so the one-AND prefilter is a tight scan over packed
 //! 8-byte signatures — the id array, the liveness table, and the cube
-//! array are only touched for the rare candidates that survive it. Ids are
+//! array are only touched for the rare candidates that survive it. The
+//! signature has one bit per literal code, so it tells `x` from `¬x`: in
+//! a list keyed by one literal, cubes that share the variables but clash
+//! on a phase fail the prefilter too. Ids are
 //! allocated in insertion order and stable removal preserves order, so the
 //! dense id array stays strictly ascending and id→position resolution is a
 //! binary search — there is no position map to maintain, which is what
@@ -35,6 +38,13 @@
 //! and the new cube is appended last. The differential suite in
 //! `tests/cubeset_index.rs` pins this against the retained
 //! [`crate::NaiveCubeSet`].
+//!
+//! **Skipping scans.** A caller that knows more than the store may skip
+//! work that cannot change the result. [`CubeIndex::insert_unsubsumed`]
+//! skips the forward scan, for a cube no stored cube subsumes;
+//! [`CubeIndex::push_disjoint`] skips both scans, for a cube unrelated to
+//! every stored cube. Both give `insert`'s result under their
+//! precondition, and debug builds check it.
 
 use crate::Cube;
 
@@ -246,23 +256,44 @@ impl CubeIndex {
     /// Absorbed insert, semantically identical to the naive
     /// `any`/`retain`/`push` sequence. Returns `true` if the store changed.
     pub fn insert(&mut self, cube: Cube) -> bool {
-        // Forward: is the new cube subsumed by a stored one? Every subsumer
-        // watches one of `cube`'s literals, so the watch lists of those
-        // literals cover all candidates (⊤ watches nothing; flag-checked).
+        if self.subsumed(&cube) {
+            return false;
+        }
+        self.absorb_and_append(cube);
+        true
+    }
+
+    /// [`CubeIndex::insert`] for a cube that the caller knows no stored
+    /// cube subsumes: skips the forward scan and keeps the backward sweep.
+    /// Under that precondition, which debug builds check, the result is
+    /// identical to `insert`'s. Returns `true` if the cube evicted at least
+    /// one stored cube.
+    pub fn insert_unsubsumed(&mut self, cube: Cube) -> bool {
+        debug_assert!(
+            !self.contains_subsuming(&cube),
+            "insert_unsubsumed: cube is subsumed by a stored cube"
+        );
+        self.absorb_and_append(cube)
+    }
+
+    /// Forward scan of an absorbed insert: is `cube` subsumed by a stored
+    /// one? Every subsumer watches one of `cube`'s literals, so the watch
+    /// lists of those literals cover all candidates (⊤ watches nothing;
+    /// flag-checked). Drops the stale entries its prefilter passes and
+    /// counts its work.
+    fn subsumed(&mut self, cube: &Cube) -> bool {
         if self.has_top {
             self.stats.subsumption_checks += 1;
-            return false;
+            return true;
         }
         let sig = cube.signature();
         let mut candidates = 0u64;
         let mut rejects = 0u64;
-        for i in 0..cube.lits().len() {
-            let code = cube.lits()[i].code();
-            if code >= self.watch.len() {
+        let mut hit = false;
+        for &l in cube.lits() {
+            let Some(list) = self.watch.get_mut(l.code()) else {
                 continue;
-            }
-            let mut hit = false;
-            let list = &mut self.watch[code];
+            };
             // Fast path: almost every entry is a signature reject, which
             // needs no pruning and no per-entry bookkeeping — scan the
             // packed signature array until one passes the prefilter, then
@@ -303,7 +334,7 @@ impl CubeIndex {
                 list.ids[w] = id;
                 w += 1;
                 let p = self.ids.binary_search(&id).expect("live id is stored");
-                if self.cubes[p].subsumes(&cube) {
+                if self.cubes[p].subsumes(cube) {
                     hit = true;
                     // Keep the unvisited tail; only the compaction shift
                     // remains to do.
@@ -316,34 +347,31 @@ impl CubeIndex {
             }
             list.truncate(w);
             if hit {
-                self.stats.index_candidates += candidates;
-                self.stats.subsumption_checks += candidates;
-                self.stats.sig_rejects += rejects;
-                return false;
+                break;
             }
         }
+        self.tally(candidates, rejects);
+        hit
+    }
 
-        // Backward: remove every stored cube the new one absorbs. ⊤
-        // absorbs everything; otherwise every victim contains all of
-        // `cube`'s literals, so one occurrence list suffices — the
-        // shortest.
+    /// Backward half of an absorbed insert: evicts every stored cube that
+    /// `cube` subsumes, keeping the survivors' order, and appends `cube`.
+    /// ⊤ absorbs everything; otherwise every victim contains all of
+    /// `cube`'s literals, so one occurrence list suffices — the shortest.
+    /// Returns `true` if a stored cube was evicted.
+    fn absorb_and_append(&mut self, cube: Cube) -> bool {
         if cube.is_empty() {
-            self.stats.index_candidates += candidates;
-            self.stats.subsumption_checks += candidates;
-            self.stats.sig_rejects += rejects;
+            let evicted = !self.cubes.is_empty();
             self.reset_to_top();
-            return true;
+            return evicted;
         }
+        let sig = cube.signature();
         let mut best: Option<usize> = None;
-        let mut complete = true;
         for &l in cube.lits() {
-            let len = match self.occ.get(l.code()) {
-                Some(list) => list.len(),
-                None => 0,
-            };
+            let len = self.occ.get(l.code()).map_or(0, EntryList::len);
             if len == 0 {
                 // No stored cube contains this literal, so none is absorbed.
-                complete = false;
+                best = None;
                 break;
             }
             if best.is_none_or(|b| len < self.occ[b].len()) {
@@ -351,8 +379,9 @@ impl CubeIndex {
             }
         }
         let mut victims: Vec<usize> = Vec::new();
-        if complete {
-            let code = best.expect("non-⊤ cube has a literal");
+        if let Some(code) = best {
+            let mut candidates = 0u64;
+            let mut rejects = 0u64;
             let list = &mut self.occ[code];
             // Same fast path as the forward scan: burn through the leading
             // run of signature rejects without touching anything.
@@ -398,20 +427,28 @@ impl CubeIndex {
                 }
             }
             list.truncate(w);
+            self.tally(candidates, rejects);
         }
-        self.stats.index_candidates += candidates;
-        self.stats.subsumption_checks += candidates;
-        self.stats.sig_rejects += rejects;
         // Stable removal, highest position first so earlier indices stay
         // valid. With no position map to rewrite, each victim costs one
         // memmove of the dense tail — `Vec::remove` — and nothing else.
+        let evicted = !victims.is_empty();
         victims.sort_unstable_by(|a, b| b.cmp(a));
         for p in victims {
             self.cubes.remove(p);
             self.ids.remove(p);
         }
         self.push_raw(cube);
-        true
+        evicted
+    }
+
+    /// Adds one scan's work to the counters: every visited entry is a
+    /// candidate and a subsumption check, and `rejects` of them ended at
+    /// the signature prefilter.
+    fn tally(&mut self, candidates: u64, rejects: u64) {
+        self.stats.index_candidates += candidates;
+        self.stats.subsumption_checks += candidates;
+        self.stats.sig_rejects += rejects;
     }
 
     /// Appends a cube known to be subsumption-unrelated to every stored

@@ -93,13 +93,33 @@ impl CubeSet {
         self.index.insert(cube)
     }
 
+    /// Inserts a cube the caller guarantees no stored cube subsumes: the
+    /// stored cubes it subsumes are evicted and it is appended. Under that
+    /// precondition the result is identical to [`CubeSet::insert`], but the
+    /// forward scan (is the new cube subsumed?) is skipped and only the
+    /// backward sweep runs. Returns `true` if a stored cube was evicted.
+    /// The precondition is checked in debug builds.
+    ///
+    /// The minimized-blocking engine inserts its lifted cubes this way:
+    /// every stored cube is blocked, so each new model lies outside all of
+    /// them and inside its own lifted cube, which no stored cube can
+    /// therefore contain.
+    pub fn insert_unsubsumed(&mut self, cube: Cube) -> bool {
+        self.index.insert_unsubsumed(cube)
+    }
+
     /// Appends a cube the caller guarantees is subsumption-unrelated to
     /// every cube already stored — neither subsumes nor is subsumed by any
     /// of them. Under that precondition the result is identical to
     /// [`CubeSet::insert`], but both absorption scans are skipped, making
-    /// bulk extraction of pairwise-disjoint collections (e.g. the path
-    /// cubes of a solution graph) linear. The precondition is checked in
-    /// debug builds.
+    /// bulk construction of pairwise-disjoint collections linear. The
+    /// precondition is checked in debug builds.
+    ///
+    /// Callers: path extraction from a solution graph and from a BDD
+    /// (paths are pairwise disjoint), the chrono engine (its absorb rule
+    /// keeps its cubes pairwise disjoint) and plain blocking (each cube is
+    /// the minterm of a model that no earlier minterm's blocking clause
+    /// excluded, so it differs from every stored one).
     pub fn push_disjoint(&mut self, cube: Cube) {
         self.index.push_disjoint(cube);
     }

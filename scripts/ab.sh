@@ -8,13 +8,19 @@
 # the host does not always favour one side. Prints one line per run (which
 # side, the seed, the correctness gate, failed/attempted operations, the
 # round count and every end-to-end metric), then per metric each side's
-# median and quartiles and in how many pairs the change read lower.
+# median and quartiles, the change's median over the parent's minus one,
+# and in how many pairs the change read lower.
+#
+# Every pair must keep three gates: both sides correct, no failed
+# operation, and the same result_cubes on both sides. After the table the
+# script prints one line per pair that breaks a gate and then exits 1.
 #
 # Build each side's binary once beforehand, e.g. from a checkout of each
 # commit with
 #   cargo build --release --offline --manifest-path perf/Cargo.toml
 # and run nothing else meanwhile. A run that errors stops the script; a
-# run whose answers were wrong is reported with correct=false.
+# run whose answers were wrong is reported with correct=false and fails
+# the correctness gate.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
@@ -103,6 +109,10 @@ awk '
     split($2, kv, "=")
     seed = kv[2]
     if (!(seed in known)) { known[seed] = 1; seeds[++nseeds] = seed }
+    split($3, kv, "=")
+    correct[side, seed] = kv[2]
+    split($4, kv, "[=/]")
+    failed[side, seed] = kv[2]
     for (i = 6; i <= NF; i++) {
       split($i, kv, "=")
       if (!(kv[1] in named)) { named[kv[1]] = 1; metrics[++nmetrics] = kv[1] }
@@ -110,7 +120,8 @@ awk '
     }
   }
   END {
-    printf "\n%-14s %34s   %34s   %s\n", "", "parent: q1 median q3", "change: q1 median q3", "change lower"
+    printf "\n%-14s %34s   %34s   %15s   %s\n", "", "parent: q1 median q3", "change: q1 median q3",
+      "change/parent-1", "change lower"
     for (j = 1; j <= nmetrics; j++) {
       m = metrics[j]
       np = sorted("parent", m, p)
@@ -124,8 +135,36 @@ awk '
           if (val["change", m, sd] + 0 < val["parent", m, sd] + 0) lower++
         }
       }
-      printf "%-14s %11.6g %11.6g %11.6g   %11.6g %11.6g %11.6g   %d/%d\n", m,
-        quantile(p, np, 0.25), quantile(p, np, 0.5), quantile(p, np, 0.75),
-        quantile(c, nc, 0.25), quantile(c, nc, 0.5), quantile(c, nc, 0.75), lower, pairs
+      pm = quantile(p, np, 0.5)
+      cm = quantile(c, nc, 0.5)
+      delta = pm == 0 ? "-" : sprintf("%+.1f%%", (cm / pm - 1) * 100)
+      printf "%-14s %11.6g %11.6g %11.6g   %11.6g %11.6g %11.6g   %15s   %d/%d\n", m,
+        quantile(p, np, 0.25), pm, quantile(p, np, 0.75),
+        quantile(c, nc, 0.25), cm, quantile(c, nc, 0.75), delta, lower, pairs
+    }
+    # The gates every pair must keep.
+    broken = 0
+    for (k = 1; k <= nseeds; k++) {
+      sd = seeds[k]
+      for (s = 1; s <= 2; s++) {
+        side = s == 1 ? "parent" : "change"
+        if (correct[side, sd] != "true") {
+          printf "gate: seed %s: %s run not correct\n", sd, side
+          broken++
+        }
+        if (failed[side, sd] + 0 > 0) {
+          printf "gate: seed %s: %s run failed %s operations\n", sd, side, failed[side, sd]
+          broken++
+        }
+      }
+      if (val["parent", "result_cubes", sd] != val["change", "result_cubes", sd]) {
+        printf "gate: seed %s: result_cubes %s (parent) vs %s (change)\n", sd,
+          val["parent", "result_cubes", sd], val["change", "result_cubes", sd]
+        broken++
+      }
+    }
+    if (broken > 0) {
+      printf "ab.sh: %d gate(s) broken\n", broken
+      exit 1
     }
   }' "$runs"

@@ -170,6 +170,54 @@ fn conflict_budgets_yield_sound_partial_results() {
     }
 }
 
+/// Chrono and plain blocking append their cubes to the cube store without
+/// its subsumption scans (`CubeSet::push_disjoint`). That is sound only
+/// because their cubes are pairwise disjoint, complete or stopped, so
+/// check exactly that on random problems. Re-inserting the cubes with
+/// absorption must then keep every one of them, in the same order.
+#[test]
+fn chrono_and_blocking_append_pairwise_disjoint_cubes() {
+    let mut rng = SplitMix64::seed_from_u64(0xD15);
+    let (bl, ch) = (BlockingAllSat::new(), ChronoAllSat::new());
+    let engines: [(&str, &dyn AllSatEngine); 2] = [("blocking", &bl), ("chrono", &ch)];
+    let mut stopped = 0;
+    for case in 0..16 {
+        let n = rng.gen_range(6..11);
+        let k = rng.gen_range(1..n.min(8) + 1);
+        let m = rng.gen_range(n..3 * n);
+        let cnf = random_cnf(&mut rng, n, m);
+        let problem = AllSatProblem::new(cnf, Var::range(k).collect());
+        for (name, engine) in engines {
+            let props = rng.gen_range(1..200) as u64;
+            let cap = rng.gen_range(1..8) as u64;
+            let runs = [
+                ("unlimited", EnumLimits::none()),
+                (
+                    "propagation budget",
+                    EnumLimits::none().with_budget(Budget::unlimited().with_propagations(props)),
+                ),
+                ("solution cap", EnumLimits::none().with_max_solutions(cap)),
+            ];
+            for (limit, limits) in runs {
+                let what = format!("case {case} engine {name} {limit}");
+                let result =
+                    engine.enumerate_limited(&problem, &limits, &mut presat::obs::NullSink);
+                if !result.complete {
+                    stopped += 1;
+                }
+                assert!(pairwise_disjoint(&result.cubes), "{what}: cubes overlap");
+                let reinserted: CubeSet = result.cubes.iter().cloned().collect();
+                assert_eq!(
+                    reinserted.cubes(),
+                    result.cubes.cubes(),
+                    "{what}: an absorbed insert would change the cube list"
+                );
+            }
+        }
+    }
+    assert!(stopped >= 8, "only {stopped} stopped runs");
+}
+
 /// The same invariants hold for the parallel engine at 1 and 4 workers.
 #[test]
 fn parallel_budget_stops_are_sound_partial_results() {

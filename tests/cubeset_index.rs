@@ -5,8 +5,10 @@
 //! sequence the naive two-scan insert produces — that bit-identity is what
 //! keeps the parallel-merge and sliced-daemon determinism guarantees
 //! intact — so every case here asserts sequence equality (order included),
-//! not just set equality. All streams are seeded [`SplitMix64`]; a failure
-//! message carries the seed and parameters needed to replay it.
+//! not just set equality. `CubeSet::insert_unsubsumed`, which skips the
+//! forward scan, is pinned against `insert` the same way. All streams are
+//! seeded [`SplitMix64`]; a failure message carries the seed and
+//! parameters needed to replay it.
 
 use std::ops::RangeInclusive;
 
@@ -221,4 +223,55 @@ fn index_counters_accumulate_under_load() {
         "index visited {} candidates, naive bound {naive_worst}",
         st.index_candidates
     );
+}
+
+#[test]
+fn insert_unsubsumed_matches_insert_on_unsubsumed_cubes() {
+    // The minimized-blocking engine inserts only cubes that no stored cube
+    // subsumes, through `insert_unsubsumed`, which skips the forward scan.
+    // Feed both inserts exactly those cubes of each stream: the cube lists
+    // must stay identical, order included, and the verdict must say
+    // whether a stored cube was evicted.
+    for (seed, nv, widths, inserts) in [
+        (0x2001, 10, 1..=4, 300), // dense: constant absorption
+        (0x2002, 12, 2..=5, 500),
+        (0x2003, 16, 2..=6, 1_000),
+        (0x2004, 40, 1..=8, 1_000), // codes fold onto the same bits
+        (0x2005, 64, 3..=10, 2_000),
+    ] {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut by_insert = CubeSet::new();
+        let mut by_unsubsumed = CubeSet::new();
+        let mut fed = 0;
+        let mut evictions = 0;
+        for step in 0..inserts {
+            let c = random_cube(&mut rng, nv, widths.clone());
+            if by_insert.iter().any(|stored| stored.subsumes(&c)) {
+                continue;
+            }
+            fed += 1;
+            let before = by_insert.len();
+            assert!(by_insert.insert(c.clone()));
+            let evicted = by_unsubsumed.insert_unsubsumed(c.clone());
+            evictions += usize::from(evicted);
+            assert_eq!(
+                evicted,
+                by_insert.len() <= before,
+                "eviction verdict at step {step} (seed {seed:#x}) on cube {c}"
+            );
+            assert_eq!(
+                by_insert.cubes(),
+                by_unsubsumed.cubes(),
+                "cube lists diverged at step {step} (seed {seed:#x}, nv {nv}, \
+                 widths {widths:?})"
+            );
+        }
+        assert!(fed >= 20, "seed {seed:#x}: only {fed} cubes fed");
+        assert!(evictions > 0, "seed {seed:#x}: no cube was evicted");
+        // ⊤ absorbs every stored cube.
+        assert!(by_insert.insert(Cube::top()));
+        assert!(by_unsubsumed.insert_unsubsumed(Cube::top()));
+        assert_eq!(by_insert.cubes(), by_unsubsumed.cubes());
+        assert!(by_unsubsumed.is_universe());
+    }
 }
