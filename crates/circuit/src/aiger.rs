@@ -17,6 +17,7 @@
 //! # Ok::<(), presat_circuit::aiger::ParseAigerError>(())
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::aig::AigRef;
@@ -94,9 +95,21 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         .collect::<Result<_, _>>()?;
     let (max_var, num_in, num_latch, num_out, num_and) =
         (nums[0], nums[1], nums[2], nums[3], nums[4]);
-    if max_var < num_in + num_latch + num_and {
+    // The literals `2v` and `2v + 1` of every variable up to `max_var`
+    // must fit a word.
+    if max_var > usize::MAX / 2 {
+        return Err(ParseAigerError::BadHeader);
+    }
+    let defined = num_in
+        .checked_add(num_latch)
+        .and_then(|n| n.checked_add(num_and))
+        .ok_or(ParseAigerError::InconsistentCounts)?;
+    if max_var < defined {
         return Err(ParseAigerError::InconsistentCounts);
     }
+    // The header's counts are untrusted: buffers are sized by the lines
+    // actually present, never by the counts alone.
+    let lines_left = text.lines().count() - 1;
 
     let mut next_line = |expect: &'static str| -> Result<(usize, Vec<u64>), ParseAigerError> {
         let (idx, line) = lines.next().ok_or(ParseAigerError::Truncated)?;
@@ -114,7 +127,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
     };
 
     // Collect the raw sections first.
-    let mut input_lits = Vec::with_capacity(num_in);
+    let mut input_lits = Vec::with_capacity(num_in.min(lines_left));
     for _ in 0..num_in {
         let (line, lits) = next_line("input literal expected")?;
         if lits.len() != 1 || lits[0] % 2 != 0 || lits[0] == 0 {
@@ -125,7 +138,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         }
         input_lits.push(lits[0]);
     }
-    let mut latch_defs = Vec::with_capacity(num_latch);
+    let mut latch_defs = Vec::with_capacity(num_latch.min(lines_left));
     for _ in 0..num_latch {
         let (line, lits) = next_line("latch definition expected")?;
         if lits.len() < 2 || lits.len() > 3 || lits[0] % 2 != 0 || lits[0] == 0 {
@@ -136,7 +149,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         }
         latch_defs.push((lits[0], lits[1], lits.get(2).copied()));
     }
-    let mut output_lits = Vec::with_capacity(num_out);
+    let mut output_lits = Vec::with_capacity(num_out.min(lines_left));
     for _ in 0..num_out {
         let (line, lits) = next_line("output literal expected")?;
         if lits.len() != 1 {
@@ -147,7 +160,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         }
         output_lits.push(lits[0]);
     }
-    let mut and_defs = Vec::with_capacity(num_and);
+    let mut and_defs = Vec::with_capacity(num_and.min(lines_left));
     for _ in 0..num_and {
         let (line, lits) = next_line("and definition expected")?;
         if lits.len() != 3 || lits[0] % 2 != 0 || lits[0] == 0 {
@@ -171,23 +184,25 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         Ok(var)
     };
     let mut circuit = Circuit::new(num_in, num_latch);
-    let mut var_ref: Vec<Option<AigRef>> = vec![None; max_var + 1];
+    // Keyed by AIGER variable: a header may declare, and a literal name,
+    // variables far beyond the definitions the text holds.
+    let mut var_ref: HashMap<usize, AigRef> =
+        HashMap::with_capacity(input_lits.len() + latch_defs.len() + and_defs.len());
     for (i, &lit) in input_lits.iter().enumerate() {
-        var_ref[check_var(lit)?] = Some(circuit.input_ref(i));
+        var_ref.insert(check_var(lit)?, circuit.input_ref(i));
     }
     for (j, &(lit, _, _)) in latch_defs.iter().enumerate() {
-        var_ref[check_var(lit)?] = Some(circuit.state_ref(j));
+        var_ref.insert(check_var(lit)?, circuit.state_ref(j));
     }
 
-    let resolve = |var_ref: &[Option<AigRef>], lit: u64| -> Result<AigRef, ParseAigerError> {
+    let resolve = |var_ref: &HashMap<usize, AigRef>, lit: u64| -> Result<AigRef, ParseAigerError> {
         if lit <= 1 {
             return Ok(if lit == 1 { AigRef::TRUE } else { AigRef::FALSE });
         }
         let var = (lit / 2) as usize;
         let r = var_ref
-            .get(var)
+            .get(&var)
             .copied()
-            .flatten()
             .ok_or(ParseAigerError::UndefinedVariable { var })?;
         Ok(if lit % 2 == 1 { !r } else { r })
     };
@@ -199,7 +214,7 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         let a = resolve(&var_ref, rhs0)?;
         let b = resolve(&var_ref, rhs1)?;
         let g = circuit.aig_mut().and(a, b);
-        var_ref[lhs_var] = Some(g);
+        var_ref.insert(lhs_var, g);
     }
 
     for (j, &(lit, next, init)) in latch_defs.iter().enumerate() {

@@ -22,15 +22,21 @@
 //! * **The dynamic signature cache** persists: a residual key
 //!   ([`ResidualIndex::write_key`]) captures the implied suffix values and
 //!   the exact surviving-literal contents of the residual suffix cone,
-//!   which *determine* the suffix solution set given that the global
-//!   formula is satisfiable under the prefix — and the engine certifies
+//!   less the clauses that pure auxiliary literals drop, which
+//!   *determine* the suffix solution set given that the global formula is
+//!   satisfiable under the prefix — and the engine certifies
 //!   satisfiability with a fresh model before ever consulting the cache.
-//!   The keys stay interned in the cache's arena across calls, and the
+//!   The solution set is that of the key's reduced cone, whatever formula
+//!   the key was read from, so a key means the same in every call. The
+//!   keys stay interned in the cache's arena across calls, and the
 //!   residual index's visit marks grow with the mirror CNF. New clauses
 //!   added between calls (blocking clauses over state variables,
 //!   activation-tagged target clauses under a *currently assumed*
 //!   activation literal) appear in the cone while unsatisfied, so they
-//!   change the key exactly when they can change the suffix set.
+//!   change the key exactly when they can change the suffix set; one
+//!   that makes a dropped literal impure is reached and read too. A group
+//!   whose activation literal a call does not assume drops out of its
+//!   keys, since that literal is pure.
 //! * **Static connectivity keys** are *not* stable under formula growth (a
 //!   new clause can connect previously independent variables), so in
 //!   [`SignatureMode::Static`] the cache is cleared and the connectivity

@@ -125,10 +125,21 @@ impl ConnectivityIndex {
 /// the prefix**: clauses satisfied by the propagation are gone, falsified
 /// literals are deleted from the survivors, and the suffix subspace is
 /// characterized exactly by the *contents* of the surviving clauses
-/// reachable from the suffix variables. Two prefixes with identical residual
+/// reachable from the suffix variables, less the clauses that a *pure
+/// auxiliary literal* satisfies. Two prefixes with identical reduced
 /// cones have identical suffix solution sets, even when the prefixes
 /// themselves differ everywhere — e.g. all even-parity prefixes of a parity
 /// constraint share one cone.
+///
+/// A pure auxiliary literal belongs to an unassigned variable outside the
+/// suffix whose residual occurrences in the cone all have one phase. Such
+/// a variable is existentially quantified, and setting it to that phase
+/// satisfies every clause that holds it without touching a suffix
+/// variable, so dropping those clauses leaves the suffix projection as it
+/// was. Dropping repeats to a fixed point, since a dropped clause can make
+/// another auxiliary literal pure. (A session's activation literal that
+/// the call does not assume is pure too, and dropping its group is exactly
+/// right: the group can be switched off.)
 ///
 /// The signature is exact (clauses are compared by surviving literal
 /// content, not hashed), so reuse is never unsound.
@@ -138,19 +149,47 @@ pub struct ResidualIndex {
     clauses_of_var: Vec<Vec<u32>>,
     /// Visit marks, kept between keys and grown with the formula: a
     /// variable or clause is visited in the current key iff its mark
-    /// equals `epoch`.
+    /// equals `epoch`. A clause's mark also holds its index in `clauses`
+    /// in that epoch, or [`SATISFIED`].
     var_mark: Vec<u32>,
-    clause_mark: Vec<u32>,
+    clause_mark: Vec<(u32, u32)>,
     epoch: u32,
-    /// Scratch, empty between keys: the search stack of variable indices,
-    /// the clause being read, the surviving literal codes of the residual
-    /// clauses back to back, and per residual clause its fingerprint and
-    /// range in `lits`.
+    /// Per variable visited in the current key: [`SUFFIX`] for an
+    /// unassigned suffix variable, plus bit `code & 1` for each phase that
+    /// occurs in a residual clause. An auxiliary variable reads 1 or 2
+    /// exactly when its literal is pure.
+    phases: Vec<u8>,
+    /// Per literal code of a visited variable, its occurrences in the
+    /// residual clauses still in the cone; counted only in keys that have
+    /// a pure literal.
+    occurs: Vec<u32>,
+    /// Scratch, empty between keys: the visited variable indices in visit
+    /// order (the walk reads them as a queue), the clause being read, the
+    /// surviving literal codes of the residual clauses back to back, each
+    /// residual clause, and the pure literal codes whose clauses are still
+    /// to drop.
     frontier: Vec<u32>,
     clause: Vec<u32>,
     lits: Vec<u32>,
-    clauses: Vec<(u64, usize, usize)>,
+    clauses: Vec<Residual>,
+    pure: Vec<u32>,
 }
+
+/// One residual clause of a key: a fingerprint of its contents, their
+/// range in [`ResidualIndex`]'s `lits`, and whether it is still in the
+/// cone (a pure literal drops it).
+#[derive(Clone, Copy, Debug)]
+struct Residual {
+    fingerprint: u64,
+    start: u32,
+    end: u32,
+    live: bool,
+}
+
+/// The `clause_mark` index of a visited clause that the prefix satisfies.
+const SATISFIED: u32 = u32::MAX;
+/// The `phases` flag of an unassigned suffix variable.
+const SUFFIX: u8 = 4;
 
 impl ResidualIndex {
     /// Builds the incidence index for `cnf`.
@@ -160,10 +199,13 @@ impl ResidualIndex {
             var_mark: Vec::new(),
             clause_mark: Vec::new(),
             epoch: 0,
+            phases: Vec::new(),
+            occurs: Vec::new(),
             frontier: Vec::new(),
             clause: Vec::new(),
             lits: Vec::new(),
             clauses: Vec::new(),
+            pure: Vec::new(),
         };
         index.extend(cnf, 0);
         index
@@ -190,11 +232,32 @@ impl ResidualIndex {
     ///
     /// The key is `[depth, n, implied…, cone…]`. Each of the `n` implied
     /// suffix positions `p` is one word `p << 1 | value`. The cone follows
-    /// as length-prefixed clauses: each clause's surviving literal codes
-    /// sorted and deduplicated, the clauses deduplicated and ordered by a
-    /// fingerprint of their contents, ties broken by the contents. The
-    /// clauses run to the end of the key, so it decodes uniquely: two keys
-    /// are equal exactly when their depths, implied values and cones are.
+    /// as length-prefixed clauses: the residual clauses reachable from the
+    /// unassigned suffix variables, less those that pure auxiliary
+    /// literals drop (see [`ResidualIndex`]); each clause's surviving
+    /// literal codes sorted and deduplicated, the clauses deduplicated and
+    /// ordered by a fingerprint of their contents, ties broken by the
+    /// contents. The clauses run to the end of the key, so it decodes
+    /// uniquely: two keys are equal exactly when their depths, implied
+    /// values and reduced cones are.
+    ///
+    /// Why equal keys mean equal suffix projections, given that the
+    /// formula is satisfiable under the prefix (the engine certifies it
+    /// with a model before it writes a key):
+    /// - The walk reads every clause of every variable it reaches, so the
+    ///   cone holds every residual occurrence of its variables, and the
+    ///   rest of the residual formula shares no unassigned variable with
+    ///   it. The rest is then satisfiable on its own, whatever the suffix.
+    /// - A pure auxiliary literal is set true without touching a suffix
+    ///   variable, and that satisfies every clause it drops, so a suffix
+    ///   assignment extends to a model of the cone exactly when it extends
+    ///   to one of the reduced cone.
+    /// - Dropping a clause never makes a pure literal impure, so the fixed
+    ///   point is one set of clauses whatever the drop order, and the key
+    ///   stays canonical.
+    ///
+    /// The projection is therefore a function of the key's words alone,
+    /// which the cache compares one by one.
     pub(crate) fn write_key(
         &mut self,
         cnf: &Cnf,
@@ -213,6 +276,7 @@ impl ResidualIndex {
                 Some(b) => out.push((p as u32) << 1 | u32::from(b)),
                 None if self.var_mark[v.index()] != epoch => {
                     self.var_mark[v.index()] = epoch;
+                    self.phases[v.index()] = SUFFIX;
                     self.frontier.push(v.index() as u32);
                 }
                 None => {}
@@ -220,12 +284,15 @@ impl ResidualIndex {
         }
         out[count_at] = (out.len() - count_at - 1) as u32;
 
-        while let Some(v) = self.frontier.pop() {
+        let mut next = 0;
+        while let Some(&v) = self.frontier.get(next) {
+            next += 1;
             for &ci in &self.clauses_of_var[v as usize] {
-                if self.clause_mark[ci as usize] == epoch {
+                let mark = &mut self.clause_mark[ci as usize];
+                if mark.0 == epoch {
                     continue;
                 }
-                self.clause_mark[ci as usize] = epoch;
+                *mark = (epoch, SATISFIED);
                 self.clause.clear();
                 let mut satisfied = false;
                 for &l in &cnf.clauses()[ci as usize] {
@@ -243,36 +310,100 @@ impl ResidualIndex {
                 }
                 self.clause.sort_unstable();
                 self.clause.dedup();
-                let start = self.lits.len();
+                let start = self.lits.len() as u32;
                 let mut fingerprint = self.clause.len() as u64;
                 for &code in &self.clause {
                     fingerprint = (fingerprint.rotate_left(29) ^ u64::from(code))
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let w = code >> 1;
-                    if self.var_mark[w as usize] != epoch {
-                        self.var_mark[w as usize] = epoch;
-                        self.frontier.push(w);
+                    let w = code as usize >> 1;
+                    if self.var_mark[w] != epoch {
+                        self.var_mark[w] = epoch;
+                        self.phases[w] = 0;
+                        self.frontier.push(w as u32);
                     }
+                    self.phases[w] |= 1 << (code & 1);
                 }
                 self.lits.extend_from_slice(&self.clause);
-                self.clauses.push((fingerprint, start, self.lits.len()));
+                self.clause_mark[ci as usize].1 = self.clauses.len() as u32;
+                self.clauses.push(Residual {
+                    fingerprint,
+                    start,
+                    end: self.lits.len() as u32,
+                    live: true,
+                });
             }
+        }
+        if self
+            .frontier
+            .iter()
+            .any(|&w| matches!(self.phases[w as usize], 1 | 2))
+        {
+            self.drop_pure_literals();
         }
 
         let lits = &self.lits;
+        let range = |c: &Residual| &lits[c.start as usize..c.end as usize];
         self.clauses.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| lits[a.1..a.2].cmp(&lits[b.1..b.2]))
+            a.fingerprint
+                .cmp(&b.fingerprint)
+                .then_with(|| range(a).cmp(range(b)))
         });
         // Equal contents have sorted next to each other.
         self.clauses
-            .dedup_by(|a, b| a.0 == b.0 && lits[a.1..a.2] == lits[b.1..b.2]);
-        for &(_, start, end) in &self.clauses {
-            out.push((end - start) as u32);
-            out.extend_from_slice(&lits[start..end]);
+            .dedup_by(|a, b| a.fingerprint == b.fingerprint && range(a) == range(b));
+        for c in &self.clauses {
+            out.push(c.end - c.start);
+            out.extend_from_slice(range(c));
         }
         self.clauses.clear();
         self.lits.clear();
+        self.frontier.clear();
+    }
+
+    /// Drops, to a fixed point, every residual clause that holds a pure
+    /// auxiliary literal, and then removes the dropped clauses from
+    /// `clauses`. Called after the walk, when `frontier` lists every
+    /// visited variable, and only if some visited variable is pure.
+    fn drop_pure_literals(&mut self) {
+        for &w in &self.frontier {
+            self.occurs[2 * w as usize] = 0;
+            self.occurs[2 * w as usize + 1] = 0;
+        }
+        for &code in &self.lits {
+            self.occurs[code as usize] += 1;
+        }
+        for &w in &self.frontier {
+            match self.phases[w as usize] {
+                1 => self.pure.push(2 * w),
+                2 => self.pure.push(2 * w + 1),
+                _ => {}
+            }
+        }
+        while let Some(code) = self.pure.pop() {
+            // Every clause of a visited variable was visited, so its mark
+            // is current.
+            for &ci in &self.clauses_of_var[code as usize >> 1] {
+                let r = self.clause_mark[ci as usize].1;
+                if r == SATISFIED || !self.clauses[r as usize].live {
+                    continue;
+                }
+                let c = &mut self.clauses[r as usize];
+                c.live = false;
+                for &d in &self.lits[c.start as usize..c.end as usize] {
+                    let d = d as usize;
+                    self.occurs[d] -= 1;
+                    // The last occurrence of one phase makes the other
+                    // pure, once per variable.
+                    if self.occurs[d] == 0
+                        && self.occurs[d ^ 1] > 0
+                        && self.phases[d >> 1] & SUFFIX == 0
+                    {
+                        self.pure.push((d ^ 1) as u32);
+                    }
+                }
+            }
+        }
+        self.clauses.retain(|c| c.live);
     }
 
     /// Starts a new visit epoch, growing the marks to `cnf`'s size. New
@@ -280,15 +411,17 @@ impl ResidualIndex {
     fn next_epoch(&mut self, cnf: &Cnf) {
         if self.var_mark.len() < cnf.num_vars() {
             self.var_mark.resize(cnf.num_vars(), 0);
+            self.phases.resize(cnf.num_vars(), 0);
+            self.occurs.resize(2 * cnf.num_vars(), 0);
         }
         if self.clause_mark.len() < cnf.num_clauses() {
-            self.clause_mark.resize(cnf.num_clauses(), 0);
+            self.clause_mark.resize(cnf.num_clauses(), (0, SATISFIED));
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // A mark left 2^32 epochs ago would read as current.
             self.var_mark.fill(0);
-            self.clause_mark.fill(0);
+            self.clause_mark.fill((0, SATISFIED));
             self.epoch = 1;
         }
     }
@@ -408,8 +541,9 @@ impl SignatureCache {
 mod tests {
     use super::*;
     use presat_logic::rng::SplitMix64;
-    use presat_logic::{Assignment, Lit};
+    use presat_logic::{truth_table, Assignment, Cube, Lit};
     use presat_sat::Solver;
+    use std::collections::BTreeSet;
 
     fn lit(v: usize, pos: bool) -> Lit {
         Lit::with_phase(Var::new(v), pos)
@@ -420,7 +554,11 @@ mod tests {
 
     /// The nested-vector signature the flat key replaced, kept as the
     /// reference: implied suffix values, then the sorted, deduplicated
-    /// residual clauses, each its sorted surviving literal codes.
+    /// residual clauses, each its sorted surviving literal codes, less the
+    /// clauses that pure auxiliary literals drop. The drops are found
+    /// naively: recount the phases of every remaining clause, drop every
+    /// clause holding a literal of a non-suffix variable whose other phase
+    /// is absent, and repeat until nothing changes.
     fn reference(cnf: &Cnf, alpha: &Assignment, important: &[Var], depth: usize) -> Triple {
         let mut clauses_of_var: Vec<Vec<u32>> = vec![Vec::new(); cnf.num_vars()];
         for (ci, clause) in cnf.clauses().iter().enumerate() {
@@ -469,6 +607,17 @@ mod tests {
                 surviving.sort_unstable();
                 surviving.dedup();
                 residuals.push(surviving);
+            }
+        }
+        loop {
+            let present: BTreeSet<u32> = residuals.iter().flatten().copied().collect();
+            let pure = |code: u32| {
+                !suffix.contains(&Var::new(code as usize >> 1)) && !present.contains(&(code ^ 1))
+            };
+            let before = residuals.len();
+            residuals.retain(|clause| !clause.iter().any(|&code| pure(code)));
+            if residuals.len() == before {
+                break;
             }
         }
         residuals.sort_unstable();
@@ -639,6 +788,91 @@ mod tests {
     }
 
     #[test]
+    fn pure_auxiliary_literals_merge_prefixes() {
+        // Suffix x1, auxiliaries x2 and x3:
+        // (x0 ∨ x1 ∨ x2), (¬x2 ∨ x3), (x3 ∨ x1).
+        // Under x0 = 1 the first clause is satisfied and x3 is pure; under
+        // x0 = 0, x3 is pure, and once its clauses go, so is x2. Both
+        // cones reduce to nothing, and x1 is free under either prefix.
+        let mut cnf = Cnf::new(4);
+        cnf.add_clause([lit(0, true), lit(1, true), lit(2, true)]);
+        cnf.add_clause([lit(2, false), lit(3, true)]);
+        cnf.add_clause([lit(3, true), lit(1, true)]);
+        let important = [Var::new(0), Var::new(1)];
+        let mut idx = ResidualIndex::build(&cnf);
+        let mut key = |b0: bool| {
+            let mut a = Assignment::new(4);
+            a.assign(Var::new(0), b0);
+            key_of(&mut idx, &cnf, &a, &important, 1)
+        };
+        assert_eq!(key(false), [1, 0]);
+        assert_eq!(key(true), [1, 0]);
+        // A suffix literal is never dropped, however pure: with x1's
+        // clauses left, x1 keeps its cone.
+        let mut cnf = Cnf::new(2);
+        cnf.add_clause([lit(0, false), lit(1, true)]);
+        let mut idx = ResidualIndex::build(&cnf);
+        let mut a = Assignment::new(2);
+        a.assign(Var::new(0), true);
+        let x1 = Lit::pos(Var::new(1)).code() as u32;
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0, 1, x1]);
+    }
+
+    /// Equal keys mean equal suffix projections: for random CNFs with
+    /// auxiliary variables and random satisfiable prefixes, every two
+    /// prefixes with one key have the same truth-table projection of the
+    /// formula onto the suffix.
+    #[test]
+    fn equal_keys_have_equal_suffix_projections() {
+        let mut rng = SplitMix64::seed_from_u64(0x9E4E);
+        let mut merged = 0;
+        for round in 0..120 {
+            let n = 6 + rng.gen_range(0..6);
+            let m = n + rng.gen_range(0..2 * n);
+            let cnf = random_cnf(&mut rng, n, m);
+            let k = 2 + rng.gen_range(0..n - 3);
+            let important: Vec<Var> = Var::range(k).collect();
+            let mut solver = Solver::from_cnf(&cnf);
+            let mut idx = ResidualIndex::build(&cnf);
+            let mut seen: Vec<(Vec<u32>, Vec<Lit>, BTreeSet<Cube>)> = Vec::new();
+            for _ in 0..24 {
+                let depth = rng.gen_range(0..k + 1);
+                let prefix: Vec<Lit> = important[..depth]
+                    .iter()
+                    .map(|&v| Lit::with_phase(v, rng.gen_bool(0.5)))
+                    .collect();
+                let mut restricted = cnf.clone();
+                for &p in &prefix {
+                    restricted.add_unit(p);
+                }
+                // Keys are written only at satisfiable nodes.
+                let projection = truth_table::project_models(&restricted, &important[depth..]);
+                if projection.is_empty() {
+                    continue;
+                }
+                assert!(prefix.iter().all(|&p| solver.assume(p)), "round {round}");
+                let mut key = Vec::new();
+                idx.write_key(&cnf, &important, depth, |v| solver.value(v), &mut key);
+                solver.backtrack(0);
+                for (other, other_prefix, other_projection) in &seen {
+                    if key == *other {
+                        merged += usize::from(prefix != *other_prefix);
+                        assert_eq!(
+                            projection, *other_projection,
+                            "round {round}: {prefix:?} and {other_prefix:?} share key {key:?}"
+                        );
+                    }
+                }
+                seen.push((key, prefix, projection));
+            }
+        }
+        assert!(
+            merged > 100,
+            "only {merged} merges between distinct prefixes"
+        );
+    }
+
+    #[test]
     fn flat_keys_decode_to_the_reference_signature() {
         let mut rng = SplitMix64::seed_from_u64(0x51C0);
         for round in 0..200 {
@@ -741,7 +975,7 @@ mod tests {
         // wrap must clear them, or the key's walk would skip every clause.
         idx.next_epoch(&cnf);
         idx.var_mark.fill(1);
-        idx.clause_mark.fill(1);
+        idx.clause_mark.fill((1, 0));
         idx.epoch = u32::MAX - 1;
         for _ in 0..3 {
             assert_eq!(decode(&key_of(&mut idx, &cnf, &alpha, &important, 2)), want);

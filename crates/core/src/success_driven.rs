@@ -19,8 +19,9 @@ pub enum SignatureMode {
     /// conservative ([`ConnectivityIndex`]).
     Static,
     /// Dynamic residual-cone signature: prefixes whose unit-propagated
-    /// residual suffix cones are identical share a subgraph. More work per
-    /// node, dramatically more reuse ([`ResidualIndex`]). The default.
+    /// residual suffix cones are identical, once the clauses that pure
+    /// auxiliary literals satisfy are dropped, share a subgraph. More work
+    /// per node, dramatically more reuse ([`ResidualIndex`]). The default.
     #[default]
     Dynamic,
 }
@@ -195,9 +196,19 @@ impl Search<'_> {
     }
 
     /// Pushes the cache key for the current prefix at `depth` onto the key
-    /// stack; returns `false`, pushing nothing, if reuse is off. A dynamic
-    /// key reads the implied values off the live trail, which `explore`
-    /// holds at the prefix's propagation closure.
+    /// stack; returns `false`, pushing nothing, if reuse is off or the node
+    /// needs no key. A dynamic key reads the implied values off the live
+    /// trail, which `explore` holds at the prefix's propagation closure.
+    ///
+    /// A node whose branching variable the trail already assigns writes no
+    /// dynamic key. Its one consistent child keeps the same trail, so that
+    /// child's key (or, if it is implied too, the first key below it) is
+    /// this node's key less its depth and the implied word: it hits
+    /// whenever this node would have, and the model this node holds
+    /// guides the child there without a solver call. No other node can
+    /// hit such a key, since a key lists the implied suffix positions.
+    /// Without model guidance the child would call the solver before its
+    /// lookup, so there the node keeps its key.
     fn push_key(&mut self, depth: usize) -> bool {
         if let Some(conn) = &self.conn {
             conn.write_key(depth, &self.prefix_vals, &mut self.keys);
@@ -207,6 +218,9 @@ impl Search<'_> {
             return false;
         };
         let solver = &self.solver;
+        if self.model_guidance && solver.value(self.important[depth]).is_some() {
+            return false;
+        }
         residual.write_key(
             self.cnf,
             self.important,

@@ -24,7 +24,8 @@ use crate::{Cnf, Lit, Var};
 /// Error produced while parsing DIMACS text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseDimacsError {
-    /// The `p cnf` header is missing or malformed.
+    /// The `p cnf` header is missing or malformed, or declares more than
+    /// [`MAX_VARS`] variables.
     BadHeader {
         /// 1-based line number of the offending line.
         line: usize,
@@ -36,7 +37,8 @@ pub enum ParseDimacsError {
         /// The token text.
         token: String,
     },
-    /// A literal referenced variable 0 or a variable beyond the header count.
+    /// A literal referenced variable 0 or a variable beyond the header
+    /// count (which is at most [`MAX_VARS`]).
     VarOutOfRange {
         /// 1-based line number.
         line: usize,
@@ -76,6 +78,10 @@ impl fmt::Display for ParseDimacsError {
 
 impl std::error::Error for ParseDimacsError {}
 
+/// The most variables a formula can declare: one per [`Var`] index, up to
+/// [`Var::MAX_INDEX`], whose literals still fit a [`Lit`].
+pub const MAX_VARS: usize = Var::MAX_INDEX + 1;
+
 /// Parses DIMACS CNF text into a [`Cnf`].
 ///
 /// The clause count in the header is treated as an upper bound check; a file
@@ -102,7 +108,7 @@ pub fn parse(text: &str) -> Result<Cnf, ParseDimacsError> {
             let nv = it.next().and_then(|t| t.parse::<usize>().ok());
             let nc = it.next().and_then(|t| t.parse::<usize>().ok());
             match (p, fmt_kw, nv, nc) {
-                (Some("p"), Some("cnf"), Some(nv), Some(nc)) => {
+                (Some("p"), Some("cnf"), Some(nv), Some(nc)) if nv <= MAX_VARS => {
                     header = Some((nv, nc));
                     cnf = Cnf::new(nv);
                 }
@@ -129,6 +135,8 @@ pub fn parse(text: &str) -> Result<Cnf, ParseDimacsError> {
                 clause_open = false;
                 continue;
             }
+            // `num_vars` is at most `MAX_VARS`, so every accepted number
+            // names a variable whose literals encode.
             let var_no = value.unsigned_abs() as usize;
             if var_no == 0 || var_no > num_vars {
                 return Err(ParseDimacsError::VarOutOfRange {

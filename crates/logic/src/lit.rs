@@ -7,7 +7,9 @@ use crate::Var;
 ///
 /// The encoding is the conventional solver encoding `var << 1 | sign`, where
 /// `sign == 1` means the *negative* literal. This makes a literal usable
-/// directly as an index into watch lists and gives negation for free.
+/// directly as an index into watch lists and gives negation for free. A
+/// variable index is at most [`Var::MAX_INDEX`] (`Var::new` checks it), so
+/// the shift never drops a bit.
 ///
 /// # Examples
 ///
@@ -153,6 +155,14 @@ mod tests {
             let l = Lit::from_code(code);
             assert_eq!(l.code(), code as usize);
         }
+    }
+
+    #[test]
+    fn largest_variable_keeps_its_literals() {
+        let v = Var::new(Var::MAX_INDEX);
+        assert_eq!(Lit::neg(v).code(), u32::MAX as usize);
+        assert_eq!(Lit::pos(v).var(), v);
+        assert_eq!(Lit::neg(v).var(), v);
     }
 
     #[test]

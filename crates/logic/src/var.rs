@@ -18,15 +18,23 @@ use std::fmt;
 pub struct Var(u32);
 
 impl Var {
+    /// The largest variable index. A [`Lit`](crate::Lit) packs its
+    /// variable and its sign into one `u32`, so an index takes 31 bits.
+    pub const MAX_INDEX: usize = (u32::MAX >> 1) as usize;
+
     /// Creates the variable with the given index.
     ///
     /// # Panics
     ///
-    /// Panics if `index` does not fit in `u32` (variable spaces larger than
-    /// four billion are outside this workspace's design envelope).
+    /// Panics if `index` exceeds [`Var::MAX_INDEX`]: its literals could
+    /// not be encoded.
     #[inline]
     pub fn new(index: usize) -> Self {
-        Var(u32::try_from(index).expect("variable index exceeds u32 range"))
+        assert!(
+            index <= Self::MAX_INDEX,
+            "variable index {index} exceeds the literal range"
+        );
+        Var(index as u32)
     }
 
     /// Returns the zero-based index of this variable.
@@ -98,8 +106,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "variable index exceeds u32 range")]
-    fn new_panics_beyond_u32() {
-        let _ = Var::new(usize::MAX);
+    #[should_panic(expected = "exceeds the literal range")]
+    fn new_panics_beyond_the_literal_range() {
+        let _ = Var::new(Var::MAX_INDEX + 1);
     }
 }

@@ -185,8 +185,13 @@ counters! {
         /// Total literal count of emitted cubes after lifting.
         sum literals_after_lift,
         /// Success-cache hits (subspace reuse) — success-driven engine only.
+        /// A node whose branching variable propagation already fixed makes
+        /// no lookup under dynamic keys: its consistent child looks up for
+        /// it, so it counts as neither a hit nor a miss.
         sum cache_hits,
-        /// Success-cache misses — success-driven engine only.
+        /// Success-cache misses — success-driven engine only. Like hits,
+        /// nodes with an implied branching variable make no lookup under
+        /// dynamic keys.
         sum cache_misses,
         /// Nodes in the resulting solution graph (success-driven engine only;
         /// a per-run peak).
@@ -272,7 +277,8 @@ counters! {
         sum blocking_clauses = allsat.blocking_clauses,
         /// Solution-graph nodes (success-driven engine).
         max graph_nodes = allsat.graph_nodes,
-        /// Success-cache hits (success-driven engine).
+        /// Success-cache hits (success-driven engine); nodes with an
+        /// implied branching variable make no lookup under dynamic keys.
         sum cache_hits = allsat.cache_hits,
         /// Peak BDD manager node count (BDD engine).
         max bdd_nodes,

@@ -9,7 +9,18 @@
 # side, the seed, the correctness gate, failed/attempted operations, the
 # round count and every end-to-end metric), then per metric each side's
 # median and quartiles, the change's median over the parent's minus one,
-# and in how many pairs the change read lower.
+# in how many pairs the change read lower, and the verdict the benchmark
+# pipeline applies to the metric, from its `better` and `bound` in
+# BENCHMARK.json:
+#   worse       the change median is past the parent median by more than
+#               the bound;
+#   unresolved  the parent's quartile spread is wider than the bound;
+#   gain        the change is better in at least 9 of every 10 pairs (and
+#               there are at least 10), and the medians differ in its
+#               favour by more than the parent's quartile spread;
+#   within      anything else.
+# Bound and spread are fractions of the parent median. The verdicts are
+# printed only; the gates below decide the exit status.
 #
 # Every pair must keep three gates: both sides correct, no failed
 # operation, and the same result_cubes on both sides. After the table the
@@ -38,6 +49,17 @@ if [ -z "$seconds" ]; then
   echo "ab.sh: no run_seconds in $root/BENCHMARK.json" >&2
   exit 2
 fi
+# name:better:bound for every end-to-end metric, space-separated.
+rules="$(awk -F'"' '
+  /"end_to_end"/ { inside = 1 }
+  /"per_layer"/ { inside = 0 }
+  inside && $2 == "name" { name = $4 }
+  inside && $2 == "better" { better = $4 }
+  inside && $2 == "bound" {
+    bound = $3
+    gsub(/[^0-9.]/, "", bound)
+    printf "%s:%s:%s ", name, better, bound
+  }' "$root/BENCHMARK.json")"
 
 runs="$(mktemp)"
 trap 'rm -f "$runs"' EXIT
@@ -84,7 +106,7 @@ for seed in "$@"; do
   done
 done
 
-awk '
+awk -v rules="$rules" '
   # Quantile p of the sorted a[1..n], interpolated between ranks.
   function quantile(a, n, p,   h, lo) {
     h = (n - 1) * p
@@ -120,27 +142,47 @@ awk '
     }
   }
   END {
-    printf "\n%-14s %34s   %34s   %15s   %s\n", "", "parent: q1 median q3", "change: q1 median q3",
-      "change/parent-1", "change lower"
+    nrules = split(rules, rule, " ")
+    for (j = 1; j <= nrules; j++) {
+      split(rule[j], r, ":")
+      better[r[1]] = r[2]
+      bound[r[1]] = r[3]
+    }
+    printf "\n%-14s %34s   %34s   %15s   %12s   %s\n", "", "parent: q1 median q3",
+      "change: q1 median q3", "change/parent-1", "change lower", "verdict"
     for (j = 1; j <= nmetrics; j++) {
       m = metrics[j]
       np = sorted("parent", m, p)
       nc = sorted("change", m, c)
       lower = 0
+      higher = 0
       pairs = 0
       for (k = 1; k <= nseeds; k++) {
         sd = seeds[k]
         if (("parent", m, sd) in val && ("change", m, sd) in val) {
           pairs++
           if (val["change", m, sd] + 0 < val["parent", m, sd] + 0) lower++
+          if (val["change", m, sd] + 0 > val["parent", m, sd] + 0) higher++
         }
       }
+      pq1 = quantile(p, np, 0.25)
       pm = quantile(p, np, 0.5)
+      pq3 = quantile(p, np, 0.75)
       cm = quantile(c, nc, 0.5)
       delta = pm == 0 ? "-" : sprintf("%+.1f%%", (cm / pm - 1) * 100)
-      printf "%-14s %11.6g %11.6g %11.6g   %11.6g %11.6g %11.6g   %15s   %d/%d\n", m,
-        quantile(p, np, 0.25), pm, quantile(p, np, 0.75),
-        quantile(c, nc, 0.25), cm, quantile(c, nc, 0.75), delta, lower, pairs
+      # The gap in the better direction, and the pairs that read better.
+      if (!(m in better)) verdict = "-"
+      else {
+        gap = better[m] == "higher" ? cm - pm : pm - cm
+        wins = better[m] == "higher" ? higher : lower
+        if (-gap > bound[m] * pm) verdict = "worse"
+        else if (pq3 - pq1 > bound[m] * pm) verdict = "unresolved"
+        else if (pairs >= 10 && wins * 10 >= pairs * 9 && gap > pq3 - pq1) verdict = "gain"
+        else verdict = "within"
+      }
+      printf "%-14s %11.6g %11.6g %11.6g   %11.6g %11.6g %11.6g   %15s   %12s   %s\n", m,
+        pq1, pm, pq3, quantile(c, nc, 0.25), cm, quantile(c, nc, 0.75), delta,
+        lower "/" pairs, verdict
     }
     # The gates every pair must keep.
     broken = 0

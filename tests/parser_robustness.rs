@@ -130,6 +130,57 @@ fn aiger_latch_literal_out_of_range_regression() {
     assert!(aiger::parse("aag 1 0 1 0 0\n44 0\n").is_err());
 }
 
+/// Regression: AIGER header counts are untrusted. Counts far beyond the
+/// lines present, counts whose sum overflows, and a maximum variable
+/// whose literals overflow must each be an error, never an abort or a
+/// panic. A literal far beyond the definitions allocates nothing either:
+/// undefined, it is an error; defined, it is a valid sparse numbering.
+#[test]
+fn aiger_header_counts_are_not_trusted() {
+    for text in [
+        "aag 1000000000000000000 1000000000000000000 0 0 0\n",
+        "aag 18446744073709551615 18446744073709551615 1 0 0\n",
+        "aag 18446744073709551615 0 0 0 0\n",
+        "aag 1000000000000 0 0 1 0\n2000000000000\n",
+    ] {
+        assert!(aiger::parse(text).is_err(), "{text:?}");
+    }
+    let c = aiger::parse("aag 1000000000000 1 0 1 0\n2000000000000\n2000000000001\n")
+        .expect("one input with a sparse variable number");
+    assert_eq!((c.num_inputs(), c.num_outputs()), (1, 1));
+}
+
+/// Regression: a DIMACS variable number whose literals a `Lit` cannot
+/// encode is an error. Before the bound, `p cnf 3000000000 1` with
+/// `2147483649 0` parsed to the clause `(x0)`, since the literal code
+/// wrapped around `u32`.
+#[test]
+fn dimacs_variables_beyond_the_literal_range_are_errors() {
+    assert!(matches!(
+        dimacs::parse("p cnf 3000000000 1\n2147483649 0\n"),
+        Err(dimacs::ParseDimacsError::BadHeader { line: 1 })
+    ));
+    assert!(matches!(
+        dimacs::parse("p cnf 5000000000 1\n4294967297 0\n"),
+        Err(dimacs::ParseDimacsError::BadHeader { line: 1 })
+    ));
+    assert!(matches!(
+        dimacs::parse("p cnf 2147483648 1\n2147483649 0\n"),
+        Err(dimacs::ParseDimacsError::VarOutOfRange {
+            line: 2,
+            value: 2147483649
+        })
+    ));
+    assert!(matches!(
+        dimacs::parse("p cnf 3 1\n4294967297 0\n"),
+        Err(dimacs::ParseDimacsError::VarOutOfRange { line: 2, .. })
+    ));
+    // The largest number that still encodes parses to that variable.
+    let cnf = dimacs::parse("p cnf 2147483648 1\n-2147483648 0\n").expect("in range");
+    assert_eq!(cnf.clauses()[0][0].var().index(), dimacs::MAX_VARS - 1);
+    assert!(cnf.clauses()[0][0].is_neg());
+}
+
 /// Random sequential circuits survive write→parse round trips in both
 /// netlist formats with transition-exact behaviour.
 #[test]
