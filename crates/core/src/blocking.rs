@@ -154,8 +154,7 @@ fn enumerate_blocking(
                 });
                 let blocked = solver.add_clause(cube.lits().iter().map(|&l| !l));
                 stats.blocking_clauses += 1;
-                let db = solver.stats().problem_clauses + solver.live_learnt_count() as u64;
-                stats.db_clauses_peak = stats.db_clauses_peak.max(db);
+                stats.db_clauses_peak = stats.db_clauses_peak.max(solver.db_clauses());
                 sink.record(&Event::BlockingClause {
                     width: cube.len() as u32,
                 });

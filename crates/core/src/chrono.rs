@@ -157,8 +157,7 @@ impl AllSatEngine for ChronoAllSat {
         // The DB gauge `tests/cross_engine.rs` pins: constant here, because
         // the loop below never allocates a clause (no blocking, no learning).
         let stamp_db_peak = |solver: &Solver, stats: &mut EnumerationStats| {
-            let db = solver.stats().problem_clauses + solver.live_learnt_count() as u64;
-            stats.db_clauses_peak = stats.db_clauses_peak.max(db);
+            stats.db_clauses_peak = stats.db_clauses_peak.max(solver.db_clauses());
         };
 
         if solver.resource_exhausted() {

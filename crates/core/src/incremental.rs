@@ -11,6 +11,14 @@
 //! saved phases, and VSIDS activities all survive between calls, which is
 //! the whole point.
 //!
+//! The solver, key index, graph and cache live in one [`SearchState`],
+//! the driver the one-shot engine and the partition workers run too. A
+//! sequential call catches the key index up with the grown formula
+//! ([`crate::success_driven::KeyIndex::refresh`]), opens a per-call stats
+//! window and runs one search under the call's assumptions; the driver
+//! returns the solver to level 0, ready for the next `add_clause` or
+//! `retire`.
+//!
 //! # Soundness across calls
 //!
 //! * **Learnt clauses** are consequences of the problem clauses present
@@ -40,22 +48,25 @@
 //! * **Static connectivity keys** are *not* stable under formula growth (a
 //!   new clause can connect previously independent variables), so in
 //!   [`SignatureMode::Static`] the cache is cleared and the connectivity
-//!   index rebuilt on every call. Static mode exists for ablation only.
+//!   index rebuilt on every sequential call. Static mode exists for
+//!   ablation only.
 //!
 //! The persistent [`SolutionGraph`] is shared, hash-consed storage: nodes
 //! cached in iteration *k* are reused verbatim in iteration *k+1* when
 //! their signature recurs.
+//!
+//! [`ResidualIndex::write_key`]: crate::signature::ResidualIndex::write_key
+//! [`SignatureMode::Static`]: crate::SignatureMode::Static
 
 use presat_logic::{Cnf, Lit, Var};
-use presat_obs::{Event, NullSink, ObsSink, StopReason};
-use presat_sat::{Budget, Solver};
+use presat_obs::{Event, NullSink, ObsSink};
+use presat_sat::Solver;
 
-use crate::engine::{AllSatResult, EnumerationStats};
+use crate::engine::AllSatResult;
 use crate::limits::EnumLimits;
-use crate::parallel::{enumerate_partitioned, gates_sequential};
-use crate::signature::{ConnectivityIndex, ResidualIndex, SignatureCache};
+use crate::parallel::{effective_jobs, enumerate_partitioned, gates_sequential};
 use crate::solution_graph::SolutionGraph;
-use crate::success_driven::{Search, SignatureMode, SuccessDrivenAllSat};
+use crate::success_driven::{extract_cubes, SearchState, SuccessDrivenAllSat};
 
 /// Search effort, as a multiple of the last inprocessing pass's cost, that
 /// must accumulate before [`IncrementalAllSat::retire`] runs another pass.
@@ -118,12 +129,9 @@ pub struct IncrementalAllSat {
     /// vanish from every residual cone.
     cnf: Cnf,
     important: Vec<Var>,
-    solver: Solver,
-    graph: SolutionGraph,
-    cache: SignatureCache,
-    residual: Option<ResidualIndex>,
-    /// Clause count already covered by `residual`.
-    indexed_clauses: usize,
+    /// The persistent solver, key index, solution graph and success
+    /// cache.
+    search: SearchState,
     /// Arena compactions (and clauses they reclaimed) that ran *between*
     /// enumeration calls — `retire` triggers garbage collection after the
     /// previous call's stats snapshot was taken. Folded into the next
@@ -170,22 +178,14 @@ impl IncrementalAllSat {
             assert!(!seen[v.index()], "duplicate important variable {v}");
             seen[v.index()] = true;
         }
-        let solver = Solver::from_cnf(&cnf);
-        let residual =
-            (config.signature == SignatureMode::Dynamic).then(|| ResidualIndex::build(&cnf));
-        let indexed_clauses = cnf.num_clauses();
-        let k = important.len();
+        let search = SearchState::new(Solver::from_cnf(&cnf), config, &cnf, &important);
         IncrementalAllSat {
             config,
             jobs,
             par_threshold: 0,
             cnf,
             important,
-            solver,
-            graph: SolutionGraph::new(k),
-            cache: SignatureCache::default(),
-            residual,
-            indexed_clauses,
+            search,
             pending_compactions: 0,
             pending_reclaimed: 0,
             pending_inprocess_rounds: 0,
@@ -201,7 +201,7 @@ impl IncrementalAllSat {
     /// activation literal).
     pub fn add_var(&mut self) -> Var {
         let v = self.cnf.fresh_var();
-        let sv = self.solver.add_var();
+        let sv = self.search.solver.add_var();
         debug_assert_eq!(v, sv, "mirror and solver variable spaces diverged");
         v
     }
@@ -210,7 +210,7 @@ impl IncrementalAllSat {
     /// enumerations (the solver is always at decision level 0 there).
     pub fn add_clause(&mut self, lits: Vec<Lit>) {
         self.cnf.add_clause(lits.iter().copied());
-        self.solver.add_clause(lits);
+        self.search.solver.add_clause(lits);
     }
 
     /// Permanently retires the activation group of `act`: asserts `¬act`
@@ -230,20 +230,21 @@ impl IncrementalAllSat {
     /// enumeration results are unchanged — only the work counters and the
     /// live clause volume move.
     pub fn retire(&mut self, act: Lit) -> u64 {
-        let before = *self.solver.stats();
-        let removed = self.solver.retire_group(act);
+        let solver = &mut self.search.solver;
+        let before = *solver.stats();
+        let removed = solver.retire_group(act);
         if self.search_props >= INPROCESS_EFFORT_RATIO * self.inprocess_cost {
-            let props = self.solver.stats().propagations;
+            let props = solver.stats().propagations;
             // The arena stores clauses as 4-byte words; every round of the
             // pass reads all of them.
-            let words = self.solver.arena_bytes() as u64 / 4;
-            self.solver.inprocess();
-            let after = self.solver.stats();
+            let words = solver.arena_bytes() as u64 / 4;
+            solver.inprocess();
+            let after = solver.stats();
             let rounds = after.inprocess_rounds - before.inprocess_rounds;
             self.inprocess_cost = after.propagations - props + rounds * words;
             self.search_props = 0;
         }
-        let after = self.solver.stats();
+        let after = solver.stats();
         self.pending_compactions += after.db_compactions - before.db_compactions;
         self.pending_reclaimed += after.clauses_reclaimed - before.clauses_reclaimed;
         self.pending_inprocess_rounds += after.inprocess_rounds - before.inprocess_rounds;
@@ -263,19 +264,19 @@ impl IncrementalAllSat {
     /// Number of live learnt clauses currently carried by the persistent
     /// solver (the `learnts_carried` observability counter).
     pub fn live_learnts(&self) -> usize {
-        self.solver.live_learnt_count()
+        self.search.solver.live_learnt_count()
     }
 
     /// Bytes currently resident in the persistent solver's clause arena —
     /// the session's live memory footprint, which the `presatd` admission
     /// controller sums across sessions against its ceiling.
     pub fn arena_bytes(&self) -> u64 {
-        self.solver.arena_bytes() as u64
+        self.search.solver.arena_bytes() as u64
     }
 
     /// The persistent solution graph (shared storage across calls).
     pub fn graph(&self) -> &SolutionGraph {
-        &self.graph
+        &self.search.graph
     }
 
     /// Enumerates the projection of the current formula's models, under
@@ -310,92 +311,36 @@ impl IncrementalAllSat {
         sink: &mut dyn ObsSink,
     ) -> AllSatResult {
         let k = self.important.len();
-        let jobs = self.effective_jobs();
-        let mut stats;
-        let root;
-        let stop: Option<StopReason>;
-        if jobs > 1 && k > 0 && !gates_sequential(self.par_threshold, k, self.cnf.num_clauses()) {
+        let jobs = effective_jobs(self.jobs);
+        let (root, mut stats, stop) = if jobs > 1
+            && k > 0
+            && !gates_sequential(self.par_threshold, k, self.cnf.num_clauses())
+        {
             // Partitioned: workers clone the persistent solver at the root
             // (inheriting its learnt clauses and phases) and merge into the
             // persistent graph. Per-worker learnts die with the workers —
             // learnt *carrying* is the sequential path's job.
-            let (r, s, st) = enumerate_partitioned(
+            enumerate_partitioned(
                 self.config,
                 jobs,
                 &self.cnf,
                 &self.important,
-                &self.solver,
+                &self.search.solver,
                 assumptions,
                 limits,
-                &mut self.graph,
+                &mut self.search.graph,
                 sink,
-            );
-            root = r;
-            stats = s;
-            stop = st;
+            )
         } else {
-            match self.config.signature {
-                // Static connectivity is not stable under formula growth:
-                // rebuild the index and drop the cache every call.
-                SignatureMode::Static => self.cache.clear(),
-                SignatureMode::Dynamic => {
-                    let residual = self.residual.as_mut().expect("built in new()");
-                    residual.extend(&self.cnf, self.indexed_clauses);
-                    self.indexed_clauses = self.cnf.num_clauses();
-                }
-                SignatureMode::None => {}
-            }
-            let conn = (self.config.signature == SignatureMode::Static)
-                .then(|| ConnectivityIndex::build(&self.cnf, &self.important));
-            self.solver.reset_stats();
-            self.solver.set_budget(limits.budget);
-            self.solver.set_cancel(limits.cancel.clone());
-            let mut search = Search {
-                cnf: &self.cnf,
-                important: &self.important,
-                solver: std::mem::replace(&mut self.solver, Solver::new(0)),
-                conn,
-                residual: self.residual.take(),
-                graph: std::mem::replace(&mut self.graph, SolutionGraph::new(k)),
-                cache: std::mem::take(&mut self.cache),
-                keys: Vec::new(),
-                stats: EnumerationStats::default(),
-                prefix_lits: assumptions.to_vec(),
-                prefix_vals: Vec::with_capacity(k),
-                model_guidance: self.config.model_guidance,
-                sink,
-                max_solutions: limits.max_solutions,
-                solutions_found: 0,
-                stopped: None,
-            };
-            root = search.explore(0, None);
-            search.solver.backtrack(0);
-            search.stats.sat = *search.solver.stats();
-            search.stats.sat_conflicts = search.stats.sat.conflicts;
-            search.stats.sat_decisions = search.stats.sat.decisions;
-            stop = search.stopped;
-            let Search {
-                solver,
-                residual,
-                graph,
-                cache,
-                stats: s,
-                ..
-            } = search;
-            self.solver = solver;
-            self.residual = residual;
-            self.graph = graph;
-            self.cache = cache;
-            stats = s;
-            // This call's limits must not outlive it: the persistent
-            // solver returns to unlimited, un-cancellable operation.
-            self.solver.set_budget(Budget::unlimited());
-            self.solver.set_cancel(None);
-            if let Some(reason) = stop {
-                stats.budget_stops = 1;
+            let (cnf, important, search) = (&self.cnf, &self.important, &mut self.search);
+            search.index.refresh(cnf, important, &mut search.cache);
+            search.solver.reset_stats();
+            let outcome = search.run(cnf, important, assumptions, &[], limits, sink);
+            if let Some(reason) = outcome.stop {
                 sink.record(&Event::BudgetStop { reason });
             }
-        }
+            (outcome.root, outcome.stats, outcome.stop)
+        };
         // The search effort that schedules `retire`'s next inprocessing
         // pass. (The pending counters folded below add no propagations.)
         self.search_props += stats.sat.propagations;
@@ -413,14 +358,7 @@ impl IncrementalAllSat {
         self.pending_subsumed = 0;
         self.pending_strengthened = 0;
         self.pending_vivified = 0;
-        stats.graph_nodes = self.graph.reachable_count(root) as u64;
-        let cubes = self.graph.to_cube_set(root, &self.important);
-        stats.cubes_emitted = cubes.len() as u64;
-        for cube in &cubes {
-            sink.record(&Event::Solution {
-                width: cube.len() as u32,
-            });
-        }
+        let cubes = extract_cubes(&self.search.graph, root, &self.important, &mut stats, sink);
         AllSatResult {
             cubes,
             graph: None,
@@ -435,10 +373,6 @@ impl IncrementalAllSat {
     pub fn enumerate(&mut self, assumptions: &[Lit]) -> AllSatResult {
         self.enumerate_with_sink(assumptions, &mut NullSink)
     }
-
-    fn effective_jobs(&self) -> usize {
-        crate::parallel::effective_jobs(self.jobs)
-    }
 }
 
 #[cfg(test)]
@@ -446,6 +380,7 @@ mod tests {
     use super::*;
     use crate::engine::{AllSatEngine, AllSatProblem};
     use crate::parallel::ParallelAllSat;
+    use crate::success_driven::SignatureMode;
     use presat_logic::rng::SplitMix64;
 
     fn lit(v: usize, pos: bool) -> Lit {

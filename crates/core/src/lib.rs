@@ -73,7 +73,6 @@ pub use lift::lift_cube;
 pub use limits::EnumLimits;
 pub use ordering::{order_important, BranchOrder};
 pub use parallel::{effective_jobs, ParallelAllSat, DEFAULT_PAR_THRESHOLD};
-pub use signature::{ConnectivityIndex, ResidualIndex};
 pub use solution_graph::{SolutionGraph, SolutionNodeId};
 pub use success_driven::{SignatureMode, SuccessDrivenAllSat};
 

@@ -14,8 +14,9 @@ use presat_sat::{Budget, CancelToken, StopReason};
 /// Limits for one enumeration run. The default is unlimited.
 ///
 /// * `budget` — forwarded to the CDCL sub-solver(s). On the parallel
-///   engine, counter limits (conflicts/propagations) apply **per worker**;
-///   the wall-clock deadline is absolute and thus shared.
+///   engine, counter limits (conflicts/propagations) are drawn from one
+///   pool that every worker charges, so the fleet spends them once; the
+///   wall-clock deadline is absolute and thus shared.
 /// * `cancel` — a shared cooperative flag; every sub-solver polls it.
 /// * `max_solutions` — stop once at least this many solutions (projected
 ///   minterms) have been enumerated. The result may slightly overshoot the

@@ -4,8 +4,9 @@
 //! disjoint *partition cubes* over the first `kp` branching levels (the
 //! guiding-path prefix): cube *j*'s phases are the bits of *j*. Workers
 //! pull cube indices from a shared atomic counter and enumerate each
-//! cube's subspace with the sequential success-driven engine, seeded with
-//! the cube as its branching prefix. A spawn gate
+//! cube's subspace with the sequential engine's driver
+//! ([`SearchState::run`]), seeded with the cube as its branching prefix;
+//! each worker keeps one [`SearchState`] across its cubes. A spawn gate
 //! ([`ParallelAllSat::with_par_threshold`]) keeps problems too small to
 //! pay for the fleet on the sequential path.
 //!
@@ -45,9 +46,8 @@ use presat_sat::{Budget, BudgetPool, CancelToken, Solver};
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 use crate::limits::{first_reason, EnumLimits};
-use crate::signature::{ConnectivityIndex, ResidualIndex, SignatureCache};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
-use crate::success_driven::{Search, SignatureMode, SuccessDrivenAllSat};
+use crate::success_driven::{extract_cubes, SearchState, SignatureMode, SuccessDrivenAllSat};
 
 /// Upper bound on the partition-prefix length: `2^8 = 256` cubes saturates
 /// any sane thread count while keeping per-cube solver overhead bounded.
@@ -163,11 +163,6 @@ impl ParallelAllSat {
         self.par_threshold = threshold;
         self
     }
-
-    /// The effective thread count (resolving `jobs == 0` to the OS value).
-    fn effective_jobs(&self) -> usize {
-        effective_jobs(self.jobs)
-    }
 }
 
 /// Resolves a requested worker count to the effective one: `0` means
@@ -224,7 +219,7 @@ impl AllSatEngine for ParallelAllSat {
         limits: &EnumLimits,
         sink: &mut dyn ObsSink,
     ) -> AllSatResult {
-        let jobs = self.effective_jobs();
+        let jobs = effective_jobs(self.jobs);
         let k = problem.important.len();
         if jobs <= 1 || k == 0 || gates_sequential(self.par_threshold, k, problem.cnf.num_clauses())
         {
@@ -249,14 +244,7 @@ impl AllSatEngine for ParallelAllSat {
 
         // Totals that must describe the *merged* result, not a sum of the
         // per-cube views (subspace graphs overlap after canonicalisation).
-        stats.graph_nodes = master.reachable_count(root) as u64;
-        let cubes = master.to_cube_set(root, &problem.important);
-        stats.cubes_emitted = cubes.len() as u64;
-        for cube in &cubes {
-            sink.record(&Event::Solution {
-                width: cube.len() as u32,
-            });
-        }
+        let cubes = extract_cubes(&master, root, &problem.important, &mut stats, sink);
         AllSatResult {
             cubes,
             graph: Some((master, root)),
@@ -399,12 +387,12 @@ pub(crate) fn enumerate_partitioned(
 }
 
 /// One worker: pulls cube indices from the shared counter until the queue
-/// is dry, enumerating each with persistent per-worker state (a solver
-/// clone, the signature indices, one solution graph, one signature cache)
-/// so later cubes benefit from everything earlier cubes learnt. The clone
-/// is cheap — the flat clause arena copies as one contiguous buffer, not
-/// one allocation per clause (table R8) — so spawning workers stays
-/// O(bytes) even when the template carries a large warm session database.
+/// is dry, enumerating each with one persistent [`SearchState`] (a solver
+/// clone, the key index, one solution graph, one success cache) so later
+/// cubes benefit from everything earlier cubes learnt. The clone is
+/// cheap — the flat clause arena copies as one contiguous buffer, not one
+/// allocation per clause (table R8) — so spawning workers stays O(bytes)
+/// even when the template carries a large warm session database.
 ///
 /// Counter budgets are charged to the shared [`BudgetPool`] (never a
 /// per-worker residue, which would let the fleet spend N× the caller's
@@ -426,23 +414,8 @@ fn run_worker(
     num_cubes: usize,
     kp: usize,
 ) -> (SolutionGraph, Vec<CubeOutcome>) {
-    let k = important.len();
-    let mut solver = template.clone_at_root();
-    solver.set_cancel(limits.cancel.clone());
-    solver.set_pool(pool);
-    // The deadline is an absolute instant, so copying it shares it; the
-    // counter limits live in the shared pool instead.
-    let worker_budget = Budget {
-        conflicts: None,
-        propagations: None,
-        deadline: limits.budget.deadline,
-    };
-    let mut conn = (config.signature == SignatureMode::Static)
-        .then(|| ConnectivityIndex::build(cnf, important));
-    let mut residual =
-        (config.signature == SignatureMode::Dynamic).then(|| ResidualIndex::build(cnf));
-    let mut graph = SolutionGraph::new(k);
-    let mut cache = SignatureCache::default();
+    let mut state = SearchState::new(template.clone_at_root(), config, cnf, important);
+    state.solver.set_pool(pool);
     let mut outcomes = Vec::new();
 
     loop {
@@ -467,71 +440,43 @@ fn run_worker(
             });
             continue;
         }
-        // `base` (e.g. a session activation literal) rides ahead of the
-        // cube prefix in `prefix_lits`; `prefix_vals` stays branching-only.
-        let mut prefix_lits: Vec<Lit> = base.to_vec();
-        let mut prefix_vals: Vec<bool> = Vec::with_capacity(kp);
-        for (level, &var) in important.iter().take(kp).enumerate() {
-            let phase = index >> level & 1 == 1;
-            prefix_lits.push(Lit::with_phase(var, phase));
-            prefix_vals.push(phase);
-        }
-        solver.reset_stats();
-        solver.set_budget(worker_budget);
-        let found_before = limits
-            .max_solutions
-            .map(|_| solutions_total.load(Ordering::Relaxed))
-            .unwrap_or(0);
-        let mut events = VecSink::new();
-        let mut search = Search {
-            cnf,
-            important,
-            solver,
-            conn: conn.take(),
-            residual: residual.take(),
-            graph,
-            cache,
-            keys: Vec::new(),
-            stats: EnumerationStats::default(),
-            prefix_lits,
-            prefix_vals,
-            model_guidance: config.model_guidance,
-            sink: &mut events,
-            max_solutions: limits.max_solutions,
-            solutions_found: found_before,
-            stopped: None,
+        // The cube's phases seed the first `kp` branching levels, behind
+        // `base` (e.g. a session activation literal).
+        let seed: Vec<bool> = (0..kp).map(|level| index >> level & 1 == 1).collect();
+        // The counter limits live in the shared pool; the deadline is an
+        // absolute instant, so copying it shares it. The solution cap
+        // leaves out what the fleet found before this cube.
+        let cube_limits = EnumLimits {
+            budget: Budget {
+                conflicts: None,
+                propagations: None,
+                deadline: limits.budget.deadline,
+            },
+            cancel: limits.cancel.clone(),
+            max_solutions: limits
+                .max_solutions
+                .map(|max| max.saturating_sub(solutions_total.load(Ordering::Relaxed))),
         };
-        let root = search.explore(kp, None);
-        search.solver.backtrack(0);
-        search.stats.sat = *search.solver.stats();
-        if limits.max_solutions.is_some() {
-            let delta = search.solutions_found.saturating_sub(found_before);
-            solutions_total.fetch_add(delta, Ordering::Relaxed);
-        }
-        let stopped = search.stopped;
-        if stopped.is_some() {
-            search.stats.budget_stops = 1;
+        state.solver.reset_stats();
+        let mut events = VecSink::new();
+        let outcome = state.run(cnf, important, base, &seed, &cube_limits, &mut events);
+        solutions_total.fetch_add(outcome.solutions, Ordering::Relaxed);
+        if outcome.stop.is_some() {
             stop_all.cancel();
         }
-        // Hand the persistent pieces back for the next cube.
-        solver = search.solver;
-        conn = search.conn;
-        residual = search.residual;
-        graph = search.graph;
-        cache = search.cache;
-        let mut stats = search.stats;
+        let mut stats = outcome.stats;
         stats.max_cube_conflicts = stats.max_cube_conflicts.max(stats.sat.conflicts);
         outcomes.push(CubeOutcome {
             index: index as u32,
             worker: worker_id,
-            root,
+            root: outcome.root,
             stats,
             events: events.events,
-            stopped,
+            stopped: outcome.stop,
             cancelled: false,
         });
     }
-    (graph, outcomes)
+    (state.graph, outcomes)
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use crate::solution_graph::SolutionNodeId;
 
 /// Precomputed relevant-prefix index for a problem.
 #[derive(Clone, Debug)]
-pub struct ConnectivityIndex {
+pub(crate) struct ConnectivityIndex {
     /// `relevant[d]` = sorted prefix positions (`< d`) relevant for the
     /// suffix starting at depth `d`, for `d` in `0..=k`.
     relevant: Vec<Vec<u32>>,
@@ -44,7 +44,7 @@ pub struct ConnectivityIndex {
 
 impl ConnectivityIndex {
     /// Builds the index for `cnf` with branching order `important`.
-    pub fn build(cnf: &Cnf, important: &[Var]) -> Self {
+    pub(crate) fn build(cnf: &Cnf, important: &[Var]) -> Self {
         let num_vars = cnf.num_vars();
         let k = important.len();
 
@@ -99,11 +99,6 @@ impl ConnectivityIndex {
         ConnectivityIndex { relevant }
     }
 
-    /// The relevant prefix positions at `depth`.
-    pub fn relevant_at(&self, depth: usize) -> &[u32] {
-        &self.relevant[depth]
-    }
-
     /// Appends the cache key of a prefix to `out`: the depth, then one
     /// word (0 or 1) per relevant prefix position. `prefix_values[p]` is
     /// the value assigned to branching position `p` (`p < depth`).
@@ -144,9 +139,11 @@ impl ConnectivityIndex {
 /// The signature is exact (clauses are compared by surviving literal
 /// content, not hashed), so reuse is never unsound.
 #[derive(Clone, Debug)]
-pub struct ResidualIndex {
-    /// Var index → clause indices containing it.
+pub(crate) struct ResidualIndex {
+    /// Var index → clause indices containing it, over the formula's first
+    /// `indexed` clauses.
     clauses_of_var: Vec<Vec<u32>>,
+    indexed: usize,
     /// Visit marks, kept between keys and grown with the formula: a
     /// variable or clause is visited in the current key iff its mark
     /// equals `epoch`. A clause's mark also holds its index in `clauses`
@@ -193,9 +190,10 @@ const SUFFIX: u8 = 4;
 
 impl ResidualIndex {
     /// Builds the incidence index for `cnf`.
-    pub fn build(cnf: &Cnf) -> Self {
+    pub(crate) fn build(cnf: &Cnf) -> Self {
         let mut index = ResidualIndex {
             clauses_of_var: Vec::new(),
+            indexed: 0,
             var_mark: Vec::new(),
             clause_mark: Vec::new(),
             epoch: 0,
@@ -207,21 +205,21 @@ impl ResidualIndex {
             clauses: Vec::new(),
             pure: Vec::new(),
         };
-        index.extend(cnf, 0);
+        index.extend(cnf);
         index
     }
 
     /// Extends the incidence index to cover clauses (and variables) added
-    /// to `cnf` since the index was built or last extended;
-    /// `first_new_clause` is the clause count at that point. Used by the
+    /// to `cnf` since the index was built or last extended. Used by the
     /// incremental session, which grows one CNF across enumerate calls.
-    pub fn extend(&mut self, cnf: &Cnf, first_new_clause: usize) {
+    pub(crate) fn extend(&mut self, cnf: &Cnf) {
         self.clauses_of_var.resize(cnf.num_vars(), Vec::new());
-        for (ci, clause) in cnf.clauses().iter().enumerate().skip(first_new_clause) {
+        for (ci, clause) in cnf.clauses().iter().enumerate().skip(self.indexed) {
             for &l in clause {
                 self.clauses_of_var[l.var().index()].push(ci as u32);
             }
         }
+        self.indexed = cnf.num_clauses();
     }
 
     /// Appends the residual key of the suffix `important[depth..]` to
@@ -678,9 +676,9 @@ mod tests {
         cnf.add_unit(lit(0, true));
         cnf.add_unit(lit(1, true));
         let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1)]);
-        assert!(idx.relevant_at(0).is_empty());
-        assert!(idx.relevant_at(1).is_empty(), "x0 does not touch x1");
-        assert!(idx.relevant_at(2).is_empty());
+        assert!(idx.relevant[0].is_empty());
+        assert!(idx.relevant[1].is_empty(), "x0 does not touch x1");
+        assert!(idx.relevant[2].is_empty());
     }
 
     #[test]
@@ -688,7 +686,7 @@ mod tests {
         let mut cnf = Cnf::new(2);
         cnf.add_clause([lit(0, true), lit(1, true)]);
         let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1)]);
-        assert_eq!(idx.relevant_at(1), &[0]);
+        assert_eq!(idx.relevant[1], &[0]);
     }
 
     #[test]
@@ -698,7 +696,7 @@ mod tests {
         cnf.add_clause([lit(0, true), lit(2, true)]);
         cnf.add_clause([lit(2, false), lit(1, true)]);
         let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1)]);
-        assert_eq!(idx.relevant_at(1), &[0]);
+        assert_eq!(idx.relevant[1], &[0]);
     }
 
     #[test]
@@ -710,7 +708,7 @@ mod tests {
         cnf.add_clause([lit(0, true), lit(1, true)]);
         cnf.add_clause([lit(1, false), lit(2, true)]);
         let idx = ConnectivityIndex::build(&cnf, &[Var::new(0), Var::new(1), Var::new(2)]);
-        assert_eq!(idx.relevant_at(2), &[1]);
+        assert_eq!(idx.relevant[2], &[1]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The novel engine: success-driven search with a shared solution graph.
 
-use presat_logic::{Assignment, Cnf, Lit, Var};
+use presat_logic::{Assignment, Cnf, CubeSet, Lit, Var};
 use presat_obs::{Event, ObsSink, StopReason};
-use presat_sat::{SolveResult, Solver};
+use presat_sat::{Budget, SolveResult, Solver};
 
 use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats};
 use crate::limits::EnumLimits;
@@ -16,12 +16,12 @@ pub enum SignatureMode {
     None,
     /// Static connectivity signature: prefixes agreeing on the
     /// structurally relevant prefix variables share a subgraph. Cheap but
-    /// conservative ([`ConnectivityIndex`]).
+    /// conservative.
     Static,
     /// Dynamic residual-cone signature: prefixes whose unit-propagated
     /// residual suffix cones are identical, once the clauses that pure
     /// auxiliary literals satisfy are dropped, share a subgraph. More work
-    /// per node, dramatically more reuse ([`ResidualIndex`]). The default.
+    /// per node, dramatically more reuse. The default.
     #[default]
     Dynamic,
 }
@@ -79,8 +79,8 @@ pub enum SignatureMode {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SuccessDrivenAllSat {
-    pub(crate) signature: SignatureMode,
-    pub(crate) model_guidance: bool,
+    signature: SignatureMode,
+    model_guidance: bool,
 }
 
 impl Default for SuccessDrivenAllSat {
@@ -123,13 +123,181 @@ impl SuccessDrivenAllSat {
     }
 }
 
-/// One in-flight enumeration: the sub-solver, the signature indices, the
-/// solution graph under construction, and the branching prefix. The
-/// sequential engine runs one `Search` for the whole problem; the parallel
-/// engine (`crate::parallel`) runs one per partition cube, threading the
-/// persistent pieces (solver, indices, graph, cache) through a worker so
-/// they warm up across that worker's cubes; the incremental session
-/// (`crate::incremental`) threads them across whole `enumerate` calls.
+/// The key index of one [`SignatureMode`]: what a search node reads its
+/// cache key from.
+#[derive(Debug)]
+pub(crate) enum KeyIndex {
+    /// No reuse: no node writes a key.
+    None,
+    /// Static connectivity keys ([`ConnectivityIndex`]).
+    Static(ConnectivityIndex),
+    /// Dynamic residual keys ([`ResidualIndex`]).
+    Dynamic(Box<ResidualIndex>),
+}
+
+impl KeyIndex {
+    fn build(mode: SignatureMode, cnf: &Cnf, important: &[Var]) -> Self {
+        match mode {
+            SignatureMode::None => KeyIndex::None,
+            SignatureMode::Static => KeyIndex::Static(ConnectivityIndex::build(cnf, important)),
+            SignatureMode::Dynamic => KeyIndex::Dynamic(Box::new(ResidualIndex::build(cnf))),
+        }
+    }
+
+    /// Catches the index up with `cnf` after a session grew it. Static
+    /// connectivity is not stable under formula growth (a new clause can
+    /// connect independent variables), so the index is rebuilt and
+    /// `cache` dropped. A residual key stays valid, so the dynamic index
+    /// only indexes the new clauses.
+    pub(crate) fn refresh(&mut self, cnf: &Cnf, important: &[Var], cache: &mut SignatureCache) {
+        match self {
+            KeyIndex::None => {}
+            KeyIndex::Static(conn) => {
+                cache.clear();
+                *conn = ConnectivityIndex::build(cnf, important);
+            }
+            KeyIndex::Dynamic(index) => index.extend(cnf),
+        }
+    }
+}
+
+/// What outlives one success-driven search: the sub-solver, the key
+/// index, the solution graph, the success cache and the key stack. The
+/// one-shot engine runs one search on it; a partition worker
+/// (`crate::parallel`) runs one per cube, so later cubes reuse what
+/// earlier ones learnt and cached; the incremental session
+/// (`crate::incremental`) runs one per call over a formula that grows
+/// between calls.
+#[derive(Debug)]
+pub(crate) struct SearchState {
+    pub(crate) solver: Solver,
+    pub(crate) index: KeyIndex,
+    pub(crate) graph: SolutionGraph,
+    pub(crate) cache: SignatureCache,
+    /// The key stack: the keys of the open search nodes, back to back.
+    /// Empty between searches.
+    keys: Vec<u32>,
+    model_guidance: bool,
+}
+
+/// What one [`SearchState::run`] hands back.
+pub(crate) struct SearchOutcome {
+    /// The searched subspace's node in [`SearchState::graph`].
+    pub(crate) root: SolutionNodeId,
+    pub(crate) stats: EnumerationStats,
+    /// Why the search stopped early; `None` if it was exhaustive.
+    pub(crate) stop: Option<StopReason>,
+    /// Minterms counted against [`EnumLimits::max_solutions`] (0 without
+    /// a cap).
+    pub(crate) solutions: u64,
+}
+
+impl SearchState {
+    /// State for searches over `cnf` branching on `important`, with the
+    /// key index and model guidance of `config`.
+    pub(crate) fn new(
+        solver: Solver,
+        config: SuccessDrivenAllSat,
+        cnf: &Cnf,
+        important: &[Var],
+    ) -> Self {
+        SearchState {
+            solver,
+            index: KeyIndex::build(config.signature, cnf, important),
+            graph: SolutionGraph::new(important.len()),
+            cache: SignatureCache::default(),
+            keys: Vec::new(),
+            model_guidance: config.model_guidance,
+        }
+    }
+
+    /// Enumerates the subspace of `cnf` under the prefix `base` (extra
+    /// assumptions such as a session's activation literal), then `seed`
+    /// (the values of the first `seed.len()` branching variables), into
+    /// the graph. The budget and cancel token of `limits` hold for this
+    /// search only; a cap on solutions counts the ones it finds.
+    ///
+    /// The solver returns to level 0 before this returns, so the caller
+    /// may add clauses, retire a group, clone or reset stats. The
+    /// outcome's `sat` snapshot covers the solver's work since the
+    /// caller's last `reset_stats` (or since construction).
+    pub(crate) fn run(
+        &mut self,
+        cnf: &Cnf,
+        important: &[Var],
+        base: &[Lit],
+        seed: &[bool],
+        limits: &EnumLimits,
+        sink: &mut dyn ObsSink,
+    ) -> SearchOutcome {
+        let k = important.len();
+        let mut prefix_lits = Vec::with_capacity(base.len() + k);
+        prefix_lits.extend_from_slice(base);
+        prefix_lits.extend(
+            important
+                .iter()
+                .zip(seed)
+                .map(|(&v, &phase)| Lit::with_phase(v, phase)),
+        );
+        let mut prefix_vals = Vec::with_capacity(k);
+        prefix_vals.extend_from_slice(seed);
+        self.solver.set_budget(limits.budget);
+        self.solver.set_cancel(limits.cancel.clone());
+        let mut search = Search {
+            cnf,
+            important,
+            state: self,
+            stats: EnumerationStats::default(),
+            prefix_lits,
+            prefix_vals,
+            sink,
+            max_solutions: limits.max_solutions,
+            solutions_found: 0,
+            stopped: None,
+        };
+        let root = search.explore(seed.len(), None);
+        let (mut stats, stop, solutions) = (search.stats, search.stopped, search.solutions_found);
+        self.solver.backtrack(0);
+        self.solver.set_budget(Budget::unlimited());
+        self.solver.set_cancel(None);
+        stats.sat = *self.solver.stats();
+        stats.sat_conflicts = stats.sat.conflicts;
+        stats.sat_decisions = stats.sat.decisions;
+        stats.db_clauses_peak = stats.db_clauses_peak.max(self.solver.db_clauses());
+        stats.budget_stops = u64::from(stop.is_some());
+        SearchOutcome {
+            root,
+            stats,
+            stop,
+            solutions,
+        }
+    }
+}
+
+/// Reads the cubes of `root` off `graph` (in its fixed lo-then-hi
+/// order), counts them and the root's graph nodes into `stats`, and
+/// records one `Solution` event per cube.
+pub(crate) fn extract_cubes(
+    graph: &SolutionGraph,
+    root: SolutionNodeId,
+    important: &[Var],
+    stats: &mut EnumerationStats,
+    sink: &mut dyn ObsSink,
+) -> CubeSet {
+    stats.graph_nodes = graph.reachable_count(root) as u64;
+    let cubes = graph.to_cube_set(root, important);
+    stats.cubes_emitted = cubes.len() as u64;
+    for cube in &cubes {
+        sink.record(&Event::Solution {
+            width: cube.len() as u32,
+        });
+    }
+    cubes
+}
+
+/// One search in flight, built only by [`SearchState::run`]: the state
+/// it borrows, the branching prefix, and this search's counters, sink,
+/// solution cap and stop marker.
 ///
 /// Cache keys are flat `u32` words. Each open search node's key sits on
 /// `keys`, above its ancestors' keys, from its miss until its subtree
@@ -144,36 +312,26 @@ impl SuccessDrivenAllSat {
 /// levels `1..=m` hold `prefix_lits[..m]`, one assumption level each
 /// ([`Solver::assume`]). `explore` opens the missing levels on entry,
 /// reads its key off the trail, and cuts the trail back to its own levels
-/// after each child. Whoever calls the outermost `explore` returns the
-/// solver to level 0 right after it, before anything that needs the root
-/// (adding clauses, retiring a group, inprocessing, cloning, resetting
-/// stats).
-pub(crate) struct Search<'p> {
-    pub(crate) cnf: &'p Cnf,
-    pub(crate) important: &'p [Var],
-    pub(crate) solver: Solver,
-    pub(crate) conn: Option<ConnectivityIndex>,
-    pub(crate) residual: Option<ResidualIndex>,
-    pub(crate) graph: SolutionGraph,
-    pub(crate) cache: SignatureCache,
-    /// The key stack: the keys of the open search nodes, back to back.
-    pub(crate) keys: Vec<u32>,
-    pub(crate) stats: EnumerationStats,
-    pub(crate) prefix_lits: Vec<Lit>,
-    pub(crate) prefix_vals: Vec<bool>,
-    pub(crate) model_guidance: bool,
-    pub(crate) sink: &'p mut dyn ObsSink,
+/// after each child.
+struct Search<'a> {
+    cnf: &'a Cnf,
+    important: &'a [Var],
+    state: &'a mut SearchState,
+    stats: EnumerationStats,
+    prefix_lits: Vec<Lit>,
+    prefix_vals: Vec<bool>,
+    sink: &'a mut dyn ObsSink,
     /// Solution-count cap ([`EnumLimits::max_solutions`]); solutions are
     /// only counted when it is set.
-    pub(crate) max_solutions: Option<u64>,
+    max_solutions: Option<u64>,
     /// Minterms enumerated so far (tracked only under `max_solutions`).
-    pub(crate) solutions_found: u64,
+    solutions_found: u64,
     /// Sticky early-stop marker. Once set, [`Search::explore`] returns
     /// `BOTTOM` for every still-unexplored subspace (the partial result
     /// stays a disjoint subset of the full one) and stops inserting into
     /// the signature cache (a truncated subgraph must never be reused as
     /// the canonical answer for its signature).
-    pub(crate) stopped: Option<StopReason>,
+    stopped: Option<StopReason>,
 }
 
 impl Search<'_> {
@@ -184,11 +342,12 @@ impl Search<'_> {
     /// propagation refutes the prefix.
     fn establish(&mut self) -> bool {
         let n = self.prefix_lits.len();
-        self.solver.backtrack(n);
-        while self.solver.level() < n {
-            let level = self.solver.level();
-            if !self.solver.assume(self.prefix_lits[level]) {
-                self.solver.backtrack(level);
+        let solver = &mut self.state.solver;
+        solver.backtrack(n);
+        while solver.level() < n {
+            let level = solver.level();
+            if !solver.assume(self.prefix_lits[level]) {
+                solver.backtrack(level);
                 return false;
             }
         }
@@ -210,25 +369,28 @@ impl Search<'_> {
     /// Without model guidance the child would call the solver before its
     /// lookup, so there the node keeps its key.
     fn push_key(&mut self, depth: usize) -> bool {
-        if let Some(conn) = &self.conn {
-            conn.write_key(depth, &self.prefix_vals, &mut self.keys);
-            return true;
+        let state = &mut *self.state;
+        match &mut state.index {
+            KeyIndex::None => false,
+            KeyIndex::Static(conn) => {
+                conn.write_key(depth, &self.prefix_vals, &mut state.keys);
+                true
+            }
+            KeyIndex::Dynamic(index) => {
+                let solver = &state.solver;
+                if state.model_guidance && solver.value(self.important[depth]).is_some() {
+                    return false;
+                }
+                index.write_key(
+                    self.cnf,
+                    self.important,
+                    depth,
+                    |v| solver.value(v),
+                    &mut state.keys,
+                );
+                true
+            }
         }
-        let Some(residual) = self.residual.as_mut() else {
-            return false;
-        };
-        let solver = &self.solver;
-        if self.model_guidance && solver.value(self.important[depth]).is_some() {
-            return false;
-        }
-        residual.write_key(
-            self.cnf,
-            self.important,
-            depth,
-            |v| solver.value(v),
-            &mut self.keys,
-        );
-        true
     }
 
     /// Enumerates the subspace under the current prefix (of length `depth`)
@@ -237,7 +399,7 @@ impl Search<'_> {
     /// parallel engine seeds it with a partition cube. The solver trail may
     /// hold any prefix of `prefix_lits` on entry, and holds at most
     /// `prefix_lits` on return.
-    pub(crate) fn explore(&mut self, depth: usize, hint: Option<Assignment>) -> SolutionNodeId {
+    fn explore(&mut self, depth: usize, hint: Option<Assignment>) -> SolutionNodeId {
         // Anytime unwinding: once stopped, every unexplored subspace
         // reports empty — the accumulated result stays a disjoint subset
         // of the exhaustive answer, flagged incomplete by the caller.
@@ -256,9 +418,9 @@ impl Search<'_> {
             Some(m) => m,
             None => {
                 self.stats.solver_calls += 1;
-                let db = self.solver.stats().problem_clauses + self.solver.live_learnt_count() as u64;
-                self.stats.db_clauses_peak = self.stats.db_clauses_peak.max(db);
-                match self.solver.solve_with_assumptions(&self.prefix_lits) {
+                let solver = &mut self.state.solver;
+                self.stats.db_clauses_peak = self.stats.db_clauses_peak.max(solver.db_clauses());
+                match solver.solve_with_assumptions(&self.prefix_lits) {
                     SolveResult::Unsat => return SolutionNodeId::BOTTOM,
                     SolveResult::Unknown(reason) => {
                         // Inconclusive is NOT empty-and-proven: mark the
@@ -275,11 +437,12 @@ impl Search<'_> {
             self.count_solutions(1);
             return SolutionNodeId::TOP;
         }
-        let start = self.keys.len();
+        let start = self.state.keys.len();
         let key_hash = if self.push_key(depth) {
-            let hash = self.cache.hash(&self.keys[start..]);
-            if let Some(node) = self.cache.get(&self.keys[start..], hash) {
-                self.keys.truncate(start);
+            let key = &self.state.keys[start..];
+            let hash = self.state.cache.hash(key);
+            if let Some(node) = self.state.cache.get(key, hash) {
+                self.state.keys.truncate(start);
                 self.stats.cache_hits += 1;
                 self.sink.record(&Event::CacheHit {
                     depth: depth as u32,
@@ -287,7 +450,7 @@ impl Search<'_> {
                 if self.max_solutions.is_some() {
                     // The reused subgraph is complete: its minterms all
                     // enter the result in one step.
-                    let found = self.graph.minterm_count_from(node, depth as u32);
+                    let found = self.state.graph.minterm_count_from(node, depth as u32);
                     self.count_solutions(u64::try_from(found).unwrap_or(u64::MAX));
                 }
                 return node;
@@ -311,33 +474,34 @@ impl Search<'_> {
         // child returns the trail to this node's levels.
         self.prefix_lits.push(Lit::with_phase(var, hint_phase));
         self.prefix_vals.push(hint_phase);
-        let hinted = self.explore(depth + 1, self.model_guidance.then_some(model));
+        let hinted = self.explore(depth + 1, self.state.model_guidance.then_some(model));
         self.prefix_lits.pop();
         self.prefix_vals.pop();
-        self.solver.backtrack(self.prefix_lits.len());
+        self.state.solver.backtrack(self.prefix_lits.len());
 
         self.prefix_lits.push(Lit::with_phase(var, !hint_phase));
         self.prefix_vals.push(!hint_phase);
         let other = self.explore(depth + 1, None);
         self.prefix_lits.pop();
         self.prefix_vals.pop();
-        self.solver.backtrack(self.prefix_lits.len());
+        self.state.solver.backtrack(self.prefix_lits.len());
 
         let (lo, hi) = if hint_phase {
             (other, hinted)
         } else {
             (hinted, other)
         };
-        let node = self.graph.mk(depth, lo, hi);
+        let node = self.state.graph.mk(depth, lo, hi);
         if let Some(hash) = key_hash {
             // A node finished after a stop may be truncated; caching it
             // would let a later (possibly complete) run silently reuse an
             // under-approximation. Only exhaustively explored subspaces
             // enter the cache.
             if self.stopped.is_none() {
-                self.cache.insert(&self.keys[start..], hash, node);
+                let state = &mut *self.state;
+                state.cache.insert(&state.keys[start..], hash, node);
             }
-            self.keys.truncate(start);
+            self.state.keys.truncate(start);
         }
         node
     }
@@ -364,55 +528,21 @@ impl AllSatEngine for SuccessDrivenAllSat {
         limits: &EnumLimits,
         sink: &mut dyn ObsSink,
     ) -> AllSatResult {
-        let k = problem.important.len();
-        let mut solver = Solver::from_cnf(&problem.cnf);
-        solver.set_budget(limits.budget);
-        solver.set_cancel(limits.cancel.clone());
-        let mut search = Search {
-            cnf: &problem.cnf,
-            important: &problem.important,
-            solver,
-            conn: (self.signature == SignatureMode::Static)
-                .then(|| ConnectivityIndex::build(&problem.cnf, &problem.important)),
-            residual: (self.signature == SignatureMode::Dynamic)
-                .then(|| ResidualIndex::build(&problem.cnf)),
-            graph: SolutionGraph::new(k),
-            cache: SignatureCache::default(),
-            keys: Vec::new(),
-            stats: EnumerationStats::default(),
-            prefix_lits: Vec::with_capacity(k),
-            prefix_vals: Vec::with_capacity(k),
-            model_guidance: self.model_guidance,
-            sink,
-            max_solutions: limits.max_solutions,
-            solutions_found: 0,
-            stopped: None,
-        };
-        let root = search.explore(0, None);
-        search.solver.backtrack(0);
-        search.stats.graph_nodes = search.graph.reachable_count(root) as u64;
-        search.stats.sat = *search.solver.stats();
-        let db = search.stats.sat.problem_clauses + search.solver.live_learnt_count() as u64;
-        search.stats.db_clauses_peak = search.stats.db_clauses_peak.max(db);
-        search.stats.sat_conflicts = search.stats.sat.conflicts;
-        search.stats.sat_decisions = search.stats.sat.decisions;
-        let cubes = search.graph.to_cube_set(root, &problem.important);
-        search.stats.cubes_emitted = cubes.len() as u64;
-        for cube in &cubes {
-            search.sink.record(&Event::Solution {
-                width: cube.len() as u32,
-            });
-        }
-        if let Some(reason) = search.stopped {
-            search.stats.budget_stops = 1;
-            search.sink.record(&Event::BudgetStop { reason });
+        let solver = Solver::from_cnf(&problem.cnf);
+        let mut state = SearchState::new(solver, *self, &problem.cnf, &problem.important);
+        let outcome = state.run(&problem.cnf, &problem.important, &[], &[], limits, sink);
+        let mut stats = outcome.stats;
+        let important = &problem.important;
+        let cubes = extract_cubes(&state.graph, outcome.root, important, &mut stats, sink);
+        if let Some(reason) = outcome.stop {
+            sink.record(&Event::BudgetStop { reason });
         }
         AllSatResult {
             cubes,
-            graph: Some((search.graph, root)),
-            stats: search.stats,
-            complete: search.stopped.is_none(),
-            stop_reason: search.stopped,
+            graph: Some((state.graph, outcome.root)),
+            stats,
+            complete: outcome.stop.is_none(),
+            stop_reason: outcome.stop,
         }
     }
 }

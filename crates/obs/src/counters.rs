@@ -212,8 +212,11 @@ counters! {
         /// Chronological flips: one-level backtracks that replaced a blocking
         /// clause (chrono engine only).
         sum chrono_backtracks,
-        /// Peak live clause count (problem + learnt) in the sub-solver's
-        /// database during the run — the gauge the DB-flatness experiment
+        /// Peak clause count of the sub-solver's database during the run:
+        /// every problem clause the solver holds or held, inherited ones
+        /// included (a session's earlier calls and retired groups, a
+        /// partition worker's template), plus its live learnt clauses
+        /// (`Solver::db_clauses`) — the gauge the DB-flatness experiment
         /// reads. Constant in the solution count for the chrono engine, linear
         /// for the blocking baselines.
         max db_clauses_peak,

@@ -243,7 +243,7 @@ fn append_env(cnf: &mut Cnf, env: &presat_logic::CubeSet, n: usize, m: usize) {
 /// environment), built **once** per circuit. Layout is identical to
 /// [`StepEncoding`]; what `StepEncoding` imposes as permanent target
 /// clauses, the session adds per iteration under a fresh activation
-/// literal (see `PreimageSession`).
+/// literal (see [`crate::SatPreimageSession`]).
 ///
 /// # Examples
 ///

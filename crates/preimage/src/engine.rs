@@ -6,6 +6,7 @@ use presat_allsat::EnumLimits;
 use presat_circuit::Circuit;
 use presat_obs::{NullSink, ObsSink, StopReason};
 
+use crate::session::SatPreimageSession;
 use crate::state_set::StateSet;
 
 /// Work and memory counters for one preimage computation, merging the
@@ -83,67 +84,11 @@ pub trait PreimageEngine {
     /// [`preimage_with_sink`](PreimageEngine::preimage_with_sink). A
     /// session encodes the transition relation once and answers every
     /// query through one warm solver; results are bit-identical to the
-    /// per-call path.
-    fn open_session(&self, circuit: &Circuit) -> Option<Box<dyn PreimageSession>> {
+    /// per-call path. Only the success-driven [`crate::SatPreimage`] has
+    /// one.
+    fn open_session(&self, circuit: &Circuit) -> Option<SatPreimageSession> {
         let _ = circuit;
         None
-    }
-}
-
-/// A persistent preimage session: one transition-relation encoding, one
-/// incremental solver, many queries. Obtained from
-/// [`PreimageEngine::open_session`].
-///
-/// Between queries the caller may [`block_states`](PreimageSession::block_states)
-/// — subsequent preimages then exclude those states, which the
-/// reachability loop uses to keep already-reached states out of every
-/// later enumeration.
-///
-/// Sessions are `Send` so a service can park one mid-enumeration and
-/// resume it from another worker thread.
-pub trait PreimageSession: Send {
-    /// A short name for tables (mirrors the owning engine's name, plus an
-    /// `+incremental` marker).
-    fn name(&self) -> String;
-
-    /// Computes `Pre(target)` minus every state blocked so far, reporting
-    /// enumeration-level events to `sink`.
-    fn preimage_with_sink(&mut self, target: &StateSet, sink: &mut dyn ObsSink) -> PreimageResult;
-
-    /// [`preimage_with_sink`](PreimageSession::preimage_with_sink) under
-    /// resource `limits`; the default ignores them (see
-    /// [`PreimageEngine::preimage_limited`]). The session must stay usable
-    /// after a stopped call.
-    fn preimage_limited(
-        &mut self,
-        target: &StateSet,
-        limits: &EnumLimits,
-        sink: &mut dyn ObsSink,
-    ) -> PreimageResult {
-        let _ = limits;
-        self.preimage_with_sink(target, sink)
-    }
-
-    /// Permanently excludes `states` from all future results (adds one
-    /// blocking clause per cube to the persistent solver).
-    fn block_states(&mut self, states: &StateSet);
-
-    /// Sets the parallel spawn gate (see
-    /// [`presat_allsat::ParallelAllSat::with_par_threshold`]): enumerations
-    /// whose `important × clauses` product falls below `threshold` run
-    /// sequentially even when the session was opened with `jobs > 1`
-    /// (`0` = always parallel). Results never change — the parallel and
-    /// sequential paths are bit-identical — only scheduling does. The
-    /// default is a no-op for sessions with no parallel mode.
-    fn set_parallel_threshold(&mut self, threshold: u64) {
-        let _ = threshold;
-    }
-
-    /// Bytes currently resident in the session's solver arena — the live
-    /// memory footprint a multi-tenant scheduler sums for admission
-    /// control. Sessions without a resident solver report `0`.
-    fn arena_bytes(&self) -> u64 {
-        0
     }
 }
 

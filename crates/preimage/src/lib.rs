@@ -56,7 +56,7 @@ mod unrolled;
 
 pub use bdd_engine::{BddPreimage, BddStrategy};
 pub use encoding::{ImageEncoding, StepBase, StepEncoding};
-pub use engine::{PreimageEngine, PreimageResult, PreimageSession, PreimageStats};
+pub use engine::{PreimageEngine, PreimageResult, PreimageStats};
 pub use image::{bdd_image, forward_reach, sat_image, sequential_depth};
 pub use justify::{justify, Trace, TraceStep};
 pub use output::excitation_set;

@@ -7,7 +7,8 @@ use presat_circuit::Circuit;
 use presat_logic::Var;
 use presat_obs::{Event, NullSink, ObsSink, StopReason, Timer};
 
-use crate::engine::{PreimageEngine, PreimageSession, PreimageStats};
+use crate::engine::{PreimageEngine, PreimageStats};
+use crate::session::SatPreimageSession;
 use crate::state_set::StateSet;
 
 /// Options for the reachability loop.
@@ -22,7 +23,7 @@ pub struct ReachOptions {
     /// the frontier's cube representation; the reached set stays exact.
     pub simplify_frontier: bool,
     /// Drive the fixed point through one persistent
-    /// [`crate::PreimageSession`] when the engine offers one (the
+    /// [`SatPreimageSession`] when the engine offers one (the
     /// default): the transition relation is encoded once, the solver stays
     /// warm across iterations, and reached states are blocked inside the
     /// solver so they are never re-derived. The session also inprocesses
@@ -41,14 +42,6 @@ pub struct ReachOptions {
     /// Cooperative cancellation: polled by the running engine (SAT kinds)
     /// and between iterations (every engine).
     pub cancel: Option<CancelToken>,
-    /// Override for the session's parallel spawn gate (see
-    /// [`crate::PreimageSession::set_parallel_threshold`]): iterations
-    /// whose encoding falls below the threshold run sequentially even with
-    /// `jobs > 1`, `Some(0)` forces every iteration parallel, and `None`
-    /// (the default) inherits the engine's own setting. Results are
-    /// bit-identical either way. This is a session knob: the per-call path
-    /// (`incremental == false`) takes the threshold from the engine itself.
-    pub parallel_threshold: Option<u64>,
 }
 
 impl Default for ReachOptions {
@@ -60,7 +53,6 @@ impl Default for ReachOptions {
             step_budget: Budget::unlimited(),
             total_budget: Budget::unlimited(),
             cancel: None,
-            parallel_threshold: None,
         }
     }
 }
@@ -81,13 +73,6 @@ impl ReachOptions {
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Overrides the session's parallel spawn gate (see
-    /// [`ReachOptions::parallel_threshold`]).
-    pub fn with_parallel_threshold(mut self, threshold: u64) -> Self {
-        self.parallel_threshold = Some(threshold);
         self
     }
 }
@@ -232,7 +217,7 @@ pub struct ReachDriver {
     options: ReachOptions,
     position_vars: Vec<Var>,
     graph: SolutionGraph,
-    session: Option<Box<dyn PreimageSession>>,
+    session: Option<SatPreimageSession>,
     reached: SolutionNodeId,
     frontier_node: SolutionNodeId,
     /// New states discovered for the *current* frontier across its slices;
@@ -291,10 +276,7 @@ impl ReachDriver {
         } else {
             None
         };
-        if let Some(s) = session.as_deref_mut() {
-            if let Some(threshold) = options.parallel_threshold {
-                s.set_parallel_threshold(threshold);
-            }
+        if let Some(s) = session.as_mut() {
             s.block_states(target);
         }
 
@@ -405,7 +387,7 @@ impl ReachDriver {
                 .to_cube_set(self.frontier_node, &self.position_vars),
         );
         let start = Instant::now();
-        let pre = match self.session.as_deref_mut() {
+        let pre = match self.session.as_mut() {
             Some(s) => s.preimage_limited(&frontier, &limits, sink),
             None => engine.preimage_limited(circuit, &frontier, &limits, sink),
         };
@@ -417,7 +399,7 @@ impl ReachDriver {
         if let Some(p) = self.total_remaining.propagations.as_mut() {
             *p = p.saturating_sub(pre.stats.allsat.sat.propagations);
         }
-        if let Some(s) = self.session.as_deref_mut() {
+        if let Some(s) = self.session.as_mut() {
             s.block_states(&pre.states);
         }
 
@@ -523,7 +505,7 @@ impl ReachDriver {
     /// Live clause-arena bytes of the driver's persistent session (`0` on
     /// the per-call path) — the admission-control gauge.
     pub fn arena_bytes(&self) -> u64 {
-        self.session.as_deref().map_or(0, PreimageSession::arena_bytes)
+        self.session.as_ref().map_or(0, SatPreimageSession::arena_bytes)
     }
 
     /// Snapshot of the run so far as a [`ReachReport`] — callable at any

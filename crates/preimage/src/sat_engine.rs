@@ -10,7 +10,7 @@ use presat_logic::CubeSet;
 use presat_obs::{Event, ObsSink, Timer};
 
 use crate::encoding::StepEncoding;
-use crate::engine::{PreimageEngine, PreimageResult, PreimageSession, PreimageStats};
+use crate::engine::{PreimageEngine, PreimageResult, PreimageStats};
 use crate::session::SatPreimageSession;
 use crate::state_set::StateSet;
 
@@ -244,7 +244,7 @@ impl PreimageEngine for SatPreimage {
         }
     }
 
-    fn open_session(&self, circuit: &Circuit) -> Option<Box<dyn PreimageSession>> {
+    fn open_session(&self, circuit: &Circuit) -> Option<SatPreimageSession> {
         // Only the success-driven kind has an incremental mode; the
         // blocking baselines mutate their formula per model and gain
         // nothing from a persistent encoding.
@@ -258,14 +258,14 @@ impl PreimageEngine for SatPreimage {
         let config = SuccessDrivenAllSat::new()
             .with_signature(signature)
             .with_model_guidance(model_guidance);
-        Some(Box::new(SatPreimageSession::open(
+        Some(SatPreimageSession::open(
             circuit,
             config,
             self.jobs,
             self.par_threshold,
             self.env.as_ref(),
             format!("{}+incremental", PreimageEngine::name(self)),
-        )))
+        ))
     }
 }
 

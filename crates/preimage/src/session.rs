@@ -17,7 +17,7 @@
 //!   activation literal and keep pruning search in every later iteration,
 //!   along with saved phases, variable activities, and the success-driven
 //!   signature cache.
-//! * [`block_states`](crate::PreimageSession::block_states) adds permanent
+//! * [`block_states`](SatPreimageSession::block_states) adds permanent
 //!   blocking clauses over the state variables, so states already known
 //!   backward-reachable are never re-enumerated.
 
@@ -27,12 +27,21 @@ use presat_logic::{CubeSet, Lit};
 use presat_obs::{Event, ObsSink, Timer};
 
 use crate::encoding::StepBase;
-use crate::engine::{PreimageResult, PreimageSession, PreimageStats};
+use crate::engine::{PreimageResult, PreimageStats};
 use crate::state_set::StateSet;
 
-/// A persistent SAT preimage session (see the module docs). Created via
-/// [`crate::PreimageEngine::open_session`] on a success-driven
-/// [`crate::SatPreimage`].
+/// A persistent SAT preimage session (see the module docs): one
+/// transition-relation encoding, one incremental solver, many queries.
+/// Created via [`crate::PreimageEngine::open_session`] on a
+/// success-driven [`crate::SatPreimage`].
+///
+/// Between queries the caller may
+/// [`block_states`](SatPreimageSession::block_states) — subsequent
+/// preimages then exclude those states, which the reachability loop uses
+/// to keep already-reached states out of every later enumeration.
+///
+/// Sessions are `Send` so a service can park one between slices and
+/// resume it from another worker thread.
 pub struct SatPreimageSession {
     inner: IncrementalAllSat,
     /// Next-state function literals, position `j` = latch `j`.
@@ -114,18 +123,28 @@ impl SatPreimageSession {
         }
         act
     }
-}
 
-impl PreimageSession for SatPreimageSession {
-    fn name(&self) -> String {
+    /// A short name for tables: the owning engine's name plus an
+    /// `+incremental` marker.
+    pub fn name(&self) -> String {
         self.name.clone()
     }
 
-    fn preimage_with_sink(&mut self, target: &StateSet, sink: &mut dyn ObsSink) -> PreimageResult {
+    /// Computes `Pre(target)` minus every state blocked so far, reporting
+    /// enumeration-level events to `sink`.
+    pub fn preimage_with_sink(
+        &mut self,
+        target: &StateSet,
+        sink: &mut dyn ObsSink,
+    ) -> PreimageResult {
         self.preimage_limited(target, &EnumLimits::none(), sink)
     }
 
-    fn preimage_limited(
+    /// [`preimage_with_sink`](SatPreimageSession::preimage_with_sink)
+    /// under resource `limits`; a stopped call returns the verified
+    /// partial preimage flagged `complete = false`, and the session stays
+    /// usable.
+    pub fn preimage_limited(
         &mut self,
         target: &StateSet,
         limits: &EnumLimits,
@@ -173,7 +192,9 @@ impl PreimageSession for SatPreimageSession {
         }
     }
 
-    fn block_states(&mut self, states: &StateSet) {
+    /// Permanently excludes `states` from all future results (adds one
+    /// blocking clause per cube to the persistent solver).
+    pub fn block_states(&mut self, states: &StateSet) {
         // State cubes are over latch positions, which *are* the CNF state
         // variables — negate each cube into one permanent blocking clause.
         for cube in states.cubes() {
@@ -182,11 +203,10 @@ impl PreimageSession for SatPreimageSession {
         }
     }
 
-    fn set_parallel_threshold(&mut self, threshold: u64) {
-        self.inner.set_par_threshold(threshold);
-    }
-
-    fn arena_bytes(&self) -> u64 {
+    /// Bytes currently resident in the session's solver arena — the live
+    /// memory footprint a multi-tenant scheduler sums for admission
+    /// control.
+    pub fn arena_bytes(&self) -> u64 {
         self.inner.arena_bytes()
     }
 }
@@ -264,6 +284,14 @@ mod tests {
         let c = generators::counter(3, false);
         assert!(SatPreimage::blocking().open_session(&c).is_none());
         assert!(SatPreimage::min_blocking().open_session(&c).is_none());
+    }
+
+    #[test]
+    fn sessions_are_send() {
+        // A service parks a session between slices and resumes it on
+        // another worker thread.
+        fn assert_send<T: Send>() {}
+        assert_send::<SatPreimageSession>();
     }
 
     #[test]

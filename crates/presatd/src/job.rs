@@ -28,7 +28,7 @@ use presat_circuit::Circuit;
 use presat_logic::Var;
 use presat_obs::{NullSink, PreimageCounters, Stats, Timer};
 use presat_preimage::{
-    PreimageEngine, PreimageSession, ReachDriver, ReachOptions, ReachStep, SatPreimage, StateSet,
+    PreimageEngine, ReachDriver, ReachOptions, ReachStep, SatPreimage, SatPreimageSession, StateSet,
 };
 use presat_sat::{BudgetPool, SolveResult, Solver};
 
@@ -101,7 +101,7 @@ enum JobKind {
         max_solutions: Option<u64>,
     },
     Preimage {
-        session: Box<dyn PreimageSession>,
+        session: SatPreimageSession,
         target: StateSet,
         position_vars: Vec<Var>,
         graph: SolutionGraph,
@@ -110,7 +110,7 @@ enum JobKind {
     Reach {
         engine: SatPreimage,
         circuit: Circuit,
-        driver: ReachDriver,
+        driver: Box<ReachDriver>,
         emitted_rows: usize,
     },
 }
@@ -213,7 +213,7 @@ impl Job {
                     cancel: Some(cancel.clone()),
                     ..ReachOptions::default()
                 };
-                let driver = ReachDriver::new(&engine, &circuit, &target, options);
+                let driver = Box::new(ReachDriver::new(&engine, &circuit, &target, options));
                 (
                     id,
                     session,

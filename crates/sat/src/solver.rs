@@ -168,6 +168,9 @@ pub struct Solver {
     /// is full. The clause set no longer faithfully represents the input,
     /// so every later solve answers `Unknown(ResourceExhausted)`.
     resource_exhausted: bool,
+    /// Problem clauses added over the solver's life: `stats.problem_clauses`
+    /// without [`Solver::reset_stats`]'s zeroing (see [`Solver::db_clauses`]).
+    problem_clauses_added: u64,
 }
 
 impl Solver {
@@ -203,6 +206,7 @@ impl Solver {
             pool_charged_propagations: 0,
             has_limits: false,
             resource_exhausted: false,
+            problem_clauses_added: 0,
         };
         s.grow_to(num_vars);
         s
@@ -400,6 +404,7 @@ impl Solver {
             }
         }
         self.stats.problem_clauses += 1;
+        self.problem_clauses_added += 1;
         match simplified.len() {
             0 => {
                 self.ok = false;
@@ -1206,6 +1211,16 @@ impl Solver {
         self.db.live_learnts()
     }
 
+    /// The clause count the `db_clauses_peak` gauge reads, in O(1): every
+    /// problem clause added over the solver's life plus the live learnt
+    /// clauses. Unlike the `problem_clauses` statistic, neither
+    /// [`Solver::reset_stats`] nor [`Solver::clone_at_root`] zeroes it, so
+    /// a session call or a partition worker sees the clauses it inherited.
+    /// A retired group's clauses stay counted.
+    pub fn db_clauses(&self) -> u64 {
+        self.problem_clauses_added + self.db.live_learnts() as u64
+    }
+
     /// Resident clause-arena size in bytes, right now. Unlike the
     /// `arena_bytes` statistics field (a high-water gauge over a stats
     /// window), this reads the current buffer length directly — it shrinks
@@ -1736,6 +1751,21 @@ mod tests {
         // Still usable afterwards.
         assert!(s.solve().is_sat());
         assert_eq!(s.stats().solves, 1);
+    }
+
+    #[test]
+    fn db_clauses_survive_reset_and_clone() {
+        let mut s = Solver::new(3);
+        s.add_clause([lit(0, true), lit(1, true)]);
+        s.add_clause([lit(1, false), lit(2, true)]);
+        s.add_clause([lit(0, true), lit(0, false)]); // tautology: not stored
+        assert_eq!(s.db_clauses(), s.stats().problem_clauses);
+        assert_eq!(s.db_clauses(), 2);
+        s.reset_stats();
+        assert_eq!(s.stats().problem_clauses, 0);
+        assert_eq!(s.db_clauses(), 2);
+        let clone = s.clone_at_root();
+        assert_eq!(clone.db_clauses(), 2);
     }
 
     #[test]

@@ -93,14 +93,17 @@ if ! printf '%s\n' "$smoke_out" | grep -q '"stop_reason":"deadline"'; then
   printf '%s\n' "$smoke_out" >&2
   exit 1
 fi
-# The arena gauge must be non-zero on any real run. (That every counter
-# of every layer is present is pinned by tests/cli.rs, which walks the
-# counter tables' FIELDS lists.)
-if ! printf '%s\n' "$smoke_out" | grep -q '"arena_bytes":[1-9]'; then
-  echo "verify: FAIL — stats JSON missing a non-zero arena_bytes gauge" >&2
-  printf '%s\n' "$smoke_out" >&2
-  exit 1
-fi
+# The arena and clause-database gauges must be non-zero on any real run;
+# this one runs the session path, whose solver inherits its clauses from
+# earlier calls. (That every counter of every layer is present is pinned
+# by tests/cli.rs, which walks the counter tables' FIELDS lists.)
+for gauge in arena_bytes db_clauses_peak; do
+  if ! printf '%s\n' "$smoke_out" | grep -q "\"$gauge\":[1-9]"; then
+    echo "verify: FAIL — stats JSON missing a non-zero $gauge gauge" >&2
+    printf '%s\n' "$smoke_out" >&2
+    exit 1
+  fi
+done
 
 # Forced-open fleet smoke: a 6-bit LFSR reachability with the spawn gate
 # forced open runs the partitioned worker fleet at every step; it must
@@ -122,6 +125,13 @@ fleet_out="$(timeout 60 ./target/release/presat reach "$smoke_dir/lfsr6.bench" \
   --target 1 --jobs 4 --par-threshold 0 --stats)"
 if ! printf '%s\n' "$fleet_out" | grep -q '"complete":true'; then
   echo "verify: FAIL — forced-open fleet reach did not converge" >&2
+  printf '%s\n' "$fleet_out" >&2
+  exit 1
+fi
+# The workers' clause-database gauge counts the clauses their solver
+# clones inherit, so it cannot read 0.
+if ! printf '%s\n' "$fleet_out" | grep -q '"db_clauses_peak":[1-9]'; then
+  echo "verify: FAIL — fleet stats JSON missing a non-zero db_clauses_peak gauge" >&2
   printf '%s\n' "$fleet_out" >&2
   exit 1
 fi

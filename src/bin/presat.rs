@@ -26,7 +26,8 @@
 //! thread count.
 //! `--par-threshold <n>` sets the size product below which a preimage
 //! step skips the worker fleet and runs sequentially (`0` = always
-//! parallel). It only moves scheduling and work counters — the output is
+//! parallel); it is set on the engine, whose `reach` session inherits it.
+//! It only moves scheduling and work counters — the output is
 //! bit-identical regardless.
 //! Combining `--engine` with an option the selected engine ignores prints
 //! a one-line warning on stderr naming the options that engine consumes.
@@ -489,10 +490,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     // --timeout-ms / --conflict-budget bound the whole fixed point (the
     // total budget); --max-solutions does not apply to reach.
     let limits = limits_from_flags(args)?;
-    // --par-threshold also rides into the session via ReachOptions, so it
-    // applies on the incremental path (the engine-level setting covers the
-    // per-call path).
-    let parallel_threshold = par_threshold_from_flag(args)?;
     let report = backward_reach(
         engine.as_ref(),
         &circuit,
@@ -504,7 +501,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             // bit-identical either way.
             incremental: !has_flag(args, "--no-incremental"),
             total_budget: limits.budget,
-            parallel_threshold,
             ..ReachOptions::default()
         },
     );

@@ -319,6 +319,57 @@ fn reach_stats_report_every_counter() {
     }
 }
 
+/// The `db_clauses_peak` gauge counts the clauses a solver inherits: a
+/// session call (`reach`) and a partition worker (`--jobs 2`) read at
+/// least what the one-shot reference run reads, which on these small
+/// runs is its problem-clause count.
+#[test]
+fn db_gauge_counts_inherited_clauses() {
+    use presat::obs::json;
+
+    let counter = write_temp("cnt3g.aag", COUNTER3_AAG);
+    let cnf = write_temp(
+        "six.cnf",
+        "p cnf 6 6\n1 2 -3 0\n-1 4 5 0\n2 -4 6 0\n-2 3 -6 0\n1 -5 6 0\n3 4 -5 0\n",
+    );
+    // `C` stands for the counter circuit, `F` for the CNF.
+    let peak = |command: &str| {
+        let mut args: Vec<&str> = command
+            .split(' ')
+            .map(|a| match a {
+                "C" => counter.to_str().unwrap(),
+                "F" => cnf.to_str().unwrap(),
+                a => a,
+            })
+            .collect();
+        args.push("--stats");
+        let out = presat(&args);
+        assert!(out.status.success(), "{command}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let json_line = stdout
+            .lines()
+            .find(|l| l.starts_with('{'))
+            .expect("JSON line");
+        json::extract_u64(json_line, "allsat.db_clauses_peak").expect("gauge")
+    };
+    for (case, reference) in [
+        ("reach C --target 0", "reach C --target 0 --no-incremental"),
+        (
+            "preimage C --target 5 --jobs 2 --par-threshold 0",
+            "preimage C --target 5 --jobs 1",
+        ),
+        (
+            "allsat F --project 4 --jobs 2",
+            "allsat F --project 4 --jobs 1",
+        ),
+    ] {
+        let want = peak(reference);
+        assert!(want > 0, "{reference}");
+        let got = peak(case);
+        assert!(got >= want, "{case} reads {got}, {reference} reads {want}");
+    }
+}
+
 /// An unknown `--engine` name is a hard error on every command that takes
 /// the flag — including `image`, which used to fall through silently to
 /// the SAT path — and the error names the valid engines.

@@ -214,10 +214,11 @@ fn backward_reach_agrees_at_env_thread_count() {
 
 #[test]
 fn reach_parallel_threshold_knob_never_changes_results() {
-    // The per-run spawn-gate override: forcing the gate fully open
-    // (threshold 0: every step fans out) and fully closed (u64::MAX:
-    // every step sequential) must both reproduce the sequential fixed
-    // point exactly — the knob trades overhead, never answers.
+    // The engine's spawn gate, which its session inherits: forcing the
+    // gate fully open (threshold 0: every step fans out) and fully closed
+    // (u64::MAX: every step sequential) must both reproduce the
+    // sequential fixed point exactly — the knob trades overhead, never
+    // answers.
     let c = generators::counter(5, false);
     let target = StateSet::from_state_bits(0x1F, 5);
     let seq = backward_reach(
@@ -228,10 +229,12 @@ fn reach_parallel_threshold_knob_never_changes_results() {
     );
     for threshold in [0, u64::MAX] {
         let par = backward_reach(
-            &SatPreimage::success_driven().with_jobs(4),
+            &SatPreimage::success_driven()
+                .with_jobs(4)
+                .with_par_threshold(threshold),
             &c,
             &target,
-            ReachOptions::default().with_parallel_threshold(threshold),
+            ReachOptions::default(),
         );
         assert_eq!(par.reached.cubes(), seq.reached.cubes(), "threshold {threshold}");
         assert_eq!(par.reached_states, seq.reached_states);

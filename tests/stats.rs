@@ -462,3 +462,111 @@ fn success_driven_work_counters_are_pinned() {
         "counter(6) fixed point",
     );
 }
+
+/// FNV-1a over an event stream in order: pins the exact events, their
+/// fields and their order in one word. `EngineDone`'s wall time is left
+/// out, since it is the one field a rerun changes.
+fn event_digest(events: &[Event]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for event in events {
+        let text = match event {
+            Event::EngineDone { .. } => "EngineDone".to_string(),
+            e => format!("{e:?}"),
+        };
+        for b in text.bytes().chain([0]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Golden event streams of every way the success-driven search is driven:
+/// the one-shot engine (complete, under a conflict budget, under a
+/// solution cap), a session fixed point, a session sliced at one conflict
+/// and the partition workers. Each row is the event count and the
+/// stream's digest. The one-shot engine records its `Solution` events
+/// before `BudgetStop`; a session call records `BudgetStop` first. Of the
+/// partitioned run only what scheduling cannot move is pinned: the
+/// ordered `CubeDone` indices and the `Solution` widths.
+#[test]
+fn event_streams_are_pinned() {
+    use presat::allsat::{Budget, ParallelAllSat};
+    use presat::preimage::{ReachDriver, ReachStep};
+
+    let problem = AllSatProblem::new(random_3cnf(1, 24, 66), Var::range(12).collect());
+    let one_shot = |limits: EnumLimits| {
+        let mut sink = VecSink::new();
+        let r = SuccessDrivenAllSat::new().enumerate_limited(&problem, &limits, &mut sink);
+        (r, sink.events)
+    };
+    let mut got: Vec<(&str, [u64; 2])> = Vec::new();
+    let mut row =
+        |what, events: &[Event]| got.push((what, [events.len() as u64, event_digest(events)]));
+
+    let (r, events) = one_shot(EnumLimits::none());
+    assert!(r.complete);
+    row("one-shot", &events);
+    for limits in [
+        EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(8)),
+        EnumLimits::none().with_max_solutions(40),
+    ] {
+        let (r, events) = one_shot(limits);
+        assert!(!r.complete);
+        assert!(matches!(events.last(), Some(Event::BudgetStop { .. })));
+        row("one-shot stopped", &events);
+    }
+
+    let mut sink = VecSink::new();
+    let report = backward_reach_with_sink(
+        &SatPreimage::success_driven(),
+        &generators::counter(6, false),
+        &StateSet::from_state_bits(0, 6),
+        ReachOptions::default(),
+        &mut sink,
+    );
+    assert!(report.converged);
+    row("session fixed point", &sink.events);
+
+    let engine = SatPreimage::success_driven();
+    let circuit = generators::parity(6);
+    let target = StateSet::from_partial(&[(6, true)]);
+    let mut driver = ReachDriver::new(&engine, &circuit, &target, ReachOptions::default());
+    let quantum = Budget::unlimited().with_conflicts(1);
+    let mut sink = VecSink::new();
+    while driver.step(&engine, &circuit, &quantum, &mut sink) != ReachStep::Done {}
+    assert!(driver.converged());
+    // A stopped call that found solutions records them after its stop.
+    assert!(sink
+        .events
+        .windows(2)
+        .any(|w| matches!(w, [Event::BudgetStop { .. }, Event::Solution { .. }])));
+    row("sliced session", &sink.events);
+
+    let mut sink = VecSink::new();
+    let r = ParallelAllSat::new(2).enumerate_with_sink(&problem, &mut sink);
+    assert!(r.complete);
+    let fixed: Vec<Event> = sink
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::CubeDone { cube_index, .. } => Some(Event::CubeDone {
+                cube_index,
+                solver_calls: 0,
+            }),
+            Event::Solution { width } => Some(Event::Solution { width }),
+            _ => None,
+        })
+        .collect();
+    row("partitioned", &fixed);
+
+    let want: [(&str, [u64; 2]); 6] = [
+        ("one-shot", [535, 17298976617665811453]),
+        ("one-shot stopped", [251, 7816899398926796744]),
+        ("one-shot stopped", [53, 3250474601152537519]),
+        ("session fixed point", [192, 12093501813402871881]),
+        ("sliced session", [157, 5164171628455963465]),
+        ("partitioned", [165, 3431180776826070297]),
+    ];
+    assert_eq!(got, want);
+}
