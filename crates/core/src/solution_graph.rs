@@ -486,55 +486,6 @@ impl SolutionGraph {
 }
 
 impl SolutionGraph {
-    /// Don't-care simplification (sibling substitution, the decision-DAG
-    /// analogue of BDD `restrict`): returns a node `g` that agrees with
-    /// `f` everywhere inside `care` and is typically smaller. Used by the
-    /// reachability loop to enlarge frontiers within the already-reached
-    /// don't-care space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `care` is the empty set.
-    pub fn simplify(&mut self, f: SolutionNodeId, care: SolutionNodeId) -> SolutionNodeId {
-        assert_ne!(
-            care,
-            SolutionNodeId::BOTTOM,
-            "simplify needs a nonempty care set"
-        );
-        let mut memo = HashMap::new();
-        self.simplify_rec(f, care, &mut memo)
-    }
-
-    fn simplify_rec(
-        &mut self,
-        f: SolutionNodeId,
-        care: SolutionNodeId,
-        memo: &mut HashMap<(SolutionNodeId, SolutionNodeId), SolutionNodeId>,
-    ) -> SolutionNodeId {
-        if care == SolutionNodeId::TOP || f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = memo.get(&(f, care)) {
-            return r;
-        }
-        let top = self.level_of(f).min(self.level_of(care));
-        let (c0, c1) = self.children_at(care, top);
-        let r = if c0 == SolutionNodeId::BOTTOM {
-            let (_, f1) = self.children_at(f, top);
-            self.simplify_rec(f1, c1, memo)
-        } else if c1 == SolutionNodeId::BOTTOM {
-            let (f0, _) = self.children_at(f, top);
-            self.simplify_rec(f0, c0, memo)
-        } else {
-            let (f0, f1) = self.children_at(f, top);
-            let lo = self.simplify_rec(f0, c0, memo);
-            let hi = self.simplify_rec(f1, c1, memo);
-            self.mk(top as usize, lo, hi)
-        };
-        memo.insert((f, care), r);
-        r
-    }
-
     /// Renders the DAG rooted at `root` in Graphviz DOT syntax (dashed
     /// edges = low branch), labelling levels with `vars` when provided.
     ///
@@ -844,48 +795,6 @@ mod tests {
         let (g, root) = SolutionGraph::from_cube_set(&CubeSet::new(), &vars);
         assert_eq!(root, SolutionNodeId::BOTTOM);
         assert_eq!(g.minterm_count(root), 0);
-    }
-
-    #[test]
-    fn simplify_agrees_inside_care_set() {
-        let n = 5;
-        let vars: Vec<Var> = Var::range(n).collect();
-        let mut f_set = CubeSet::new();
-        f_set.insert(cube(&[(0, true), (2, false)]));
-        f_set.insert(cube(&[(1, true), (3, true)]));
-        let mut c_set = CubeSet::new();
-        c_set.insert(cube(&[(0, true)]));
-        c_set.insert(cube(&[(4, false)]));
-        let (mut g, f) = SolutionGraph::from_cube_set(&f_set, &vars);
-        let care = g.add_cube_set(&c_set, &vars);
-        let s = g.simplify(f, care);
-        for bits in 0..(1u64 << n) {
-            if g.contains_bits(care, bits) {
-                assert_eq!(
-                    g.contains_bits(s, bits),
-                    g.contains_bits(f, bits),
-                    "bits {bits:b}"
-                );
-            }
-        }
-        assert!(g.reachable_count(s) <= g.reachable_count(f));
-    }
-
-    #[test]
-    fn simplify_with_full_care_is_identity() {
-        let vars: Vec<Var> = Var::range(3).collect();
-        let mut set = CubeSet::new();
-        set.insert(cube(&[(1, true)]));
-        let (mut g, f) = SolutionGraph::from_cube_set(&set, &vars);
-        assert_eq!(g.simplify(f, SolutionNodeId::TOP), f);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty care set")]
-    fn simplify_rejects_empty_care() {
-        let mut g = SolutionGraph::new(1);
-        let f = g.mk(0, SolutionNodeId::BOTTOM, SolutionNodeId::TOP);
-        let _ = g.simplify(f, SolutionNodeId::BOTTOM);
     }
 
     #[test]

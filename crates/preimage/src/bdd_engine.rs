@@ -1,5 +1,6 @@
 //! BDD-based symbolic preimage computation (the classical baseline).
 
+use presat_allsat::EnumLimits;
 use presat_bdd::{BddId, BddManager};
 use presat_circuit::{AigRef, Circuit};
 use presat_logic::{Cube, CubeSet, Lit, Var};
@@ -133,10 +134,14 @@ impl PreimageEngine for BddPreimage {
         }
     }
 
-    fn preimage_with_sink(
+    // The BDD engine has no anytime mode: it runs to completion whatever
+    // the limits, and `ReachDriver` enforces deadlines and cancellation
+    // between its steps.
+    fn preimage_limited(
         &self,
         circuit: &Circuit,
         target: &StateSet,
+        _limits: &EnumLimits,
         sink: &mut dyn ObsSink,
     ) -> PreimageResult {
         let timer = Timer::start();

@@ -1,9 +1,177 @@
-//! CNF encoding of one symbolic step under a target constraint.
+//! The preimage layer's CNF encodings and the three decisions every SAT
+//! path shares, each made once here:
+//!
+//! * **Frame layout.** [`frame`] maps one time frame's circuit leaves to
+//!   CNF variable blocks (inputs and latches at caller-chosen offsets) and
+//!   returns the Tseitin encoder over them; every encoder in the crate
+//!   starts there.
+//! * **Cube unions.** [`write_cube_union`] writes a union of cubes through
+//!   a literal map into a [`Cnf`] or a session's
+//!   [`IncrementalAllSat`] ([`ClauseSink`]), optionally guarded by an
+//!   activation literal.
+//! * **Results.** [`preimage_result`] turns an all-SAT run into a
+//!   [`PreimageResult`].
 
-use presat_circuit::{cone, Circuit, Tseitin};
-use presat_logic::{Cnf, Lit, Var};
+use presat_allsat::{AllSatResult, IncrementalAllSat};
+use presat_circuit::{Circuit, Tseitin};
+use presat_logic::{Cnf, CubeSet, Lit, Var};
+use presat_obs::{Event, ObsSink, Timer};
 
+use crate::engine::{PreimageResult, PreimageStats};
 use crate::state_set::StateSet;
+
+/// Maps one frame's AIG leaves to CNF variables — input `i` to
+/// `Var::new(inputs + i)`, latch `j` to `Var::new(states + j)` — and
+/// returns the Tseitin encoder that extends `cnf` with the frame's cones.
+///
+/// # Panics
+///
+/// Panics if the circuit is structurally incomplete
+/// ([`Circuit::validate`]).
+pub(crate) fn frame(circuit: &Circuit, states: usize, inputs: usize, cnf: Cnf) -> Tseitin<'_> {
+    circuit.validate().expect("circuit must be complete");
+    // Leaves 0..m are the inputs, m..m+n the latches.
+    let leaf_vars = (0..circuit.num_inputs())
+        .map(|i| Var::new(inputs + i))
+        .chain((0..circuit.num_latches()).map(|j| Var::new(states + j)))
+        .collect();
+    Tseitin::with_base_cnf(circuit.aig(), leaf_vars, cnf)
+}
+
+/// Encodes every next-state cone of one frame (layout as in [`frame`])
+/// into `cnf` and ties each to the next frame's state variable
+/// `Var::new(next + j)` with two equivalence clauses.
+pub(crate) fn tied_frame(
+    circuit: &Circuit,
+    states: usize,
+    inputs: usize,
+    next: usize,
+    cnf: Cnf,
+) -> Cnf {
+    let mut enc = frame(circuit, states, inputs, cnf);
+    let next_lits: Vec<Lit> = (0..circuit.num_latches())
+        .map(|j| enc.lit_of(circuit.latch_next(j)))
+        .collect();
+    let mut cnf = enc.into_cnf();
+    for (j, fl) in next_lits.into_iter().enumerate() {
+        let y = Lit::pos(Var::new(next + j));
+        cnf.add_clause([!y, fl]);
+        cnf.add_clause([y, !fl]);
+    }
+    cnf
+}
+
+/// Encodes the next-state cones of the latches `mask` selects, in latch
+/// order, over the step layout (states at `0..n`, inputs at `n..n+m`).
+/// Returns the CNF and each latch's next-state literal, `None` where the
+/// mask leaves the cone out.
+fn step_cones(circuit: &Circuit, mask: &[bool]) -> (Cnf, Vec<Option<Lit>>) {
+    let n = circuit.num_latches();
+    let mut enc = frame(circuit, 0, n, Cnf::new(n + circuit.num_inputs()));
+    let next_lits = (0..n)
+        .map(|j| mask[j].then(|| enc.lit_of(circuit.latch_next(j))))
+        .collect();
+    (enc.into_cnf(), next_lits)
+}
+
+/// Where [`write_cube_union`] puts its clauses: a one-shot [`Cnf`] or a
+/// session's persistent [`IncrementalAllSat`].
+pub(crate) trait ClauseSink {
+    /// Allocates a fresh variable.
+    fn fresh_var(&mut self) -> Var;
+    /// Adds one clause.
+    fn add_clause(&mut self, lits: Vec<Lit>);
+}
+
+impl ClauseSink for Cnf {
+    fn fresh_var(&mut self) -> Var {
+        Cnf::fresh_var(self)
+    }
+
+    fn add_clause(&mut self, lits: Vec<Lit>) {
+        Cnf::add_clause(self, lits);
+    }
+}
+
+impl ClauseSink for IncrementalAllSat {
+    fn fresh_var(&mut self) -> Var {
+        self.add_var()
+    }
+
+    fn add_clause(&mut self, lits: Vec<Lit>) {
+        IncrementalAllSat::add_clause(self, lits);
+    }
+}
+
+/// Writes the union of `cubes` into `out`, mapping each cube literal to
+/// its CNF literal through `map`: no cube gives the empty clause, one
+/// cube one unit clause per literal, and more cubes one fresh selector
+/// `s` per cube (a clause `¬s ∨ l` per literal) plus one at-least-one
+/// clause over the selectors. With a `guard`, `¬guard` leads every
+/// clause, so the union constrains only while `guard` is assumed.
+pub(crate) fn write_cube_union(
+    out: &mut impl ClauseSink,
+    cubes: &CubeSet,
+    mut map: impl FnMut(Lit) -> Lit,
+    guard: Option<Lit>,
+) {
+    let lead = guard.map(|g| !g);
+    let clause = |lits: &[Lit]| lead.into_iter().chain(lits.iter().copied()).collect();
+    match cubes.len() {
+        0 => out.add_clause(clause(&[])),
+        1 => {
+            for &l in cubes.cubes()[0].lits() {
+                out.add_clause(clause(&[map(l)]));
+            }
+        }
+        _ => {
+            let mut at_least_one: Vec<Lit> = lead.into_iter().collect();
+            for cube in cubes {
+                let sel = Lit::pos(out.fresh_var());
+                for &l in cube.lits() {
+                    out.add_clause(clause(&[!sel, map(l)]));
+                }
+                at_least_one.push(sel);
+            }
+            out.add_clause(at_least_one);
+        }
+    }
+}
+
+/// Builds a one-step [`PreimageResult`] from an all-SAT run started at
+/// `timer`, and records the run's [`Event::EngineDone`] to `sink`. The
+/// cubes move into the state set; the counters are the run's with its
+/// cube store folded in ([`AllSatResult::stats_with_store`]). Callers
+/// set only their own fields on top.
+pub(crate) fn preimage_result(
+    result: AllSatResult,
+    timer: &Timer,
+    sink: &mut dyn ObsSink,
+) -> PreimageResult {
+    let allsat = result.stats_with_store();
+    let AllSatResult {
+        cubes,
+        complete,
+        stop_reason,
+        ..
+    } = result;
+    let result_cubes = cubes.len() as u64;
+    let states = StateSet::from_cubes(cubes);
+    let wall_time_ns = timer.elapsed_ns();
+    sink.record(&Event::EngineDone { wall_time_ns });
+    PreimageResult {
+        stats: PreimageStats {
+            result_cubes,
+            iterations: 1,
+            wall_time_ns,
+            ..PreimageStats::from_allsat(allsat)
+        },
+        states,
+        elapsed: timer.elapsed(),
+        complete,
+        stop_reason,
+    }
+}
 
 /// The CNF instance for one preimage step, with its variable layout.
 ///
@@ -13,12 +181,12 @@ use crate::state_set::StateSet;
 ///   latch `j`); these are the important variables for all-SAT;
 /// * CNF variables `n..n+m` — primary inputs `W`;
 /// * everything above — Tseitin auxiliaries for the next-state cones and
-///   the target-selector variables.
+///   the selector variables of the target and environment unions.
 ///
 /// The target `T(Y)` is imposed directly on the next-state function
-/// literals (no explicit `Y` variables are needed): a single-cube target
-/// becomes unit clauses, a multi-cube target gets one selector variable per
-/// cube plus an at-least-one clause.
+/// literals (no explicit `Y` variables are needed) as a cube union: the
+/// empty clause for an empty target, unit clauses for one cube, one
+/// selector variable per cube plus an at-least-one clause otherwise.
 ///
 /// # Examples
 ///
@@ -40,10 +208,6 @@ pub struct StepEncoding {
     /// Next-state cones left unencoded because no target cube constrains
     /// their latch (cone-of-influence reduction).
     cones_skipped: u64,
-    /// Present-state latch positions in the structural support of the
-    /// *encoded* cones: the only latches whose CNF variables any clause can
-    /// mention, hence the only positions a preimage cube can constrain.
-    support_latches: Vec<usize>,
 }
 
 impl StepEncoding {
@@ -57,21 +221,48 @@ impl StepEncoding {
     /// Panics if the circuit is incomplete, a target cube mentions a latch
     /// position out of range, or an environment cube mentions an input
     /// position out of range.
-    pub fn build_with_env(
-        circuit: &Circuit,
-        target: &StateSet,
-        env: Option<&presat_logic::CubeSet>,
-    ) -> Self {
-        let mut enc = Self::build(circuit, target);
-        if let Some(env) = env {
-            append_env(
-                &mut enc.cnf,
-                env,
-                circuit.num_latches(),
-                circuit.num_inputs(),
-            );
+    pub fn build_with_env(circuit: &Circuit, target: &StateSet, env: Option<&CubeSet>) -> Self {
+        let n = circuit.num_latches();
+        let m = circuit.num_inputs();
+        // Cone-of-influence reduction: only latches some target cube
+        // actually constrains need their next-state cone Tseitin-encoded.
+        // An unconstrained cone's clauses would never imply anything about
+        // the important (state) variables — its Tseitin auxiliaries hang
+        // free — so skipping it leaves the projection onto state variables,
+        // and therefore the preimage, unchanged.
+        let mut needed = vec![false; n];
+        for cube in target.cubes() {
+            for &l in cube.lits() {
+                let j = l.var().index();
+                assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
+                needed[j] = true;
+            }
         }
-        enc
+        let (mut cnf, next_lits) = step_cones(circuit, &needed);
+        let cones_skipped = next_lits.iter().filter(|l| l.is_none()).count() as u64;
+        write_cube_union(
+            &mut cnf,
+            target.cubes(),
+            |l| {
+                let f = next_lits[l.var().index()]
+                    .expect("cone of a target-constrained latch is encoded");
+                if l.is_pos() {
+                    f
+                } else {
+                    !f
+                }
+            },
+            None,
+        );
+        if let Some(env) = env {
+            write_env(&mut cnf, env, n, m);
+        }
+        StepEncoding {
+            cnf,
+            num_latches: n,
+            num_inputs: m,
+            cones_skipped,
+        }
     }
 
     /// Encodes one step of `circuit` constrained to land in `target`.
@@ -82,87 +273,7 @@ impl StepEncoding {
     /// ([`Circuit::validate`]) or a target cube mentions a latch position
     /// `≥ num_latches`.
     pub fn build(circuit: &Circuit, target: &StateSet) -> Self {
-        circuit.validate().expect("circuit must be complete");
-        let n = circuit.num_latches();
-        let m = circuit.num_inputs();
-
-        // Leaf variable layout: inputs are leaves 0..m but get CNF vars
-        // n..n+m; states are leaves m..m+n and get CNF vars 0..n.
-        let mut leaf_vars = Vec::with_capacity(m + n);
-        for i in 0..m {
-            leaf_vars.push(Var::new(n + i));
-        }
-        for j in 0..n {
-            leaf_vars.push(Var::new(j));
-        }
-        let base = Cnf::new(n + m);
-        let mut enc = Tseitin::with_base_cnf(circuit.aig(), leaf_vars, base);
-
-        // Cone-of-influence reduction: only latches some target cube
-        // actually constrains need their next-state cone Tseitin-encoded.
-        // An unconstrained cone's clauses would never imply anything about
-        // the important (state) variables — its Tseitin auxiliaries hang
-        // free — so skipping it leaves the projection onto state variables,
-        // and therefore the preimage, unchanged.
-        let cubes = target.cubes();
-        let mut needed = vec![false; n];
-        for cube in cubes {
-            for &l in cube.lits() {
-                let j = l.var().index();
-                assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
-                needed[j] = true;
-            }
-        }
-        // Encoded in latch order, exactly as the encode-everything path
-        // did, so full-support targets produce an identical CNF.
-        let next_lits: Vec<Option<Lit>> = (0..n)
-            .map(|j| needed[j].then(|| enc.lit_of(circuit.latch_next(j))))
-            .collect();
-        let cones_skipped = next_lits.iter().filter(|l| l.is_none()).count() as u64;
-        let roots: Vec<_> = (0..n)
-            .filter(|&j| needed[j])
-            .map(|j| circuit.latch_next(j))
-            .collect();
-        // Leaf ordinals m..m+n are the latches (0..m are the inputs).
-        let support_latches: Vec<usize> = cone::support_many(circuit.aig(), &roots)
-            .into_iter()
-            .filter_map(|leaf| leaf.checked_sub(m))
-            .collect();
-        let mut cnf = enc.into_cnf();
-
-        // Impose T over the next-state literals.
-        let lit_of = |j: usize| {
-            next_lits[j].expect("cone of a target-constrained latch is encoded")
-        };
-        if cubes.is_empty() {
-            cnf.add_clause([]); // empty target: no predecessor exists
-        } else if cubes.len() == 1 {
-            for &l in cubes.cubes()[0].lits() {
-                let j = l.var().index();
-                cnf.add_unit(if l.is_pos() { lit_of(j) } else { !lit_of(j) });
-            }
-        } else {
-            // One selector per cube: sel_c → cube_c; ∨ sel_c.
-            let mut selectors = Vec::with_capacity(cubes.len());
-            for cube in cubes {
-                let sel = Lit::pos(cnf.fresh_var());
-                for &l in cube.lits() {
-                    let j = l.var().index();
-                    let yl = if l.is_pos() { lit_of(j) } else { !lit_of(j) };
-                    cnf.add_clause([!sel, yl]);
-                }
-                selectors.push(sel);
-            }
-            cnf.add_clause(selectors);
-        }
-
-        StepEncoding {
-            cnf,
-            num_latches: n,
-            num_inputs: m,
-            cones_skipped,
-            support_latches,
-        }
+        Self::build_with_env(circuit, target, None)
     }
 
     /// The encoded CNF.
@@ -202,40 +313,21 @@ impl StepEncoding {
     pub fn cones_skipped(&self) -> u64 {
         self.cones_skipped
     }
-
-    /// Latch positions in the structural support of the encoded cones —
-    /// the only positions any preimage cube can constrain.
-    pub fn support_latches(&self) -> &[usize] {
-        &self.support_latches
-    }
 }
 
-/// Appends environment constraints over the input block (`Var::new(n + i)`
-/// = input `i`) to `cnf`: unit clauses for a single permitted cube, one
-/// selector per cube plus an at-least-one clause otherwise.
-fn append_env(cnf: &mut Cnf, env: &presat_logic::CubeSet, n: usize, m: usize) {
-    let input_lit = |l: Lit| {
-        let i = l.var().index();
-        assert!(i < m, "environment cube mentions input position {i} ≥ {m}");
-        Lit::with_phase(Var::new(n + i), l.phase())
-    };
-    if env.is_empty() {
-        cnf.add_clause([]); // no permitted input: empty preimage
-    } else if env.len() == 1 {
-        for &l in env.cubes()[0].lits() {
-            cnf.add_unit(input_lit(l));
-        }
-    } else {
-        let mut selectors = Vec::with_capacity(env.len());
-        for cube in env {
-            let sel = Lit::pos(cnf.fresh_var());
-            for &l in cube.lits() {
-                cnf.add_clause([!sel, input_lit(l)]);
-            }
-            selectors.push(sel);
-        }
-        cnf.add_clause(selectors);
-    }
+/// Restricts the input block (`Var::new(n + i)` = input `i`) to the
+/// environment `env`.
+fn write_env(cnf: &mut Cnf, env: &CubeSet, n: usize, m: usize) {
+    write_cube_union(
+        cnf,
+        env,
+        |l| {
+            let i = l.var().index();
+            assert!(i < m, "environment cube mentions input position {i} ≥ {m}");
+            Lit::with_phase(Var::new(n + i), l.phase())
+        },
+        None,
+    );
 }
 
 /// The *target-free* CNF base for an incremental preimage session: the
@@ -272,23 +364,16 @@ impl StepBase {
     ///
     /// Panics if the circuit is incomplete or an environment cube mentions
     /// an input position out of range.
-    pub fn build(circuit: &Circuit, env: Option<&presat_logic::CubeSet>) -> Self {
-        circuit.validate().expect("circuit must be complete");
+    pub fn build(circuit: &Circuit, env: Option<&CubeSet>) -> Self {
         let n = circuit.num_latches();
         let m = circuit.num_inputs();
-        let mut leaf_vars = Vec::with_capacity(m + n);
-        for i in 0..m {
-            leaf_vars.push(Var::new(n + i));
-        }
-        for j in 0..n {
-            leaf_vars.push(Var::new(j));
-        }
-        let base = Cnf::new(n + m);
-        let mut enc = Tseitin::with_base_cnf(circuit.aig(), leaf_vars, base);
-        let next_lits: Vec<Lit> = (0..n).map(|j| enc.lit_of(circuit.latch_next(j))).collect();
-        let mut cnf = enc.into_cnf();
+        let (mut cnf, next_lits) = step_cones(circuit, &vec![true; n]);
+        let next_lits = next_lits
+            .into_iter()
+            .map(|l| l.expect("every cone is encoded"))
+            .collect();
         if let Some(env) = env {
-            append_env(&mut cnf, env, n, m);
+            write_env(&mut cnf, env, n, m);
         }
         StepBase {
             cnf,
@@ -364,54 +449,21 @@ impl ImageEncoding {
     /// Panics if the circuit is incomplete or a source cube mentions a
     /// latch position `≥ num_latches`.
     pub fn build(circuit: &Circuit, source: &StateSet) -> Self {
-        circuit.validate().expect("circuit must be complete");
         let n = circuit.num_latches();
         let m = circuit.num_inputs();
-
-        // Leaves: inputs → 2n.., states → n.. ; Y block occupies 0..n.
-        let mut leaf_vars = Vec::with_capacity(m + n);
-        for i in 0..m {
-            leaf_vars.push(Var::new(2 * n + i));
-        }
-        for j in 0..n {
-            leaf_vars.push(Var::new(n + j));
-        }
-        let base = Cnf::new(2 * n + m);
-        let mut enc = Tseitin::with_base_cnf(circuit.aig(), leaf_vars, base);
-        let next_lits: Vec<Lit> = (0..n).map(|j| enc.lit_of(circuit.latch_next(j))).collect();
-        let mut cnf = enc.into_cnf();
-
-        // yj ↔ fj.
-        for (j, &fl) in next_lits.iter().enumerate() {
-            let yj = Lit::pos(Var::new(j));
-            cnf.add_clause([!yj, fl]);
-            cnf.add_clause([yj, !fl]);
-        }
-
+        // Y block at 0..n, states at n.., inputs at 2n..; yj ↔ fj.
+        let mut cnf = tied_frame(circuit, n, 2 * n, 0, Cnf::new(2 * n + m));
         // Impose S over the X block.
-        let cubes = source.cubes();
-        if cubes.is_empty() {
-            cnf.add_clause([]);
-        } else if cubes.len() == 1 {
-            for &l in cubes.cubes()[0].lits() {
+        write_cube_union(
+            &mut cnf,
+            source.cubes(),
+            |l| {
                 let j = l.var().index();
                 assert!(j < n, "source cube mentions latch position {j} ≥ {n}");
-                cnf.add_unit(Lit::with_phase(Var::new(n + j), l.phase()));
-            }
-        } else {
-            let mut selectors = Vec::with_capacity(cubes.len());
-            for cube in cubes {
-                let sel = Lit::pos(cnf.fresh_var());
-                for &l in cube.lits() {
-                    let j = l.var().index();
-                    assert!(j < n, "source cube mentions latch position {j} ≥ {n}");
-                    cnf.add_clause([!sel, Lit::with_phase(Var::new(n + j), l.phase())]);
-                }
-                selectors.push(sel);
-            }
-            cnf.add_clause(selectors);
-        }
-
+                Lit::with_phase(Var::new(n + j), l.phase())
+            },
+            None,
+        );
         ImageEncoding {
             cnf,
             num_latches: n,
@@ -539,26 +591,49 @@ mod tests {
         assert_eq!(full.cones_skipped(), 0);
     }
 
-    #[test]
-    fn coi_support_latches_bound_what_clauses_can_mention() {
-        // shift register: next(j) = latch j-1 for j>0, next(0) = input —
-        // so targeting latch 2 supports exactly latch 1.
-        let c = generators::shift_register(6);
-        let enc = StepEncoding::build(&c, &StateSet::from_partial(&[(2, true)]));
-        assert_eq!(enc.support_latches(), &[1]);
-        // No clause mentions a state variable outside the support.
-        let n = enc.num_latches();
+    /// Latch positions in the structural support of the next-state cones
+    /// of the latches `target` constrains, checking that no clause of
+    /// `enc` mentions a state variable outside it.
+    fn clauses_stay_in_target_support(
+        c: &Circuit,
+        target: &StateSet,
+        enc: &StepEncoding,
+    ) -> Vec<usize> {
+        let mut latches: Vec<usize> = target
+            .cubes()
+            .iter()
+            .flat_map(|cube| cube.lits().iter().map(|l| l.var().index()))
+            .collect();
+        latches.sort_unstable();
+        latches.dedup();
+        let roots: Vec<_> = latches.into_iter().map(|j| c.latch_next(j)).collect();
+        // Leaf ordinals m..m+n are the latches (0..m are the inputs).
+        let support: Vec<usize> = presat_circuit::cone::support_many(c.aig(), &roots)
+            .into_iter()
+            .filter_map(|leaf| leaf.checked_sub(c.num_inputs()))
+            .collect();
         for clause in enc.cnf().clauses() {
             for l in clause {
                 let v = l.var().index();
-                if v < n {
+                if v < enc.num_latches() {
                     assert!(
-                        enc.support_latches().contains(&v),
+                        support.contains(&v),
                         "clause mentions unsupported latch {v}"
                     );
                 }
             }
         }
+        support
+    }
+
+    #[test]
+    fn coi_target_support_bounds_what_clauses_can_mention() {
+        // shift register: next(j) = latch j-1 for j>0, next(0) = input —
+        // so targeting latch 2 supports exactly latch 1.
+        let c = generators::shift_register(6);
+        let t = StateSet::from_partial(&[(2, true)]);
+        let enc = StepEncoding::build(&c, &t);
+        assert_eq!(clauses_stay_in_target_support(&c, &t, &enc), [1]);
     }
 
     #[test]
@@ -587,7 +662,7 @@ mod tests {
         let t = StateSet::from_partial(&[(1, true)]).union(&StateSet::from_partial(&[(3, false)]));
         let enc = StepEncoding::build(&c, &t);
         assert_eq!(enc.cones_skipped(), 3);
-        assert_eq!(enc.support_latches(), &[0, 2]);
+        assert_eq!(clauses_stay_in_target_support(&c, &t, &enc), [0, 2]);
         check_against_simulation(&c, &t);
     }
 }

@@ -44,38 +44,33 @@ pub trait PreimageEngine {
     /// A short name for tables (`"sat-blocking"`, `"bdd-sub"`, …).
     fn name(&self) -> String;
 
-    /// Computes `Pre(target)` for `circuit`, forwarding enumeration-level
-    /// events (solutions, blocking clauses, cache hits, completion) to
-    /// `sink` as they happen.
-    fn preimage_with_sink(
-        &self,
-        circuit: &Circuit,
-        target: &StateSet,
-        sink: &mut dyn ObsSink,
-    ) -> PreimageResult;
-
-    /// [`PreimageEngine::preimage_with_sink`] without an event trace.
-    fn preimage(&self, circuit: &Circuit, target: &StateSet) -> PreimageResult {
-        self.preimage_with_sink(circuit, target, &mut NullSink)
-    }
-
-    /// Computes `Pre(target)` under resource `limits`; a stopped run
-    /// returns the verified partial preimage flagged `complete = false`.
-    ///
-    /// The default ignores the limits and runs to completion — correct for
-    /// engines with no anytime mode (the BDD engine): a complete answer
-    /// satisfies every limit's contract except promptness, and the
-    /// reachability loop enforces deadlines/cancellation between its
-    /// iterations regardless of engine.
+    /// Computes `Pre(target)` for `circuit` under resource `limits`,
+    /// forwarding enumeration-level events (solutions, blocking clauses,
+    /// cache hits, completion) to `sink` as they happen. With
+    /// [`EnumLimits::none`] the answer is complete; with a limit installed
+    /// a run may stop early and return the verified partial preimage
+    /// flagged `complete = false` — never a spuriously complete one.
     fn preimage_limited(
         &self,
         circuit: &Circuit,
         target: &StateSet,
         limits: &EnumLimits,
         sink: &mut dyn ObsSink,
+    ) -> PreimageResult;
+
+    /// [`PreimageEngine::preimage_limited`] without limits.
+    fn preimage_with_sink(
+        &self,
+        circuit: &Circuit,
+        target: &StateSet,
+        sink: &mut dyn ObsSink,
     ) -> PreimageResult {
-        let _ = limits;
-        self.preimage_with_sink(circuit, target, sink)
+        self.preimage_limited(circuit, target, &EnumLimits::none(), sink)
+    }
+
+    /// [`PreimageEngine::preimage_with_sink`] without an event trace.
+    fn preimage(&self, circuit: &Circuit, target: &StateSet) -> PreimageResult {
+        self.preimage_with_sink(circuit, target, &mut NullSink)
     }
 
     /// Opens a persistent *session* over `circuit` for iterated preimage

@@ -10,9 +10,10 @@ use presat_allsat::{AllSatEngine, AllSatProblem, SuccessDrivenAllSat};
 use presat_bdd::BddManager;
 use presat_circuit::Circuit;
 use presat_logic::{CubeSet, Var};
+use presat_obs::{NullSink, Timer};
 use std::collections::HashMap;
 
-use crate::encoding::ImageEncoding;
+use crate::encoding::{preimage_result, ImageEncoding};
 use crate::engine::{PreimageResult, PreimageStats};
 use crate::state_set::StateSet;
 
@@ -32,24 +33,11 @@ use crate::state_set::StateSet;
 /// assert_eq!(img.states.minterm_count(3), 1);
 /// ```
 pub fn sat_image(circuit: &Circuit, source: &StateSet) -> PreimageResult {
-    let start = Instant::now();
+    let timer = Timer::start();
     let enc = ImageEncoding::build(circuit, source);
     let problem = AllSatProblem::new(enc.cnf().clone(), enc.next_state_vars());
     let result = SuccessDrivenAllSat::new().enumerate(&problem);
-    let states = StateSet::from_cubes(result.cubes.clone());
-    let elapsed = start.elapsed();
-    PreimageResult {
-        stats: PreimageStats {
-            result_cubes: result.cubes.len() as u64,
-            iterations: 1,
-            wall_time_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            ..PreimageStats::from_allsat(result.stats)
-        },
-        states,
-        elapsed,
-        complete: true,
-        stop_reason: None,
-    }
+    preimage_result(result, &timer, &mut NullSink)
 }
 
 /// Computes the forward image symbolically: `∃X ∃W . S(X) ∧ TR(X,W,Y)`,

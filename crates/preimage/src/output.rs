@@ -4,16 +4,16 @@
 //! under which the faulty gate's effect reaches an observable point"; the
 //! state-side of that question is the *excitation set* of an output —
 //! exactly the all-SAT projection machinery again, with the combinational
-//! output cone in place of the next-state cones.
-
-use std::time::Instant;
+//! output cone in place of the next-state cones, in the step encoding's
+//! frame layout.
 
 use presat_allsat::{AllSatEngine, AllSatProblem, SuccessDrivenAllSat};
-use presat_circuit::{Circuit, Tseitin};
+use presat_circuit::Circuit;
 use presat_logic::{Cnf, Var};
+use presat_obs::{NullSink, Timer};
 
-use crate::engine::{PreimageResult, PreimageStats};
-use crate::state_set::StateSet;
+use crate::encoding::{frame, preimage_result};
+use crate::engine::PreimageResult;
 
 /// Computes the set of present states from which **some** primary-input
 /// assignment makes output `output_index` evaluate to `value`:
@@ -39,26 +39,15 @@ use crate::state_set::StateSet;
 /// assert_eq!(exc.states.minterm_count(4), 12);
 /// ```
 pub fn excitation_set(circuit: &Circuit, output_index: usize, value: bool) -> PreimageResult {
-    let start = Instant::now();
-    circuit.validate().expect("circuit must be complete");
+    let timer = Timer::start();
+    let n = circuit.num_latches();
+    // The step layout: X at 0..n, W at n..n+m.
+    let mut enc = frame(circuit, 0, n, Cnf::new(n + circuit.num_inputs()));
     assert!(
         output_index < circuit.num_outputs(),
         "output {output_index} out of range ({} outputs)",
         circuit.num_outputs()
     );
-    let n = circuit.num_latches();
-    let m = circuit.num_inputs();
-
-    // Same layout as StepEncoding: X at 0..n, W at n..n+m.
-    let mut leaf_vars = Vec::with_capacity(m + n);
-    for i in 0..m {
-        leaf_vars.push(Var::new(n + i));
-    }
-    for j in 0..n {
-        leaf_vars.push(Var::new(j));
-    }
-    let base = Cnf::new(n + m);
-    let mut enc = Tseitin::with_base_cnf(circuit.aig(), leaf_vars, base);
     let (_, out_fn) = &circuit.outputs()[output_index];
     let out_lit = enc.lit_of(*out_fn);
     let mut cnf = enc.into_cnf();
@@ -66,20 +55,7 @@ pub fn excitation_set(circuit: &Circuit, output_index: usize, value: bool) -> Pr
 
     let problem = AllSatProblem::new(cnf, Var::range(n).collect());
     let result = SuccessDrivenAllSat::new().enumerate(&problem);
-    let states = StateSet::from_cubes(result.cubes.clone());
-    let elapsed = start.elapsed();
-    PreimageResult {
-        stats: PreimageStats {
-            result_cubes: result.cubes.len() as u64,
-            iterations: 1,
-            wall_time_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            ..PreimageStats::from_allsat(result.stats)
-        },
-        states,
-        elapsed,
-        complete: true,
-        stop_reason: None,
-    }
+    preimage_result(result, &timer, &mut NullSink)
 }
 
 #[cfg(test)]

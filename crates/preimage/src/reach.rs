@@ -17,11 +17,6 @@ pub struct ReachOptions {
     /// Stop after this many iterations even if not converged
     /// (`None` = run to the fixed point).
     pub max_iterations: Option<usize>,
-    /// Enlarge each frontier within the already-reached don't-care space
-    /// ([`SolutionGraph::simplify`]) before handing it to the engine.
-    /// Sound (extra states are all backward-reachable) and often shrinks
-    /// the frontier's cube representation; the reached set stays exact.
-    pub simplify_frontier: bool,
     /// Drive the fixed point through one persistent
     /// [`SatPreimageSession`] when the engine offers one (the
     /// default): the transition relation is encoded once, the solver stays
@@ -32,10 +27,6 @@ pub struct ReachOptions {
     /// either way; engines without sessions silently use the per-call
     /// path.
     pub incremental: bool,
-    /// Resource budget for each individual preimage call (counter limits
-    /// reset every iteration; a deadline here is absolute and so in
-    /// practice belongs in `total_budget`).
-    pub step_budget: Budget,
     /// Resource budget for the whole fixed point: counter limits are spent
     /// down across iterations, the deadline bounds the loop's wall clock.
     pub total_budget: Budget,
@@ -48,9 +39,7 @@ impl Default for ReachOptions {
     fn default() -> Self {
         ReachOptions {
             max_iterations: None,
-            simplify_frontier: false,
             incremental: true,
-            step_budget: Budget::unlimited(),
             total_budget: Budget::unlimited(),
             cancel: None,
         }
@@ -61,12 +50,6 @@ impl ReachOptions {
     /// Sets the whole-loop budget.
     pub fn with_total_budget(mut self, budget: Budget) -> Self {
         self.total_budget = budget;
-        self
-    }
-
-    /// Sets the per-preimage-call budget.
-    pub fn with_step_budget(mut self, budget: Budget) -> Self {
-        self.step_budget = budget;
         self
     }
 
@@ -193,7 +176,7 @@ pub enum ReachStep {
     /// not yet reached — step again to continue.
     Advanced,
     /// The current frontier's preimage call was cut short (slice budget,
-    /// step budget, deadline, or cancellation inside the call). The
+    /// total budget, deadline, or cancellation inside the call). The
     /// partial states found are already absorbed into the reached set;
     /// stepping again *resumes the same frontier* where it left off (on
     /// the incremental session path the absorbed states are blocked in the
@@ -225,10 +208,6 @@ pub struct ReachDriver {
     /// unlimited slice budget a frontier always completes in one step and
     /// this is just that step's `new_node`.)
     pending: SolutionNodeId,
-    /// Snapshot of `reached` at the moment the current frontier was
-    /// installed: the care set for frontier simplification, so sliced and
-    /// one-shot runs simplify against the same region.
-    frontier_base_reached: SolutionNodeId,
     iterations: Vec<ReachIteration>,
     converged: bool,
     /// `true` once `max_iterations` preimage calls have completed.
@@ -290,7 +269,6 @@ impl ReachDriver {
             reached,
             frontier_node: reached,
             pending: SolutionNodeId::BOTTOM,
-            frontier_base_reached: reached,
             iterations: Vec::new(),
             converged: false,
             capped: false,
@@ -303,11 +281,11 @@ impl ReachDriver {
     }
 
     /// Runs one preimage call on the current frontier, bounded by the
-    /// step budget, the remaining total budget, **and** `slice_budget`
-    /// (all clipped together; pass [`Budget::unlimited`] for no extra
-    /// slice bound). Absorbs whatever the call verified into the reached
-    /// set and reports whether the fixed point advanced, was interrupted
-    /// mid-frontier (step again to resume), or is done.
+    /// remaining total budget **and** `slice_budget` (clipped together;
+    /// pass [`Budget::unlimited`] for no extra slice bound). Absorbs
+    /// whatever the call verified into the reached set and reports whether
+    /// the fixed point advanced, was interrupted mid-frontier (step again
+    /// to resume), or is done.
     pub fn step(
         &mut self,
         engine: &dyn PreimageEngine,
@@ -371,14 +349,10 @@ impl ReachDriver {
             deadline: slice_budget.deadline,
         };
         let limits = EnumLimits {
-            // The per-step allowance clipped to what remains of the total
-            // (counters take the minimum, deadlines the earliest), then to
-            // the caller's (possibly boosted) slice quantum.
-            budget: self
-                .options
-                .step_budget
-                .clipped_to(&self.total_remaining)
-                .clipped_to(&boosted_slice),
+            // What remains of the total clipped to the caller's (possibly
+            // boosted) slice quantum (counters take the minimum, deadlines
+            // the earliest).
+            budget: self.total_remaining.clipped_to(&boosted_slice),
             cancel: self.options.cancel.clone(),
             max_solutions: None,
         };
@@ -444,22 +418,8 @@ impl ReachDriver {
         self.stalls = 0;
         // The frontier is fully enumerated: advance to the accumulated new
         // states (from this step and any interrupted slices before it).
-        self.frontier_node =
-            if self.options.simplify_frontier && self.pending != SolutionNodeId::BOTTOM {
-                // Care set = everything not reached when this frontier was
-                // installed; inside the already-reached region the frontier
-                // may grow arbitrarily (those states are known
-                // backward-reachable), which lets sibling substitution
-                // shrink the representation.
-                let care = self
-                    .graph
-                    .diff(SolutionNodeId::TOP, self.frontier_base_reached);
-                self.graph.simplify(self.pending, care)
-            } else {
-                self.pending
-            };
+        self.frontier_node = self.pending;
         self.pending = SolutionNodeId::BOTTOM;
-        self.frontier_base_reached = self.reached;
         ReachStep::Advanced
     }
 
@@ -604,47 +564,6 @@ mod tests {
     fn arbiter_reachability() {
         let c = generators::round_robin_arbiter(2);
         check_reach(&c, &StateSet::from_partial(&[(2, true)]));
-    }
-
-    #[test]
-    fn frontier_simplification_preserves_the_fixed_point() {
-        for (circuit, target) in [
-            (
-                generators::counter(4, true),
-                StateSet::from_state_bits(9, 4),
-            ),
-            (
-                generators::round_robin_arbiter(2),
-                StateSet::from_partial(&[(2, true)]),
-            ),
-            (generators::parity(3), StateSet::from_partial(&[(3, true)])),
-            (generators::lfsr(5), StateSet::from_state_bits(7, 5)),
-        ] {
-            let n = circuit.num_latches();
-            let plain = backward_reach(
-                &SatPreimage::success_driven(),
-                &circuit,
-                &target,
-                ReachOptions::default(),
-            );
-            let simplified = backward_reach(
-                &SatPreimage::success_driven(),
-                &circuit,
-                &target,
-                ReachOptions {
-                    simplify_frontier: true,
-                    ..ReachOptions::default()
-                },
-            );
-            assert!(simplified.converged);
-            assert_eq!(
-                plain.reached_states,
-                simplified.reached_states,
-                "{}",
-                circuit.name()
-            );
-            assert!(plain.reached.semantically_eq(&simplified.reached, n));
-        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! SAT-enumerative preimage engines.
 
 use presat_allsat::{
-    AllSatEngine, AllSatProblem, AllSatResult, BlockingAllSat, ChronoAllSat, EnumLimits,
-    MinimizedBlockingAllSat, ParallelAllSat, SignatureMode, SuccessDrivenAllSat,
-    DEFAULT_PAR_THRESHOLD,
+    AllSatEngine, AllSatProblem, BlockingAllSat, ChronoAllSat, EnumLimits, MinimizedBlockingAllSat,
+    ParallelAllSat, SignatureMode, SuccessDrivenAllSat, DEFAULT_PAR_THRESHOLD,
 };
 use presat_circuit::Circuit;
 use presat_logic::CubeSet;
-use presat_obs::{Event, ObsSink, Timer};
+use presat_obs::{ObsSink, Timer};
 
-use crate::encoding::StepEncoding;
-use crate::engine::{PreimageEngine, PreimageResult, PreimageStats};
+use crate::encoding::{preimage_result, StepEncoding};
+use crate::engine::{PreimageEngine, PreimageResult};
 use crate::session::SatPreimageSession;
 use crate::state_set::StateSet;
 
@@ -171,15 +170,6 @@ impl PreimageEngine for SatPreimage {
         }
     }
 
-    fn preimage_with_sink(
-        &self,
-        circuit: &Circuit,
-        target: &StateSet,
-        sink: &mut dyn ObsSink,
-    ) -> PreimageResult {
-        self.preimage_limited(circuit, target, &EnumLimits::none(), sink)
-    }
-
     fn preimage_limited(
         &self,
         circuit: &Circuit,
@@ -200,48 +190,19 @@ impl PreimageEngine for SatPreimage {
                 MinimizedBlockingAllSat::new().enumerate_limited(&problem, limits, sink)
             }
             SatEngineKind::Chrono => ChronoAllSat::new().enumerate_limited(&problem, limits, sink),
+            // At one job the fleet runs the sequential engine itself.
             SatEngineKind::SuccessDriven {
                 signature,
                 model_guidance,
-            } => {
-                if self.jobs == 1 {
-                    SuccessDrivenAllSat::new()
-                        .with_signature(signature)
-                        .with_model_guidance(model_guidance)
-                        .enumerate_limited(&problem, limits, sink)
-                } else {
-                    ParallelAllSat::new(self.jobs)
-                        .with_signature(signature)
-                        .with_model_guidance(model_guidance)
-                        .with_par_threshold(self.par_threshold)
-                        .enumerate_limited(&problem, limits, sink)
-                }
-            }
+            } => ParallelAllSat::new(self.jobs)
+                .with_signature(signature)
+                .with_model_guidance(model_guidance)
+                .with_par_threshold(self.par_threshold)
+                .enumerate_limited(&problem, limits, sink),
         };
-        let astats = result.stats_with_store();
-        let AllSatResult {
-            cubes,
-            complete,
-            stop_reason,
-            ..
-        } = result;
-        let result_cubes = cubes.len() as u64;
-        let states = StateSet::from_cubes(cubes);
-        let wall_time_ns = timer.elapsed_ns();
-        sink.record(&Event::EngineDone { wall_time_ns });
-        PreimageResult {
-            stats: PreimageStats {
-                result_cubes,
-                iterations: 1,
-                wall_time_ns,
-                cones_skipped,
-                ..PreimageStats::from_allsat(astats)
-            },
-            states,
-            elapsed: timer.elapsed(),
-            complete,
-            stop_reason,
-        }
+        let mut pre = preimage_result(result, &timer, sink);
+        pre.stats.cones_skipped = cones_skipped;
+        pre
     }
 
     fn open_session(&self, circuit: &Circuit) -> Option<SatPreimageSession> {

@@ -7,12 +7,12 @@
 //! **once** ([`StepBase`]) and keeps one
 //! [`IncrementalAllSat`] alive for the whole loop:
 //!
-//! * Each iteration's target clauses are tagged with a fresh *activation
-//!   literal* `a` (every clause carries `¬a`) and enabled by assuming `a`
-//!   for that enumeration only. Afterwards the group is retired — `¬a`
-//!   becomes a permanent unit, and the group's clauses (plus any learnt
-//!   clause that depended on them, which necessarily contains `¬a`) go
-//!   inert and are garbage-collected.
+//! * Each iteration's target is written by the one-shot path's cube-union
+//!   writer ([`write_cube_union`]) guarded by a fresh *activation
+//!   literal* `a`, and enabled by assuming `a` for that enumeration only.
+//!   Afterwards the group is retired — `¬a` becomes a permanent unit, and
+//!   the group's clauses (plus any learnt clause that depended on them,
+//!   which necessarily contains `¬a`) go inert and are garbage-collected.
 //! * Learnt clauses about the *transition relation itself* contain no
 //!   activation literal and keep pruning search in every later iteration,
 //!   along with saved phases, variable activities, and the success-driven
@@ -21,13 +21,13 @@
 //!   blocking clauses over the state variables, so states already known
 //!   backward-reachable are never re-enumerated.
 
-use presat_allsat::{AllSatResult, EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
+use presat_allsat::{EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
 use presat_circuit::Circuit;
 use presat_logic::{CubeSet, Lit};
-use presat_obs::{Event, ObsSink, Timer};
+use presat_obs::{ObsSink, Timer};
 
-use crate::encoding::StepBase;
-use crate::engine::{PreimageResult, PreimageStats};
+use crate::encoding::{preimage_result, write_cube_union, StepBase};
+use crate::engine::PreimageResult;
 use crate::state_set::StateSet;
 
 /// A persistent SAT preimage session (see the module docs): one
@@ -79,48 +79,29 @@ impl SatPreimageSession {
         }
     }
 
-    /// Adds the target constraint `T(Y)` as a clause group under a fresh
-    /// activation literal and returns that literal. Mirrors the clause
-    /// shapes of [`crate::StepEncoding`] (units / selector-per-cube), each
-    /// clause additionally carrying the group tag.
+    /// Adds the target constraint `T(Y)` over the next-state literals as
+    /// a clause group guarded by a fresh activation literal and returns
+    /// that literal. An empty target writes the unit `¬act`: the
+    /// enumeration's `act` assumption then fails at once, and retirement
+    /// is a no-op.
     fn activate_target(&mut self, target: &StateSet) -> Lit {
         let act = Lit::pos(self.inner.add_var());
         let n = self.num_latches;
-        let cubes = target.cubes();
-        if cubes.is_empty() {
-            // No predecessor exists while this group is active. (The unit
-            // asserts ¬act outright; the enumeration's `act` assumption
-            // then fails immediately, and retirement is a no-op.)
-            self.inner.add_clause(vec![!act]);
-            return act;
-        }
-        let next_lit = |lits: &[Lit], l: Lit| {
-            let j = l.var().index();
-            assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
-            if l.is_pos() {
-                lits[j]
-            } else {
-                !lits[j]
-            }
-        };
-        if cubes.len() == 1 {
-            for &l in cubes.cubes()[0].lits() {
-                let yl = next_lit(&self.next_lits, l);
-                self.inner.add_clause(vec![!act, yl]);
-            }
-        } else {
-            let mut selectors = Vec::with_capacity(cubes.len() + 1);
-            selectors.push(!act);
-            for cube in cubes {
-                let sel = Lit::pos(self.inner.add_var());
-                for &l in cube.lits() {
-                    let yl = next_lit(&self.next_lits, l);
-                    self.inner.add_clause(vec![!act, !sel, yl]);
+        let next_lits = &self.next_lits;
+        write_cube_union(
+            &mut self.inner,
+            target.cubes(),
+            |l| {
+                let j = l.var().index();
+                assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
+                if l.is_pos() {
+                    next_lits[j]
+                } else {
+                    !next_lits[j]
                 }
-                selectors.push(sel);
-            }
-            self.inner.add_clause(selectors);
-        }
+            },
+            Some(act),
+        );
         act
     }
 
@@ -160,36 +141,14 @@ impl SatPreimageSession {
         // the next (possibly unlimited) call starts sound.
         self.inner.retire(act);
         self.iterations += 1;
-        let AllSatResult {
-            cubes,
-            stats: astats,
-            complete,
-            stop_reason,
-            ..
-        } = result;
-        let result_cubes = cubes.len() as u64;
-        let states = StateSet::from_cubes(cubes);
-        let wall_time_ns = timer.elapsed_ns();
-        sink.record(&Event::EngineDone { wall_time_ns });
-        PreimageResult {
-            stats: PreimageStats {
-                result_cubes,
-                iterations: 1,
-                wall_time_ns,
-                encodings_reused,
-                learnts_carried,
-                activation_lits: 1,
-                // The session path encodes every cone once up front (the
-                // shared base must serve any future target), so COI
-                // skipping does not apply here.
-                cones_skipped: 0,
-                ..PreimageStats::from_allsat(astats)
-            },
-            states,
-            elapsed: timer.elapsed(),
-            complete,
-            stop_reason,
-        }
+        let mut pre = preimage_result(result, &timer, sink);
+        pre.stats.encodings_reused = encodings_reused;
+        pre.stats.learnts_carried = learnts_carried;
+        pre.stats.activation_lits = 1;
+        // The session path encodes every cone once up front (the shared
+        // base must serve any future target), so COI skipping does not
+        // apply here: `cones_skipped` stays 0.
+        pre
     }
 
     /// Permanently excludes `states` from all future results (adds one

@@ -14,13 +14,13 @@
 //! target, which is also the natural query of sequential ATPG ("justify in
 //! exactly k cycles").
 
-use std::time::Instant;
-
 use presat_allsat::{AllSatEngine, AllSatProblem, SuccessDrivenAllSat};
-use presat_circuit::{Circuit, Tseitin};
+use presat_circuit::Circuit;
 use presat_logic::{Cnf, Lit, Var};
+use presat_obs::{NullSink, Timer};
 
-use crate::engine::{PreimageResult, PreimageStats};
+use crate::encoding::{preimage_result, tied_frame, write_cube_union};
+use crate::engine::PreimageResult;
 use crate::state_set::StateSet;
 
 /// The CNF of `k` chained time frames with the target imposed on the last
@@ -29,7 +29,10 @@ use crate::state_set::StateSet;
 /// Layout: frame-0 state `X0` at CNF variables `0..n` (the important set),
 /// then per frame `t = 0..k`: inputs `Wt` (`m` variables) followed by the
 /// *next* frame's state block `X(t+1)` (`n` variables); Tseitin
-/// auxiliaries live above all blocks.
+/// auxiliaries and the target's selector variables live above all blocks.
+/// Each frame is the image encoding's tied frame (`X(t+1) ↔ δ(Xt, Wt)`)
+/// at its block offsets, and the target is a cube union over the last
+/// state block.
 ///
 /// # Examples
 ///
@@ -57,7 +60,6 @@ impl UnrolledEncoding {
     /// mentions a latch position out of range.
     pub fn build(circuit: &Circuit, target: &StateSet, depth: usize) -> Self {
         assert!(depth > 0, "unrolling depth must be positive");
-        circuit.validate().expect("circuit must be complete");
         let n = circuit.num_latches();
         let m = circuit.num_inputs();
 
@@ -70,53 +72,30 @@ impl UnrolledEncoding {
             }
         };
         let frame_input_base = |t: usize| n + t * (m + n);
-        let fixed_vars = n + depth * (m + n);
-        let mut cnf = Cnf::new(fixed_vars);
-
+        let mut cnf = Cnf::new(n + depth * (m + n));
         for t in 0..depth {
-            // Leaves for frame t: inputs → Wt block, states → Xt block.
-            let mut leaf_vars = Vec::with_capacity(m + n);
-            for i in 0..m {
-                leaf_vars.push(Var::new(frame_input_base(t) + i));
-            }
-            for j in 0..n {
-                leaf_vars.push(Var::new(frame_state_base(t) + j));
-            }
-            let mut enc = Tseitin::with_base_cnf(circuit.aig(), leaf_vars, cnf);
-            let next_lits: Vec<Lit> = (0..n).map(|j| enc.lit_of(circuit.latch_next(j))).collect();
-            cnf = enc.into_cnf();
             // X(t+1) ↔ δ(Xt, Wt).
-            for (j, &fl) in next_lits.iter().enumerate() {
-                let xj = Lit::pos(Var::new(frame_state_base(t + 1) + j));
-                cnf.add_clause([!xj, fl]);
-                cnf.add_clause([xj, !fl]);
-            }
+            cnf = tied_frame(
+                circuit,
+                frame_state_base(t),
+                frame_input_base(t),
+                frame_state_base(t + 1),
+                cnf,
+            );
         }
 
         // Target on the final frame.
         let last = frame_state_base(depth);
-        let cubes = target.cubes();
-        if cubes.is_empty() {
-            cnf.add_clause([]);
-        } else if cubes.len() == 1 {
-            for &l in cubes.cubes()[0].lits() {
+        write_cube_union(
+            &mut cnf,
+            target.cubes(),
+            |l| {
                 let j = l.var().index();
                 assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
-                cnf.add_unit(Lit::with_phase(Var::new(last + j), l.phase()));
-            }
-        } else {
-            let mut selectors = Vec::with_capacity(cubes.len());
-            for cube in cubes {
-                let sel = Lit::pos(cnf.fresh_var());
-                for &l in cube.lits() {
-                    let j = l.var().index();
-                    assert!(j < n, "target cube mentions latch position {j} ≥ {n}");
-                    cnf.add_clause([!sel, Lit::with_phase(Var::new(last + j), l.phase())]);
-                }
-                selectors.push(sel);
-            }
-            cnf.add_clause(selectors);
-        }
+                Lit::with_phase(Var::new(last + j), l.phase())
+            },
+            None,
+        );
 
         UnrolledEncoding {
             cnf,
@@ -158,24 +137,14 @@ impl UnrolledEncoding {
 /// assert_eq!(pre2.states.minterm_count(3), 1);
 /// ```
 pub fn k_step_preimage(circuit: &Circuit, target: &StateSet, k: usize) -> PreimageResult {
-    let start = Instant::now();
+    let timer = Timer::start();
     let enc = UnrolledEncoding::build(circuit, target, k);
-    let problem = AllSatProblem::new(enc.cnf().clone(), enc.frame0_vars());
+    let important = enc.frame0_vars();
+    let problem = AllSatProblem::new(enc.cnf, important);
     let result = SuccessDrivenAllSat::new().enumerate(&problem);
-    let states = StateSet::from_cubes(result.cubes.clone());
-    let elapsed = start.elapsed();
-    PreimageResult {
-        stats: PreimageStats {
-            result_cubes: result.cubes.len() as u64,
-            iterations: k as u64,
-            wall_time_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            ..PreimageStats::from_allsat(result.stats)
-        },
-        states,
-        elapsed,
-        complete: true,
-        stop_reason: None,
-    }
+    let mut pre = preimage_result(result, &timer, &mut NullSink);
+    pre.stats.iterations = k as u64;
+    pre
 }
 
 #[cfg(test)]

@@ -84,9 +84,8 @@ impl Budget {
     /// Clips this budget to another: counter limits take the minimum,
     /// deadlines the earliest, and a limit absent on one side is inherited
     /// from the other. This is the slice-scheduling primitive — "one
-    /// quantum, but never more than the request has left" — also used by
-    /// the reachability loop to clip a per-step allowance to the remaining
-    /// total.
+    /// quantum, but never more than the request has left" — which is how
+    /// the reachability loop bounds each step.
     pub fn clipped_to(&self, other: &Budget) -> Budget {
         let min_opt = |a: Option<u64>, b: Option<u64>| match (a, b) {
             (Some(x), Some(y)) => Some(x.min(y)),

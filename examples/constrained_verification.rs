@@ -3,7 +3,7 @@
 //! Real blocks never see free inputs: the arbiter below is verified under
 //! the standard *one-hot request* environment, and the analysis combines
 //! three library features — output excitation sets, environment-constrained
-//! preimages, and reachability with frontier simplification.
+//! preimages, and backward reachability.
 //!
 //! Run with:
 //!
@@ -58,18 +58,9 @@ fn main() {
         constrained.states.minterm_count(2 * n)
     );
 
-    // 4. Full backward reachability under the environment, with frontier
-    // simplification.
+    // 4. Full backward reachability under the environment.
     let engine = SatPreimage::success_driven().with_env(one_hot_env(n));
-    let report = backward_reach(
-        &engine,
-        &circuit,
-        &bad,
-        ReachOptions {
-            simplify_frontier: true,
-            ..ReachOptions::default()
-        },
-    );
+    let report = backward_reach(&engine, &circuit, &bad, ReachOptions::default());
     println!(
         "backward-reachable (one-hot env): {} states in {} iterations (converged={})",
         report.reached_states,

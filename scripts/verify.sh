@@ -65,6 +65,19 @@ if sed -n '1,/#\[cfg(test)\]/p' crates/core/src/chrono.rs \
   exit 1
 fi
 
+# Lint gate: the preimage layer maps circuit leaves to CNF variables in one
+# place, `frame` in crates/preimage/src/encoding.rs, so no other module of
+# that crate builds a Tseitin encoder itself. (Comments and in-file unit
+# tests below the #[cfg(test)] marker are out of scope, as above.)
+for f in crates/preimage/src/*.rs; do
+  [ "$f" = crates/preimage/src/encoding.rs ] && continue
+  if sed -n '1,/#\[cfg(test)\]/p' "$f" \
+      | grep -v '^\s*//' | grep -n 'Tseitin::\(new\|with_base_cnf\)'; then
+    echo "verify: FAIL — $f builds a Tseitin encoder (use encoding::frame)" >&2
+    exit 1
+  fi
+done
+
 # Anytime smoke test: a backward-reachability run on a 24-bit LFSR (cycle
 # length ~16M states, far beyond any 50 ms budget) must stop on the
 # deadline with exit code 0 and report "complete":false in the stats JSON

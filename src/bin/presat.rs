@@ -47,7 +47,7 @@ use std::process::ExitCode;
 
 use presat::allsat::{
     AllSatEngine, AllSatProblem, BlockingAllSat, ChronoAllSat, EnumLimits,
-    MinimizedBlockingAllSat, ParallelAllSat, SuccessDrivenAllSat,
+    MinimizedBlockingAllSat, ParallelAllSat,
 };
 use presat::circuit::{aiger, bench, Circuit};
 use presat::logic::{dimacs, Var};
@@ -349,9 +349,7 @@ fn cmd_allsat(args: &[String]) -> Result<ExitCode, String> {
         "min-blocking" => {
             MinimizedBlockingAllSat::new().enumerate_limited(&problem, &limits, &mut NullSink)
         }
-        "success-driven" if jobs == 1 => {
-            SuccessDrivenAllSat::new().enumerate_limited(&problem, &limits, &mut NullSink)
-        }
+        // At one job the fleet runs the sequential engine itself.
         "success-driven" => {
             let mut engine = ParallelAllSat::new(jobs);
             if let Some(t) = par_threshold_from_flag(args)? {

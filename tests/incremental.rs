@@ -191,36 +191,6 @@ fn iteration_cap_matches_rebuild() {
 }
 
 #[test]
-fn simplified_frontiers_match_rebuild() {
-    let c = generators::round_robin_arbiter(2);
-    let t = StateSet::from_partial(&[(2, true)]);
-    for jobs in [1usize, 4] {
-        let rebuild = backward_reach(
-            &SatPreimage::success_driven().with_jobs(jobs),
-            &c,
-            &t,
-            ReachOptions {
-                simplify_frontier: true,
-                incremental: false,
-                ..ReachOptions::default()
-            },
-        );
-        let session = backward_reach(
-            &SatPreimage::success_driven().with_jobs(jobs),
-            &c,
-            &t,
-            ReachOptions {
-                simplify_frontier: true,
-                incremental: true,
-                ..ReachOptions::default()
-            },
-        );
-        assert_eq!(session.reached.cubes(), rebuild.reached.cubes());
-        assert_eq!(session.iterations.len(), rebuild.iterations.len());
-    }
-}
-
-#[test]
 fn incremental_sessions_report_reuse_counters() {
     // counter(3) reaching 0 runs 8 iterations: 7 of them reuse the session
     // encoding and each allocates exactly one activation literal.

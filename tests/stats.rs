@@ -570,3 +570,186 @@ fn event_streams_are_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+/// FNV-1a over a CNF: its variable count, then every clause in order.
+/// Pins the exact formula an encoder writes, variable numbering and
+/// clause order included.
+fn cnf_digest(h: &mut u64, cnf: &Cnf) {
+    let mut mix = |x: u64| {
+        *h ^= x;
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    };
+    mix(cnf.num_vars() as u64);
+    for clause in cnf.clauses() {
+        for l in clause {
+            mix(l.code() as u64 + 1);
+        }
+        mix(0);
+    }
+    mix(u64::MAX);
+}
+
+/// Golden CNFs of every preimage-layer encoder on three circuits: the
+/// step encoding on an empty, a single-cube and a multi-cube target, each
+/// without and with a multi-cube input environment (the partial targets
+/// leave cones out on the counter and the shift register); the
+/// target-free session base (with its next-state literals) without and
+/// with the environment; the image encoding on the same three sources;
+/// and the unrolled encoding of the three targets at depths 1 to 3. Each
+/// row digests one encoder's cases on one circuit in that order.
+#[test]
+fn preimage_encodings_are_pinned() {
+    use presat::circuit::embedded;
+    use presat::preimage::{ImageEncoding, StepBase, StepEncoding, UnrolledEncoding};
+
+    let circuits = [
+        embedded::s27().expect("s27 parses"),
+        generators::counter(4, true),
+        generators::shift_register(6),
+    ];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for c in &circuits {
+        let n = c.num_latches();
+        let m = c.num_inputs();
+        let targets = [
+            StateSet::empty(),
+            StateSet::from_partial(&[(1, true), (n - 1, false)]),
+            StateSet::from_partial(&[(0, true)])
+                .union(&StateSet::from_partial(&[(1, false), (2, true)])),
+        ];
+        let second: Vec<(usize, bool)> = if m > 1 {
+            vec![(0, false), (m - 1, true)]
+        } else {
+            vec![(0, false)]
+        };
+        let env: CubeSet = [
+            Cube::from_lits([Lit::pos(Var::new(0))]).unwrap(),
+            Cube::from_lits(second.iter().map(|&(i, v)| Lit::with_phase(Var::new(i), v))).unwrap(),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(env.len(), 2, "{}: a multi-cube environment", c.name());
+        let mut row = |what: &str, f: &mut dyn FnMut(&mut u64)| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            f(&mut h);
+            got.push((format!("{what} {}", c.name()), h));
+        };
+        row("step", &mut |h| {
+            for t in &targets {
+                for e in [None, Some(&env)] {
+                    cnf_digest(h, StepEncoding::build_with_env(c, t, e).cnf());
+                }
+            }
+        });
+        row("base", &mut |h| {
+            for e in [None, Some(&env)] {
+                let base = StepBase::build(c, e);
+                cnf_digest(h, base.cnf());
+                let mut lits = Cnf::new(base.cnf().num_vars());
+                lits.add_clause(base.next_lits().iter().copied());
+                cnf_digest(h, &lits);
+            }
+        });
+        row("image", &mut |h| {
+            for t in &targets {
+                cnf_digest(h, ImageEncoding::build(c, t).cnf());
+            }
+        });
+        row("unrolled", &mut |h| {
+            for t in &targets {
+                for depth in 1..=3 {
+                    cnf_digest(h, UnrolledEncoding::build(c, t, depth).cnf());
+                }
+            }
+        });
+    }
+    let got: Vec<(&str, u64)> = got.iter().map(|(w, h)| (w.as_str(), *h)).collect();
+    let want: [(&str, u64); 12] = [
+        ("step s27", 14948116474174057855),
+        ("base s27", 14338414308709649579),
+        ("image s27", 7211322553247808969),
+        ("unrolled s27", 4369981341766600050),
+        ("step cnt4e", 6762154806012806622),
+        ("base cnt4e", 17977355242450310288),
+        ("image cnt4e", 13643947083594125980),
+        ("unrolled cnt4e", 3079991909108352909),
+        ("step shift6", 2925682368908907010),
+        ("base shift6", 13008329724212169180),
+        ("image shift6", 16074870136596533338),
+        ("unrolled shift6", 9262041155956788115),
+    ];
+    assert_eq!(got, want);
+}
+
+/// Golden work of the two preimage paths whose CNF stays inside the
+/// engine: one session on a 4-bit counter fed an empty, a single-cube and
+/// a multi-cube target in turn, and the excitation sets of an arbiter's
+/// and s27's first output at both values.
+#[test]
+fn session_and_excitation_work_is_pinned() {
+    use presat::preimage::excitation_set;
+
+    let mut got: Vec<(&str, [u64; 9])> = Vec::new();
+    let c = generators::counter(4, false);
+    let mut session = SatPreimage::success_driven()
+        .open_session(&c)
+        .expect("success-driven has sessions");
+    for (what, target) in [
+        ("session empty", StateSet::empty()),
+        (
+            "session single",
+            StateSet::from_partial(&[(0, true), (2, false)]),
+        ),
+        (
+            "session multi",
+            StateSet::from_partial(&[(0, true)])
+                .union(&StateSet::from_partial(&[(1, false), (3, true)])),
+        ),
+    ] {
+        let r = session.preimage_with_sink(&target, &mut NullSink);
+        got.push((what, pinned(&r.stats.allsat, r.states.cubes())));
+    }
+    for (what, circuit) in [
+        ("excite arbiter", generators::round_robin_arbiter(2)),
+        (
+            "excite s27",
+            presat::circuit::embedded::s27().expect("s27 parses"),
+        ),
+    ] {
+        for value in [true, false] {
+            let r = excitation_set(&circuit, 0, value);
+            got.push((what, pinned(&r.stats.allsat, r.states.cubes())));
+        }
+    }
+    let want: [(&str, [u64; 9]); 7] = [
+        (
+            "session empty",
+            [0, 0, 0, 1, 0, 0, 0, 0, 14695981039346656037],
+        ),
+        (
+            "session single",
+            [3, 1, 2, 4, 0, 3, 31, 1, 16904608752065930939],
+        ),
+        (
+            "session multi",
+            [5, 3, 4, 7, 0, 8, 80, 3, 14089094810169549471],
+        ),
+        (
+            "excite arbiter",
+            [5, 2, 4, 4, 0, 16, 29, 2, 16949776231846451683],
+        ),
+        (
+            "excite arbiter",
+            [3, 1, 2, 4, 0, 9, 16, 1, 14402208247847590169],
+        ),
+        (
+            "excite s27",
+            [7, 1, 6, 1, 1, 26, 85, 1, 12638153115695167455],
+        ),
+        (
+            "excite s27",
+            [3, 0, 2, 5, 0, 9, 33, 2, 13441734926027828414],
+        ),
+    ];
+    assert_eq!(got, want);
+}
