@@ -1,7 +1,10 @@
 //! The blocking-clause all-SAT baselines: naive minterm blocking and
 //! blocking with cube minimization (literal lifting). Both run one
-//! enumeration loop that differs only in whether each model's projected
-//! cube is lifted before it is blocked.
+//! enumeration loop. It differs in whether each model's projected cube
+//! is lifted before it is blocked, and in how the search goes on after a
+//! model: plain blocking continues one search across all its models
+//! (Jabbour–Sais–Salhi's CDCL model enumeration), lifted blocking solves
+//! again from level 0.
 
 use presat_logic::CubeSet;
 use presat_obs::{Event, ObsSink, StopReason};
@@ -14,6 +17,12 @@ use crate::limits::EnumLimits;
 /// Naive all-solutions enumeration: solve, project the model onto the
 /// important variables, add a blocking clause over the *full* projected
 /// minterm, repeat until UNSAT.
+///
+/// The search does not restart after each model: the blocking clause is
+/// added on the model's trail ([`Solver::block_model`]), the solver
+/// backjumps as a conflict on it would, and the search resumes from
+/// there ([`Solver::solve_continue`]). That changes the order of the
+/// models, never the minterm set or the clause count.
 ///
 /// This is the reference point every all-SAT paper of the era starts from:
 /// correct, simple, and linear in the number of solution **minterms** — i.e.
@@ -110,6 +119,14 @@ impl AllSatEngine for MinimizedBlockingAllSat {
 /// variables (lifting the cube first when `lift` is set), block the cube,
 /// repeat until UNSAT or a limit stops the run.
 ///
+/// The two engines solve and block differently. Unlifted, one search runs
+/// the whole enumeration: [`Solver::block_model`] adds each minterm's
+/// clause on the model's trail and backjumps, and
+/// [`Solver::solve_continue`] resumes from there. Lifted, each cube is
+/// blocked with [`Solver::add_clause`] and [`Solver::solve`] starts again
+/// from level 0: a lifted cube depends on its model, so a continuing
+/// search would find other models and grow a larger cover.
+///
 /// Every stored cube is blocked, so each new model lies outside all of
 /// them, and the cube store need not look for a stored cube that subsumes
 /// the new one. An unlifted cube is the model's full minterm, which
@@ -131,7 +148,12 @@ fn enumerate_blocking(
     let mut lifter = lift.then(|| Lifter::new(&problem.cnf, &problem.important));
     loop {
         stats.solver_calls += 1;
-        match solver.solve() {
+        let answer = if lift {
+            solver.solve()
+        } else {
+            solver.solve_continue()
+        };
+        match answer {
             SolveResult::Unsat => break,
             SolveResult::Unknown(reason) => {
                 // Partial but sound: everything blocked so far is a
@@ -152,7 +174,12 @@ fn enumerate_blocking(
                 sink.record(&Event::Solution {
                     width: cube.len() as u32,
                 });
-                let blocked = solver.add_clause(cube.lits().iter().map(|&l| !l));
+                let block = cube.lits().iter().map(|&l| !l);
+                let blocked = if lift {
+                    solver.add_clause(block)
+                } else {
+                    solver.block_model(block)
+                };
                 stats.blocking_clauses += 1;
                 stats.db_clauses_peak = stats.db_clauses_peak.max(solver.db_clauses());
                 sink.record(&Event::BlockingClause {

@@ -188,14 +188,24 @@ impl AllSatEngine for ChronoAllSat {
             // Branch important variables first, in problem order; only when
             // all are assigned descend into the auxiliaries (index order).
             // Important-first branching is what guarantees that auxiliary
-            // levels never assign an important variable.
+            // levels never assign an important variable. Every variable
+            // below the deepest auxiliary decision on the stack was assigned
+            // when that decision was made, and still is, so the scan of the
+            // auxiliaries starts at that decision's variable.
             let next = problem
                 .important
                 .iter()
                 .copied()
                 .find(|&v| solver.value(v).is_none())
                 .map(|v| (v, true))
-                .or_else(|| solver.next_unassigned(Var::new(0)).map(|v| (v, false)));
+                .or_else(|| {
+                    let from = levels
+                        .iter()
+                        .rev()
+                        .find(|l| !l.important)
+                        .map_or(Var::new(0), |l| l.decision.var());
+                    solver.next_unassigned(from).map(|v| (v, false))
+                });
             let Some((var, important)) = next else {
                 // Total model. Lift it, absorb fully-covered deep levels,
                 // emit, and flip to the next branch.

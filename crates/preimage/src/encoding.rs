@@ -476,6 +476,12 @@ impl ImageEncoding {
         &self.cnf
     }
 
+    /// Consumes the encoding, handing the CNF to the caller (the all-SAT
+    /// problem takes ownership; no clone on the hot path).
+    pub fn into_cnf(self) -> Cnf {
+        self.cnf
+    }
+
     /// The next-state CNF variables in latch order (the important set).
     pub fn next_state_vars(&self) -> Vec<Var> {
         Var::range(self.num_latches).collect()

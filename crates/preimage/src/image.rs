@@ -35,7 +35,8 @@ use crate::state_set::StateSet;
 pub fn sat_image(circuit: &Circuit, source: &StateSet) -> PreimageResult {
     let timer = Timer::start();
     let enc = ImageEncoding::build(circuit, source);
-    let problem = AllSatProblem::new(enc.cnf().clone(), enc.next_state_vars());
+    let important = enc.next_state_vars();
+    let problem = AllSatProblem::new(enc.into_cnf(), important);
     let result = SuccessDrivenAllSat::new().enumerate(&problem);
     preimage_result(result, &timer, &mut NullSink)
 }

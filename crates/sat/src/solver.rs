@@ -415,22 +415,27 @@ impl Solver {
                 self.ok = self.propagate().is_none();
                 self.ok
             }
-            _ => match self.db.alloc(&simplified, false, 0) {
-                Ok(cref) => {
-                    self.attach(cref);
-                    self.note_arena_size();
-                    true
-                }
-                Err(_) => {
-                    // A dropped problem clause means the stored formula is
-                    // weaker than the input: no later answer can be trusted
-                    // as complete, so poison the solver into `Unknown`
-                    // (never abort, never silently mis-answer).
-                    self.resource_exhausted = true;
-                    true
-                }
-            },
+            _ => {
+                self.attach_problem_clause(&simplified);
+                true
+            }
         }
+    }
+
+    /// Stores a problem clause of two or more literals and watches its
+    /// first two. `None` if the arena is full and the clause was dropped.
+    fn attach_problem_clause(&mut self, lits: &[Lit]) -> Option<ClauseRef> {
+        let Ok(cref) = self.db.alloc(lits, false, 0) else {
+            // A dropped problem clause means the stored formula is weaker
+            // than the input: no later answer can be trusted as complete,
+            // so poison the solver into `Unknown` (never abort, never
+            // silently mis-answer).
+            self.resource_exhausted = true;
+            return None;
+        };
+        self.attach(cref);
+        self.note_arena_size();
+        Some(cref)
     }
 
     /// Records the current arena size into the `arena_bytes` high-water
@@ -962,6 +967,20 @@ impl Solver {
     /// `Unsat` or `Unknown` answer may return lower, when the search
     /// backjumped below `e` or stopped; it never returns higher.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let entry = self.decision_level();
+        debug_assert!(
+            self.holds_assumption_levels(assumptions),
+            "levels 1..={entry} do not hold a prefix of {assumptions:?}"
+        );
+        let result = self.solve_from_trail(assumptions);
+        self.cancel_until(entry);
+        result
+    }
+
+    /// The body every solve entry point shares: the entry checks, then
+    /// the restarting search from the current trail. The trail is left as
+    /// the search left it, so a `Sat` answer's model is still on it.
+    fn solve_from_trail(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.stats.solves += 1;
         // Stamp the arena gauge even if stats were just reset: per-call
         // snapshots must report the resident arena the call inherited.
@@ -983,34 +1002,155 @@ impl Solver {
                 return SolveResult::Unknown(reason);
             }
         }
-        let entry = self.decision_level();
-        debug_assert!(
-            self.holds_assumption_levels(assumptions),
-            "levels 1..={entry} do not hold a prefix of {assumptions:?}"
-        );
-        if entry == 0 && self.propagate().is_some() {
+        if self.decision_level() == 0 && self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
         }
 
         let mut restarts_this_call = 0u64;
-        let result = loop {
+        loop {
             let conflict_limit = RESTART_BASE * luby(2, restarts_this_call);
             match self.search(conflict_limit, assumptions) {
-                SearchOutcome::Sat => {
-                    let model = self.extract_model();
-                    break SolveResult::Sat(model);
-                }
-                SearchOutcome::Unsat => break SolveResult::Unsat,
+                SearchOutcome::Sat => return SolveResult::Sat(self.extract_model()),
+                SearchOutcome::Unsat => return SolveResult::Unsat,
                 SearchOutcome::Restart => {
                     restarts_this_call += 1;
                     self.stats.restarts += 1;
                 }
-                SearchOutcome::Stopped(reason) => break SolveResult::Unknown(reason),
+                SearchOutcome::Stopped(reason) => return SolveResult::Unknown(reason),
             }
-        };
-        self.cancel_until(entry);
+        }
+    }
+
+    /// Decides satisfiability like [`Solver::solve`], but continues the
+    /// search from the current trail, and a `Sat` answer leaves its model
+    /// on the trail. This is the search half of enumeration by blocking:
+    /// block each model with [`Solver::block_model`] and call this again.
+    ///
+    /// Entry: the solver is at decision level 0, or it holds what the last
+    /// call of [`Solver::block_model`] left — the trail cut back to the
+    /// blocking clause's backjump level, with the literal that clause (or
+    /// the clause learnt from it) asserts still to propagate. The search
+    /// resumes there, with a restart schedule of its own; learnt clauses
+    /// and saved phases carry over as in every solve. Calling it again on
+    /// a held model answers that model again.
+    ///
+    /// Exit: `Sat` returns at the model's decision level with every
+    /// variable assigned. [`Solver::block_model`] takes it from there; a
+    /// call that needs level 0 ([`Solver::add_clause`], [`Solver::solve`])
+    /// must come after [`Solver::backtrack`] to level 0. `Unsat` and
+    /// `Unknown` — a budget, a deadline or a cancel token that fires at
+    /// entry or mid-search — return at level 0 with every clause kept, so
+    /// the solver can go on with [`Solver::solve`] once the limit is lifted.
+    pub fn solve_continue(&mut self) -> SolveResult {
+        let result = self.solve_from_trail(&[]);
+        if !result.is_sat() {
+            self.cancel_until(0);
+        }
         result
+    }
+
+    /// Blocks the model that the last `Sat` answer of
+    /// [`Solver::solve_continue`] left on the trail: adds the clause of
+    /// `lits`, which that trail falsifies, as a problem clause, and
+    /// backjumps the way a conflict on it would. Returns `false` once the
+    /// clause set is known unsatisfiable at level 0, as
+    /// [`Solver::add_clause`] does.
+    ///
+    /// Literals false at level 0 drop out. What remains decides where the
+    /// search resumes:
+    /// - nothing: the formula is refuted, with no search;
+    /// - one literal: the solver returns to level 0, where the literal is
+    ///   a unit and is propagated at once (a conflict there refutes the
+    ///   formula);
+    /// - one literal on the highest decision level among them: the solver
+    ///   backjumps to the second-highest level and asserts that literal,
+    ///   with the clause as its reason;
+    /// - several literals on the highest level: first-UIP analysis of the
+    ///   clause as a conflict at that level learns a clause, and the solver
+    ///   backjumps to where that clause asserts its UIP literal (a learnt
+    ///   unit is propagated at level 0 at once, as above).
+    ///
+    /// The assertion is left unpropagated (except at level 0):
+    /// [`Solver::solve_continue`] resumes the search from it. Several
+    /// literals on the top level count one conflict in the statistics. If
+    /// the clause arena is full, the clause is dropped as in
+    /// [`Solver::add_clause`] and the next solve answers `Unknown`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal references an unknown variable or is not false
+    /// on the trail.
+    pub fn block_model<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+        if !self.ok {
+            return false;
+        }
+        let mut lits: Vec<Lit> = lits.into_iter().collect();
+        for &l in &lits {
+            assert!(
+                l.var().index() < self.num_vars(),
+                "literal {l} outside solver variable space"
+            );
+            assert_eq!(
+                self.lit_value(l),
+                Lbool::False,
+                "blocking literal {l} is not false on the trail"
+            );
+        }
+        lits.sort_unstable();
+        lits.dedup();
+        lits.retain(|l| self.levels[l.var().index()] > 0);
+        if lits.len() < 2 {
+            // An empty clause or a unit, at level 0.
+            self.cancel_until(0);
+            return self.add_clause(lits);
+        }
+        self.stats.problem_clauses += 1;
+        self.problem_clauses_added += 1;
+        // The two highest-level literals go first, where the clause watches
+        // them: both are unassigned after any backjump below their levels.
+        for i in 0..2 {
+            let top = (i..lits.len())
+                .max_by_key(|&k| self.levels[lits[k].var().index()])
+                .expect("at least two literals");
+            lits.swap(i, top);
+        }
+        let top = self.levels[lits[0].var().index()] as usize;
+        let second = self.levels[lits[1].var().index()] as usize;
+        let Some(cref) = self.attach_problem_clause(&lits) else {
+            self.cancel_until(0);
+            return true;
+        };
+        let binary = lits.len() == 2;
+        if top > second {
+            self.cancel_until(second);
+            let reason = if binary {
+                Reason::Binary(lits[1])
+            } else {
+                Reason::Long(cref)
+            };
+            self.enqueue(lits[0], reason);
+            return true;
+        }
+        self.cancel_until(top);
+        self.stats.conflicts += 1;
+        let conflict = if binary {
+            Conflict::Binary(lits[0], lits[1])
+        } else {
+            Conflict::Long(cref)
+        };
+        if !self.learn(conflict) {
+            // No room for the learnt clause: the solver is back at level
+            // 0, where the next search starts with the blocking clause
+            // stored.
+            return true;
+        }
+        if self.decision_level() == 0 && self.propagate().is_some() {
+            self.ok = false;
+            return false;
+        }
+        self.maybe_reduce_db();
+        true
     }
 
     /// The entry contract of [`Solver::solve_with_assumptions`]: each open
@@ -1051,39 +1191,14 @@ impl Solver {
                     self.ok = false;
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, bt_level, lbd) = self.analyze(confl);
-                // Never backtrack above level 0; assumption levels get
-                // re-established by the decision loop below.
-                self.cancel_until(bt_level);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], Reason::None);
-                } else {
-                    match self.db.alloc(&learnt, true, lbd) {
-                        Ok(cref) => {
-                            self.attach(cref);
-                            self.note_arena_size();
-                            self.stats.learnt_clauses += 1;
-                            self.bump_clause(cref);
-                            let reason = if learnt.len() == 2 {
-                                Reason::Binary(learnt[1])
-                            } else {
-                                Reason::Long(cref)
-                            };
-                            self.enqueue(learnt[0], reason);
-                        }
-                        Err(_) => {
-                            // Dropping a learnt clause is sound (it is
-                            // implied), but without room to learn, progress
-                            // guarantees are gone — stop honestly. Not
-                            // sticky: a later `retire_group`/`reduce_db`
-                            // cannot shrink the arena, but the caller may
-                            // still accept per-call `Unknown`s.
-                            self.cancel_until(0);
-                            return SearchOutcome::Stopped(StopReason::ResourceExhausted);
-                        }
-                    }
+                if !self.learn(confl) {
+                    // Dropping a learnt clause is sound (it is implied),
+                    // but without room to learn, progress guarantees are
+                    // gone — stop honestly. Not sticky: a later
+                    // `retire_group`/`reduce_db` cannot shrink the arena,
+                    // but the caller may still accept per-call `Unknown`s.
+                    return SearchOutcome::Stopped(StopReason::ResourceExhausted);
                 }
-                self.decay_activities();
                 if self.has_limits {
                     // Charging the pool per conflict bounds a shared
                     // pot's overshoot at one conflict per worker.
@@ -1095,10 +1210,7 @@ impl Solver {
                         return SearchOutcome::Stopped(reason);
                     }
                 }
-                if self.db.live_learnts() > self.max_learnts {
-                    self.reduce_db();
-                    self.max_learnts += self.max_learnts / 10;
-                }
+                self.maybe_reduce_db();
             } else {
                 // No conflict.
                 if self.has_limits && self.stats.decisions.is_multiple_of(TIME_POLL_STRIDE) {
@@ -1147,6 +1259,46 @@ impl Solver {
                     }
                 }
             }
+        }
+    }
+
+    /// Learns from `confl`, a conflict at the current decision level:
+    /// first-UIP analysis, a backjump to the learnt clause's assertion
+    /// level (never above level 0; assumption levels are re-established by
+    /// the search's decision loop), and the assertion of its UIP literal.
+    /// Returns `false`, back at level 0 with nothing asserted, when the
+    /// arena has no room for the clause.
+    fn learn(&mut self, confl: Conflict) -> bool {
+        let (learnt, bt_level, lbd) = self.analyze(confl);
+        self.cancel_until(bt_level);
+        if learnt.len() == 1 {
+            self.enqueue(learnt[0], Reason::None);
+        } else {
+            let Ok(cref) = self.db.alloc(&learnt, true, lbd) else {
+                self.cancel_until(0);
+                return false;
+            };
+            self.attach(cref);
+            self.note_arena_size();
+            self.stats.learnt_clauses += 1;
+            self.bump_clause(cref);
+            let reason = if learnt.len() == 2 {
+                Reason::Binary(learnt[1])
+            } else {
+                Reason::Long(cref)
+            };
+            self.enqueue(learnt[0], reason);
+        }
+        self.decay_activities();
+        true
+    }
+
+    /// Halves the learnt clauses once they outgrow `max_learnts`, which
+    /// then grows by a tenth.
+    fn maybe_reduce_db(&mut self) {
+        if self.db.live_learnts() > self.max_learnts {
+            self.reduce_db();
+            self.max_learnts += self.max_learnts / 10;
         }
     }
 
@@ -2157,7 +2309,12 @@ mod tests {
     /// A hard-ish pigeonhole-style instance: `holes + 1` pigeons into
     /// `holes` holes, guaranteed to generate conflicts.
     fn pigeonhole(holes: usize) -> Solver {
-        let pigeons = holes + 1;
+        pigeons_into_holes(holes + 1, holes)
+    }
+
+    /// Every pigeon in some hole, no two pigeons in one hole. With as many
+    /// pigeons as holes the models are the `holes!` perfect matchings.
+    fn pigeons_into_holes(pigeons: usize, holes: usize) -> Solver {
         let mut s = Solver::new(pigeons * holes);
         let var = |p: usize, h: usize| Var::new(p * holes + h);
         for p in 0..pigeons {
@@ -2180,19 +2337,7 @@ mod tests {
     fn budgeted_solve_on_satisfiable_instance_never_reports_unsat() {
         for budget in [0u64, 1, 2, 5, 20] {
             // Satisfiable: pigeonhole with a pigeon removed (n into n).
-            let holes = 6;
-            let mut s = Solver::new(holes * holes);
-            let var = |p: usize, h: usize| Var::new(p * holes + h);
-            for p in 0..holes {
-                s.add_clause((0..holes).map(|h| Lit::pos(var(p, h))));
-            }
-            for h in 0..holes {
-                for p1 in 0..holes {
-                    for p2 in (p1 + 1)..holes {
-                        s.add_clause([Lit::neg(var(p1, h)), Lit::neg(var(p2, h))]);
-                    }
-                }
-            }
+            let mut s = pigeons_into_holes(6, 6);
             s.set_budget(Budget::unlimited().with_conflicts(budget));
             match s.solve() {
                 SolveResult::Unsat => panic!("budget={budget}: lied about UNSAT"),
@@ -2424,5 +2569,250 @@ mod tests {
             s.stats().arena_bytes >= resident,
             "solve entry must restamp the gauge"
         );
+    }
+
+    // --- Enumeration by blocking: `solve_continue` + `block_model` -------
+
+    use std::collections::HashSet;
+
+    /// The blocking clause of the model `m` over all variables.
+    fn full_block(m: &Assignment) -> Vec<Lit> {
+        (0..m.num_vars())
+            .map(|v| {
+                let var = Var::new(v);
+                Lit::with_phase(var, !m.value(var).expect("models are total"))
+            })
+            .collect()
+    }
+
+    /// Enumerates the models of `s` by blocking full assignments, from
+    /// wherever the solver stands, until the clause set is refuted. Each
+    /// model goes into `seen`; a repeated one panics.
+    fn enumerate_by_blocking(s: &mut Solver, seen: &mut HashSet<Vec<bool>>) {
+        loop {
+            match s.solve_continue() {
+                SolveResult::Sat(m) => {
+                    let key: Vec<bool> = m.iter().map(|(_, b)| b).collect();
+                    assert!(seen.insert(key), "model repeated");
+                    s.check_integrity();
+                    if !s.block_model(full_block(&m)) {
+                        assert_eq!(s.level(), 0);
+                        return;
+                    }
+                    s.check_integrity();
+                }
+                SolveResult::Unsat => {
+                    assert_eq!(s.level(), 0);
+                    return;
+                }
+                SolveResult::Unknown(r) => panic!("unlimited enumeration stopped: {r:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn blocking_enumeration_finds_every_model_once() {
+        use presat_logic::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(2026);
+        for round in 0..60 {
+            let n = 6 + round % 5;
+            let m = rng.gen_range(0..3 * n);
+            let mut cnf = presat_logic::Cnf::new(n);
+            for _ in 0..m {
+                let width = 1 + rng.gen_range(0..3);
+                let c: Vec<Lit> = (0..width)
+                    .map(|_| lit(rng.gen_range(0..n), rng.gen_bool(0.5)))
+                    .collect();
+                cnf.add_clause(c);
+            }
+            let mut s = Solver::from_cnf(&cnf);
+            let mut seen = HashSet::new();
+            enumerate_by_blocking(&mut s, &mut seen);
+            assert_eq!(
+                seen.len() as u64,
+                truth_table::count_models(&cnf),
+                "model count on round {round}"
+            );
+            assert!(!s.is_ok(), "round {round}: enumeration ends refuted");
+            assert!(matches!(s.solve(), SolveResult::Unsat));
+        }
+    }
+
+    #[test]
+    fn blocking_clause_false_at_level_zero_refutes_without_search() {
+        let mut s = Solver::new(2);
+        s.add_clause([lit(0, true)]);
+        s.add_clause([lit(1, true)]);
+        let m = s.solve_continue().into_model().expect("sat");
+        assert_eq!(s.level(), 0, "both variables are level-0 units");
+        let before = *s.stats();
+        assert!(!s.block_model(full_block(&m)));
+        let after = *s.stats();
+        assert_eq!(
+            (after.decisions, after.conflicts, after.propagations),
+            (before.decisions, before.conflicts, before.propagations)
+        );
+        assert_eq!(after.problem_clauses, before.problem_clauses + 1);
+        assert!(matches!(s.solve_continue(), SolveResult::Unsat));
+        assert_eq!(s.stats().solves, before.solves + 1);
+    }
+
+    #[test]
+    fn unit_blocking_clauses_go_to_level_zero() {
+        // No clauses: x0 and x1 are decided, x2 stays a level-0 unit.
+        let mut s = Solver::new(3);
+        s.add_clause([lit(2, true)]);
+        let m = s.solve_continue().into_model().expect("sat");
+        assert!(s.level() > 0);
+        // ¬x2 is false at level 0 and drops out: the clause is the unit
+        // that flips x0.
+        let x0 = Lit::with_phase(Var::new(0), !m.value(Var::new(0)).unwrap());
+        assert!(s.block_model([x0, lit(2, false)]));
+        assert_eq!(s.level(), 0);
+        assert_eq!(s.lit_value(x0), Lbool::True);
+        assert_eq!(s.level_of(x0.var()), Some(0));
+        let m2 = s.solve_continue().into_model().expect("sat");
+        assert_eq!(m2.value(x0.var()), Some(x0.is_pos()));
+        // Blocking x0's only value left refutes the formula at once.
+        assert!(!s.block_model([!x0]));
+        assert!(matches!(s.solve_continue(), SolveResult::Unsat));
+
+        // A unit whose propagation conflicts at level 0 refutes too:
+        // x0 → x1 and x0 → ¬x1 leave x0 false, and the clause [x0]
+        // asserts it.
+        let mut s = Solver::new(2);
+        s.add_clause([lit(0, false), lit(1, true)]);
+        s.add_clause([lit(0, false), lit(1, false)]);
+        assert!(s.decide(lit(0, false)));
+        assert!(!s.block_model([lit(0, true)]));
+        assert_eq!(s.level(), 0);
+        assert!(!s.is_ok());
+    }
+
+    #[test]
+    fn binary_blocking_clause_asserts_with_a_binary_reason() {
+        let mut s = Solver::new(4);
+        for v in 0..4 {
+            assert!(s.decide(lit(v, false)));
+        }
+        // [x1, x3]: x3 alone on the top level 4, x1 on level 2.
+        assert!(s.block_model([lit(1, true), lit(3, true)]));
+        assert_eq!(s.level(), 2);
+        assert_eq!(s.lit_value(lit(3, true)), Lbool::True);
+        assert_eq!(s.level_of(Var::new(3)), Some(2));
+        assert_eq!(s.reasons[3], Reason::Binary(lit(1, true)));
+        s.check_integrity();
+        let m = s.solve_continue().into_model().expect("sat");
+        assert_eq!(m.value(Var::new(3)), Some(true));
+        assert_eq!(s.stats().conflicts, 0, "an asserting clause is no conflict");
+        // The binary clause is stored once and propagates like any other.
+        s.backtrack(0);
+        assert!(s.decide(lit(1, false)));
+        assert_eq!(s.lit_value(lit(3, true)), Lbool::True);
+    }
+
+    #[test]
+    fn long_blocking_clause_asserts_with_its_own_reason() {
+        let mut s = Solver::new(4);
+        for v in 0..4 {
+            assert!(s.decide(lit(v, false)));
+        }
+        assert!(s.block_model([lit(0, true), lit(1, true), lit(3, true)]));
+        assert_eq!(s.level(), 2);
+        assert_eq!(s.lit_value(lit(3, true)), Lbool::True);
+        assert!(matches!(s.reasons[3], Reason::Long(_)));
+        s.check_integrity();
+        assert!(s.solve_continue().is_sat());
+    }
+
+    #[test]
+    fn several_literals_on_the_top_level_learn_by_analysis() {
+        // (a ∨ b ∨ c): deciding ¬a, then ¬b, implies c on level 2. The
+        // blocking clause [a, b, ¬c] has b and ¬c on level 2; resolving it
+        // with c's reason learns (a ∨ b), which asserts b on level 1.
+        let (a, b, c) = (lit(0, true), lit(1, true), lit(2, true));
+        let mut s = Solver::new(4);
+        s.add_clause([a, b, c]);
+        assert!(s.decide(!a));
+        assert!(s.decide(!b));
+        assert!(s.decide(lit(3, false)));
+        assert_eq!(s.lit_value(c), Lbool::True);
+        assert!(s.block_model([a, b, !c]));
+        assert_eq!(s.stats().conflicts, 1);
+        assert_eq!(s.stats().learnt_clauses, 1);
+        assert_eq!(s.level(), 1);
+        assert_eq!(s.lit_value(b), Lbool::True);
+        assert_eq!(s.reasons[1], Reason::Binary(a));
+        s.check_integrity();
+        let mut seen = HashSet::new();
+        enumerate_by_blocking(&mut s, &mut seen);
+        for key in &seen {
+            assert!(key[0] || key[1] || key[2], "model violates (a ∨ b ∨ c)");
+            assert!(key[0] || key[1] || !key[2], "blocked model came back");
+        }
+
+        // Two literals on the top level that analysis collapses to a
+        // unit: (x0 ∨ x1) implies x1 on x0's level, and [x0, ¬x1] learns
+        // (x0) at level 0.
+        let mut s = Solver::new(2);
+        s.add_clause([lit(0, true), lit(1, true)]);
+        assert!(s.decide(lit(0, false)));
+        assert!(s.block_model([lit(0, true), lit(1, false)]));
+        assert_eq!(s.level(), 0);
+        assert_eq!(s.lit_value(lit(0, true)), Lbool::True);
+        let mut seen = HashSet::new();
+        enumerate_by_blocking(&mut s, &mut seen);
+        assert_eq!(seen.len(), 2, "x0 with either x1");
+    }
+
+    #[test]
+    fn limits_firing_mid_continuation_leave_level_zero() {
+        let install = |s: &mut Solver, reason: StopReason| match reason {
+            StopReason::Conflicts => s.set_budget(Budget::unlimited().with_conflicts(1)),
+            StopReason::Propagations => s.set_budget(Budget::unlimited().with_propagations(1)),
+            _ => {
+                let token = CancelToken::new();
+                token.cancel();
+                s.set_cancel(Some(token));
+            }
+        };
+        for reason in [
+            StopReason::Conflicts,
+            StopReason::Propagations,
+            StopReason::Cancelled,
+        ] {
+            // 120 models: the perfect matchings of 5 pigeons and 5 holes.
+            let mut s = pigeons_into_holes(5, 5);
+            let mut seen: HashSet<Vec<bool>> = HashSet::new();
+            let mut installed = false;
+            let stopped_at = loop {
+                match s.solve_continue() {
+                    SolveResult::Sat(m) => {
+                        assert!(seen.insert(m.iter().map(|(_, b)| b).collect()));
+                        assert!(s.block_model(full_block(&m)));
+                        // Install the limit while a backjump is pending
+                        // above level 0, ten models in.
+                        if !installed && seen.len() >= 10 && s.level() > 0 {
+                            install(&mut s, reason);
+                            installed = true;
+                        }
+                    }
+                    SolveResult::Unknown(r) => break r,
+                    SolveResult::Unsat => panic!("{reason:?}: the limit never fired"),
+                }
+            };
+            assert_eq!(stopped_at, reason);
+            assert_eq!(s.level(), 0, "{reason:?}: stopped above level 0");
+            s.check_integrity();
+            // Lifted, the solver goes on with a plain solve, then continues
+            // the enumeration to the end.
+            s.set_budget(Budget::unlimited());
+            s.set_cancel(None);
+            let m = s.solve().into_model().expect("models remain");
+            assert!(seen.insert(m.iter().map(|(_, b)| b).collect()));
+            assert!(s.add_clause(full_block(&m)));
+            enumerate_by_blocking(&mut s, &mut seen);
+            assert_eq!(seen.len(), 120, "{reason:?}");
+        }
     }
 }

@@ -55,12 +55,13 @@ fi
 
 # Lint gate: the chrono enumeration engine is blocking-clause-free by
 # construction — nothing in crates/core/src/chrono.rs may reach for
-# add_clause (or any other clause-DB mutation). The differential and
+# add_clause (or any other clause-DB mutation: block_model stores a
+# blocking clause, solve_continue learns clauses). The differential and
 # cross-engine suites check the counters at runtime; this pins the source.
 # (Comments and the in-file unit tests — which build Cnf fixtures — are
 # out of scope; only engine code above the #[cfg(test)] marker counts.)
 if sed -n '1,/#\[cfg(test)\]/p' crates/core/src/chrono.rs \
-    | grep -v '^\s*//' | grep -n 'add_clause\|add_blocking'; then
+    | grep -v '^\s*//' | grep -n 'add_clause\|add_blocking\|block_model\|solve_continue'; then
   echo "verify: FAIL — chrono enumeration must not touch the clause DB" >&2
   exit 1
 fi

@@ -753,3 +753,129 @@ fn session_and_excitation_work_is_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+/// The pinned baseline-engine counters, in this order: solver calls,
+/// blocking clauses, chrono backtracks, CDCL conflicts, decisions and
+/// propagations, cube count, cube-list digest.
+fn baseline_pinned(stats: &AllSatCounters, cubes: &CubeSet) -> [u64; 8] {
+    [
+        stats.solver_calls,
+        stats.blocking_clauses,
+        stats.chrono_backtracks,
+        stats.sat.conflicts,
+        stats.sat.decisions,
+        stats.sat.propagations,
+        cubes.len() as u64,
+        cube_digest(cubes),
+    ]
+}
+
+/// FNV-1a over a cube set in sorted order: pins which cubes an engine
+/// found, not the order it found them in.
+fn sorted_cube_digest(cubes: &CubeSet) -> u64 {
+    let mut sorted: Vec<&Cube> = cubes.iter().collect();
+    sorted.sort_unstable();
+    cube_digest(sorted)
+}
+
+/// The six problems the baseline pins run: the five random 3-CNFs of
+/// `success_driven_work_counters_are_pinned` projected onto their first
+/// 12 variables, then the `parity(8)` preimage of its parity latch.
+fn baseline_runs(engine: &dyn AllSatEngine, kind: SatPreimage) -> Vec<(AllSatCounters, CubeSet)> {
+    let mut runs: Vec<(AllSatCounters, CubeSet)> = (1..=5)
+        .map(|seed| {
+            let problem = AllSatProblem::new(random_3cnf(seed, 24, 66), Var::range(12).collect());
+            let r = engine.enumerate(&problem);
+            assert!(r.complete, "{} seed {seed}", engine.name());
+            (r.stats, r.cubes)
+        })
+        .collect();
+    let r = kind.preimage(&generators::parity(8), &StateSet::from_state_bits(3, 9));
+    runs.push((r.stats.allsat, r.states.cubes().clone()));
+    runs
+}
+
+/// Golden work of the two baselines that run a search of their own
+/// design: min-blocking, whose lifted cover depends on the order of its
+/// models, and chrono, which drives the decision stack itself. Every
+/// counter and the ordered cube list are pinned, so no change to the
+/// solver's enumeration entry points may move either engine.
+#[test]
+fn min_blocking_and_chrono_work_is_pinned() {
+    use presat::allsat::{ChronoAllSat, MinimizedBlockingAllSat};
+
+    let got: Vec<[u64; 8]> =
+        baseline_runs(&MinimizedBlockingAllSat::new(), SatPreimage::min_blocking())
+            .iter()
+            .chain(&baseline_runs(&ChronoAllSat::new(), SatPreimage::chrono()))
+            .map(|(stats, cubes)| baseline_pinned(stats, cubes))
+            .collect();
+    let want: [[u64; 8]; 12] = [
+        // min-blocking: five random 3-CNFs, then the parity(8) preimage
+        [117, 117, 0, 98, 1181, 3345, 104, 11205744616257318515],
+        [19, 19, 0, 25, 150, 608, 17, 1927518456839400242],
+        [57, 57, 0, 65, 501, 1777, 49, 14112125831840501120],
+        [92, 91, 0, 97, 861, 2743, 86, 6371092876499726624],
+        [50, 50, 0, 43, 475, 1415, 41, 14825852877368371960],
+        [128, 128, 0, 175, 885, 5112, 128, 177390817022236321],
+        // chrono: the same six problems
+        [1, 0, 429, 101, 2277, 4603, 329, 8267477318957992065],
+        [1, 0, 210, 151, 540, 1581, 60, 3591139321500767540],
+        [1, 0, 225, 137, 684, 1826, 89, 12728153627424808150],
+        [1, 0, 589, 123, 2473, 5816, 467, 3991348446403009088],
+        [1, 0, 345, 137, 1572, 3462, 209, 5842231895759896058],
+        [1, 0, 127, 0, 382, 1119, 128, 15443515899006749957],
+    ];
+    assert_eq!(got, want);
+}
+
+/// Golden answers of plain blocking on the same six problems: the cube
+/// count, the blocking-clause count (one per minterm) and the sorted cube
+/// set. The order of the cubes follows the order of the models, which
+/// the search may change; the set may not.
+#[test]
+fn plain_blocking_answers_are_pinned() {
+    let got: Vec<[u64; 3]> = baseline_runs(&BlockingAllSat::new(), SatPreimage::blocking())
+        .iter()
+        .map(|(stats, cubes)| {
+            [
+                cubes.len() as u64,
+                stats.blocking_clauses,
+                sorted_cube_digest(cubes),
+            ]
+        })
+        .collect();
+    let want: [[u64; 3]; 6] = [
+        [397, 397, 12134979591538034803],
+        [72, 72, 15253096072498424366],
+        [134, 134, 15763832953203149577],
+        [484, 484, 16744784755451231494],
+        [242, 242, 16168922754121470166],
+        [256, 256, 7103270254371617349],
+    ];
+    assert_eq!(got, want);
+}
+
+/// Plain blocking continues its search from each model instead of
+/// restarting it. The preimage of "latch 0 = 1" on a 12-bit shift
+/// register holds all 4 096 states, and a search that restarted from
+/// level 0 per model spent 38 557 decisions and 52 911 propagations on
+/// it; one that backjumps from each model needs about one decision and
+/// two propagations per minterm.
+#[test]
+fn plain_blocking_work_per_minterm_is_bounded() {
+    let r = SatPreimage::blocking().preimage(
+        &generators::shift_register(12),
+        &StateSet::from_partial(&[(0, true)]),
+    );
+    let cubes = r.stats.result_cubes;
+    assert_eq!(cubes, 4096);
+    assert_eq!(r.stats.allsat.blocking_clauses, 4096);
+    let sat = &r.stats.allsat.sat;
+    assert!(
+        sat.decisions <= 2 * cubes && sat.propagations <= 4 * cubes,
+        "decisions {} and propagations {} for {cubes} cubes",
+        sat.decisions,
+        sat.propagations
+    );
+}
