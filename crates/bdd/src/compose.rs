@@ -22,7 +22,10 @@ impl BddManager {
     /// during reconstruction) or maps outside the manager space.
     pub fn rename(&mut self, f: BddId, map: &HashMap<Var, Var>) -> BddId {
         for (from, to) in map {
-            assert!(from.index() < self.num_vars(), "rename source outside order");
+            assert!(
+                from.index() < self.num_vars(),
+                "rename source outside order"
+            );
             assert!(to.index() < self.num_vars(), "rename target outside order");
         }
         let mut memo = HashMap::new();

@@ -189,10 +189,7 @@ mod tests {
         let cubes = m.to_cube_set(f);
         let g = m.from_cube_set(&cubes);
         assert_eq!(f, g);
-        assert_eq!(
-            cubes.minterm_count(3),
-            m.satcount(f, 3)
-        );
+        assert_eq!(cubes.minterm_count(3), m.satcount(f, 3));
     }
 
     #[test]

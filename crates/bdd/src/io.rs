@@ -30,12 +30,7 @@ impl BddManager {
             BddId::TRUE => "t".to_string(),
             other => format!("n{}", other.index()),
         };
-        let _ = writeln!(
-            out,
-            "  n{} [label=\"{}\"];",
-            f.index(),
-            self.node_var(f)
-        );
+        let _ = writeln!(out, "  n{} [label=\"{}\"];", f.index(), self.node_var(f));
         let _ = writeln!(
             out,
             "  n{} -> {} [style=dashed];",

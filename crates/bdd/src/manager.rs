@@ -81,7 +81,10 @@ impl BddManager {
     ///
     /// Panics if `var` is outside the manager's variable space.
     pub fn var(&mut self, var: Var) -> BddId {
-        assert!(var.index() < self.num_vars, "variable outside manager order");
+        assert!(
+            var.index() < self.num_vars,
+            "variable outside manager order"
+        );
         self.mk(var.index() as u32, BddId::FALSE, BddId::TRUE)
     }
 
@@ -178,10 +181,7 @@ impl BddManager {
         if let Some(&r) = self.cache.get(&key) {
             return r;
         }
-        let level = self
-            .level(f)
-            .min(self.level(g))
-            .min(self.level(h));
+        let level = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = self.cofactors(f, level);
         let (g0, g1) = self.cofactors(g, level);
         let (h0, h1) = self.cofactors(h, level);
@@ -402,11 +402,7 @@ mod tests {
     #[test]
     fn cube_builds_conjunction() {
         let mut m = mgr(3);
-        let c = Cube::from_lits([
-            Lit::pos(Var::new(0)),
-            Lit::neg(Var::new(2)),
-        ])
-        .unwrap();
+        let c = Cube::from_lits([Lit::pos(Var::new(0)), Lit::neg(Var::new(2))]).unwrap();
         let f = m.cube(&c);
         assert!(m.eval(f, &Assignment::from_bits(0b001, 3)));
         assert!(!m.eval(f, &Assignment::from_bits(0b101, 3)));

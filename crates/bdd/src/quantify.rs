@@ -41,12 +41,7 @@ impl BddManager {
         self.exists_rec(f, &set, &mut memo)
     }
 
-    fn exists_rec(
-        &mut self,
-        f: BddId,
-        set: &LevelSet,
-        memo: &mut HashMap<BddId, BddId>,
-    ) -> BddId {
+    fn exists_rec(&mut self, f: BddId, set: &LevelSet, memo: &mut HashMap<BddId, BddId>) -> BddId {
         if f.is_terminal() || set.none_at_or_below(self.level(f)) {
             return f;
         }
@@ -214,9 +209,7 @@ mod tests {
             for _ in 0..6 {
                 let mk = |rng: &mut SplitMix64| {
                     (0..3)
-                        .map(|_| {
-                            Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5))
-                        })
+                        .map(|_| Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5)))
                         .collect::<Vec<_>>()
                 };
                 let c1 = mk(&mut rng);

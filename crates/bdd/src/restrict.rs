@@ -120,9 +120,7 @@ mod tests {
             for _ in 0..6 {
                 let mk = |rng: &mut SplitMix64| {
                     (0..3)
-                        .map(|_| {
-                            Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5))
-                        })
+                        .map(|_| Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5)))
                         .collect::<Vec<Lit>>()
                 };
                 let a = mk(&mut rng);
@@ -141,11 +139,7 @@ mod tests {
             for bits in 0..(1u64 << n) {
                 let a = Assignment::from_bits(bits, n);
                 if m.eval(care, &a) {
-                    assert_eq!(
-                        m.eval(g, &a),
-                        m.eval(f, &a),
-                        "round {round}, bits {bits:b}"
-                    );
+                    assert_eq!(m.eval(g, &a), m.eval(f, &a), "round {round}, bits {bits:b}");
                 }
             }
         }

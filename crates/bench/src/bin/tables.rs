@@ -72,7 +72,10 @@ fn dump_csv() {
     let engines: Vec<(&str, Box<dyn PreimageEngine>)> = vec![
         ("sat-blocking", Box::new(SatPreimage::blocking())),
         ("sat-min-blocking", Box::new(SatPreimage::min_blocking())),
-        ("sat-success-driven", Box::new(SatPreimage::success_driven())),
+        (
+            "sat-success-driven",
+            Box::new(SatPreimage::success_driven()),
+        ),
         ("bdd-sub", Box::new(BddPreimage::substitution())),
     ];
     for w in workloads::suite() {
@@ -125,9 +128,21 @@ fn table_e1() {
     println!("| circuit | k | states | unrolled ms | iterated ms |");
     println!("|---|---:|---:|---:|---:|");
     let cases = [
-        ("cnt10", presat_circuit::generators::counter(10, false), presat_preimage::StateSet::from_state_bits(512, 10)),
-        ("lfsr10", presat_circuit::generators::lfsr(10), presat_preimage::StateSet::from_state_bits(37, 10)),
-        ("arb3", presat_circuit::generators::round_robin_arbiter(3), presat_preimage::StateSet::from_partial(&[(3, true)])),
+        (
+            "cnt10",
+            presat_circuit::generators::counter(10, false),
+            presat_preimage::StateSet::from_state_bits(512, 10),
+        ),
+        (
+            "lfsr10",
+            presat_circuit::generators::lfsr(10),
+            presat_preimage::StateSet::from_state_bits(37, 10),
+        ),
+        (
+            "arb3",
+            presat_circuit::generators::round_robin_arbiter(3),
+            presat_preimage::StateSet::from_partial(&[(3, true)]),
+        ),
     ];
     for (label, circuit, target) in cases {
         let n = circuit.num_latches();
@@ -270,10 +285,7 @@ fn table_r4() {
         let nl = w.circuit.num_latches();
         let (t_s, r_s) = timed(&SatPreimage::success_driven(), &w);
         let (t_sub, r_sub) = timed(&BddPreimage::substitution(), &w);
-        assert_eq!(
-            r_s.states.minterm_count(nl),
-            r_sub.states.minterm_count(nl)
-        );
+        assert_eq!(r_s.states.minterm_count(nl), r_sub.states.minterm_count(nl));
         let mono_cells = if n <= MONO_CAP {
             let (t_mono, r_mono) = timed(&BddPreimage::monolithic(), &w);
             assert_eq!(
@@ -308,10 +320,7 @@ fn figure_f1() {
         let (t_b, r_b) = timed(&SatPreimage::blocking(), &w);
         let (t_m, _) = timed(&SatPreimage::min_blocking(), &w);
         let (t_s, r_s) = timed(&SatPreimage::success_driven(), &w);
-        assert_eq!(
-            r_b.states.minterm_count(nl),
-            r_s.states.minterm_count(nl)
-        );
+        assert_eq!(r_b.states.minterm_count(nl), r_s.states.minterm_count(nl));
         println!(
             "| {} | {} | {} | {} | {} |",
             n,
@@ -386,7 +395,10 @@ fn figure_f4() {
         ("sd full", Box::new(SatPreimage::success_driven())),
         (
             "sd static-sig",
-            Box::new(SatPreimage::success_driven_with(SignatureMode::Static, true)),
+            Box::new(SatPreimage::success_driven_with(
+                SignatureMode::Static,
+                true,
+            )),
         ),
         (
             "sd no-reuse",
@@ -408,7 +420,9 @@ fn figure_f4() {
     ];
     for w in ablation_workloads() {
         println!("\n### {}\n", w.label);
-        println!("| engine | time ms | solver calls | blocking clauses | graph nodes | cache hits |");
+        println!(
+            "| engine | time ms | solver calls | blocking clauses | graph nodes | cache hits |"
+        );
         println!("|---|---:|---:|---:|---:|---:|");
         for (name, engine) in &configs {
             let (t, r) = timed(engine.as_ref(), &w);

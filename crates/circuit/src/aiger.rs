@@ -115,7 +115,10 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
         let (idx, line) = lines.next().ok_or(ParseAigerError::Truncated)?;
         let lits: Vec<u64> = line
             .split_whitespace()
-            .map(|t| t.parse().map_err(|_| ParseAigerError::BadLiteral { line: idx + 1 }))
+            .map(|t| {
+                t.parse()
+                    .map_err(|_| ParseAigerError::BadLiteral { line: idx + 1 })
+            })
             .collect::<Result<_, _>>()?;
         if lits.is_empty() {
             return Err(ParseAigerError::BadDefinition {
@@ -197,7 +200,11 @@ pub fn parse(text: &str) -> Result<Circuit, ParseAigerError> {
 
     let resolve = |var_ref: &HashMap<usize, AigRef>, lit: u64| -> Result<AigRef, ParseAigerError> {
         if lit <= 1 {
-            return Ok(if lit == 1 { AigRef::TRUE } else { AigRef::FALSE });
+            return Ok(if lit == 1 {
+                AigRef::TRUE
+            } else {
+                AigRef::FALSE
+            });
         }
         let var = (lit / 2) as usize;
         let r = var_ref
@@ -372,13 +379,22 @@ mod tests {
     #[test]
     fn error_on_bad_header() {
         assert!(matches!(parse(""), Err(ParseAigerError::BadHeader)));
-        assert!(matches!(parse("aig 1 0 0 0 0\n"), Err(ParseAigerError::BadHeader)));
-        assert!(matches!(parse("aag 1 0 0\n"), Err(ParseAigerError::BadHeader)));
+        assert!(matches!(
+            parse("aig 1 0 0 0 0\n"),
+            Err(ParseAigerError::BadHeader)
+        ));
+        assert!(matches!(
+            parse("aag 1 0 0\n"),
+            Err(ParseAigerError::BadHeader)
+        ));
     }
 
     #[test]
     fn error_on_truncated_file() {
-        assert!(matches!(parse("aag 2 2 0 0 0\n2\n"), Err(ParseAigerError::Truncated)));
+        assert!(matches!(
+            parse("aag 2 2 0 0 0\n2\n"),
+            Err(ParseAigerError::Truncated)
+        ));
     }
 
     #[test]

@@ -537,8 +537,7 @@ mod tests {
                 assert!(seen.insert(state), "gray{n} revisited {state:b} early");
                 let words: Vec<u64> = (0..n).map(|j| state >> j & 1).collect();
                 let next = sim::next_state(&c, &[], &words);
-                let next_bits: u64 =
-                    next.iter().enumerate().map(|(j, w)| (w & 1) << j).sum();
+                let next_bits: u64 = next.iter().enumerate().map(|(j, w)| (w & 1) << j).sum();
                 assert_eq!(
                     (state ^ next_bits).count_ones(),
                     1,

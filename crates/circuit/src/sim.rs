@@ -108,9 +108,7 @@ mod tests {
             })
             .collect();
         let next = next_state(&c, &[], &state_words);
-        let decode = |lane: usize| -> u64 {
-            (0..4).map(|j| ((next[j] >> lane) & 1) << j).sum()
-        };
+        let decode = |lane: usize| -> u64 { (0..4).map(|j| ((next[j] >> lane) & 1) << j).sum() };
         assert_eq!(decode(0), 6);
         assert_eq!(decode(1), 0);
     }

@@ -50,11 +50,7 @@ impl<'a> Tseitin<'a> {
             leaf_vars.len() >= aig.leaf_count(),
             "need a CNF variable for every AIG leaf"
         );
-        let num_vars = leaf_vars
-            .iter()
-            .map(|v| v.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let num_vars = leaf_vars.iter().map(|v| v.index() + 1).max().unwrap_or(0);
         Self::with_base_cnf(aig, leaf_vars, Cnf::new(num_vars))
     }
 

@@ -243,7 +243,10 @@ impl AllSatEngine for ChronoAllSat {
                 // The absorb rule keeps the cubes pairwise disjoint, so
                 // none subsumes another: append without the store's scans.
                 cubes.push_disjoint(cube);
-                if limits.max_solutions.is_some_and(|max| minterms_emitted >= max) {
+                if limits
+                    .max_solutions
+                    .is_some_and(|max| minterms_emitted >= max)
+                {
                     stopped = Some(StopReason::MaxSolutions);
                     break;
                 }

@@ -64,7 +64,9 @@ impl EnumLimits {
 
 /// Internal helper: the merged stop outcome of an enumeration — `None`
 /// means the run was exhaustive.
-pub(crate) fn first_reason(reasons: impl IntoIterator<Item = Option<StopReason>>) -> Option<StopReason> {
+pub(crate) fn first_reason(
+    reasons: impl IntoIterator<Item = Option<StopReason>>,
+) -> Option<StopReason> {
     reasons.into_iter().flatten().next()
 }
 
@@ -87,7 +89,11 @@ mod tests {
     #[test]
     fn first_reason_picks_earliest_some() {
         assert_eq!(
-            first_reason([None, Some(StopReason::Deadline), Some(StopReason::Cancelled)]),
+            first_reason([
+                None,
+                Some(StopReason::Deadline),
+                Some(StopReason::Cancelled)
+            ]),
             Some(StopReason::Deadline)
         );
         assert_eq!(first_reason([None, None]), None);

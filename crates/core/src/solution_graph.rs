@@ -263,7 +263,9 @@ impl SolutionGraph {
             return;
         }
         if n == SolutionNodeId::TOP {
-            out.push_disjoint(Cube::from_lits(path.iter().copied()).expect("distinct path literals"));
+            out.push_disjoint(
+                Cube::from_lits(path.iter().copied()).expect("distinct path literals"),
+            );
             return;
         }
         let node = self.nodes[n.index()];

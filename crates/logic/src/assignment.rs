@@ -149,7 +149,10 @@ impl Assignment {
     ///
     /// Panics if the variable space exceeds 64 variables.
     pub fn to_bits(&self) -> u64 {
-        assert!(self.values.len() <= 64, "to_bits supports at most 64 variables");
+        assert!(
+            self.values.len() <= 64,
+            "to_bits supports at most 64 variables"
+        );
         self.iter()
             .fold(0u64, |acc, (v, b)| acc | (u64::from(b) << v.index()))
     }

@@ -177,7 +177,12 @@ impl Cnf {
 
 impl fmt::Debug for Cnf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Cnf({} vars, {} clauses)", self.num_vars, self.clauses.len())
+        write!(
+            f,
+            "Cnf({} vars, {} clauses)",
+            self.num_vars,
+            self.clauses.len()
+        )
     }
 }
 

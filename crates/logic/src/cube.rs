@@ -254,7 +254,13 @@ impl Cube {
 
     /// The cube with the literal on `var` removed (no-op if absent).
     pub fn without_var(&self, var: Var) -> Cube {
-        Cube::from_sorted(self.lits.iter().copied().filter(|l| l.var() != var).collect())
+        Cube::from_sorted(
+            self.lits
+                .iter()
+                .copied()
+                .filter(|l| l.var() != var)
+                .collect(),
+        )
     }
 
     /// The cofactor of this cube with respect to `lit` being asserted:
@@ -298,7 +304,11 @@ impl Cube {
     ///
     /// Panics if more than 64 variables in `vars` are free.
     pub fn expand_minterms(&self, vars: &[Var]) -> Vec<Cube> {
-        let free: Vec<Var> = vars.iter().copied().filter(|&v| !self.mentions(v)).collect();
+        let free: Vec<Var> = vars
+            .iter()
+            .copied()
+            .filter(|&v| !self.mentions(v))
+            .collect();
         assert!(free.len() <= 64, "too many free variables to expand");
         let mut out = Vec::with_capacity(1usize << free.len());
         for bits in 0..(1u64 << free.len()) {

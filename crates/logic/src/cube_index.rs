@@ -539,7 +539,10 @@ mod tests {
         assert!(s.insert(cube(&[(2, false), (3, true)])));
         // Wider cube absorbs the first, keeps the second's position.
         assert!(s.insert(cube(&[(0, true)])));
-        assert_eq!(s.cubes(), &[cube(&[(2, false), (3, true)]), cube(&[(0, true)])]);
+        assert_eq!(
+            s.cubes(),
+            &[cube(&[(2, false), (3, true)]), cube(&[(0, true)])]
+        );
         // Subsumed duplicate region: rejected.
         assert!(!s.insert(cube(&[(0, true), (5, false)])));
         assert!(!s.insert(cube(&[(0, true)])));

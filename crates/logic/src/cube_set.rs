@@ -479,7 +479,7 @@ mod tests {
         let mut s = CubeSet::new();
         s.insert(cube(&[(0, true)])); // covers 10,11 over 2 vars → {01,11}? no: x0=1 → {1x}
         s.insert(cube(&[(1, true)])); // x1=1
-        // union over 2 vars: x0 ∨ x1 → 3 minterms
+                                      // union over 2 vars: x0 ∨ x1 → 3 minterms
         assert_eq!(s.minterm_count(2), 3);
     }
 
@@ -490,7 +490,10 @@ mod tests {
         s.insert(cube(&[(0, true), (2, false)]));
         s.insert(cube(&[(1, false)]));
         s.insert(cube(&[(3, true), (0, false)]));
-        assert_eq!(s.minterm_count(4), s.enumerate_minterms(&vars).len() as u128);
+        assert_eq!(
+            s.minterm_count(4),
+            s.enumerate_minterms(&vars).len() as u128
+        );
     }
 
     #[test]
@@ -586,12 +589,18 @@ mod tests {
             s.insert(Cube::from_lits(lits).unwrap());
         }
         // Unlimited: covered.
-        assert_eq!(s.covers_cube_limited(&Cube::top(), &vars, u64::MAX), Some(true));
+        assert_eq!(
+            s.covers_cube_limited(&Cube::top(), &vars, u64::MAX),
+            Some(true)
+        );
         // A starved budget must come back unknown, not hang or guess.
         assert_eq!(s.covers_cube_limited(&Cube::top(), &vars, 3), None);
         // And a trivially-false query is cheap regardless of budget.
         let empty = CubeSet::new();
-        assert_eq!(empty.covers_cube_limited(&Cube::top(), &vars, 1), Some(false));
+        assert_eq!(
+            empty.covers_cube_limited(&Cube::top(), &vars, 1),
+            Some(false)
+        );
     }
 
     #[test]

@@ -119,12 +119,10 @@ pub fn parse(text: &str) -> Result<Cnf, ParseDimacsError> {
         let (num_vars, num_clauses) =
             header.ok_or(ParseDimacsError::BadHeader { line: line_no })?;
         for token in trimmed.split_whitespace() {
-            let value: i64 = token
-                .parse()
-                .map_err(|_| ParseDimacsError::BadToken {
-                    line: line_no,
-                    token: token.to_string(),
-                })?;
+            let value: i64 = token.parse().map_err(|_| ParseDimacsError::BadToken {
+                line: line_no,
+                token: token.to_string(),
+            })?;
             if value == 0 {
                 if cnf.num_clauses() >= num_clauses {
                     return Err(ParseDimacsError::TooManyClauses {

@@ -120,7 +120,12 @@ impl Not for Lit {
 
 impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Lit({}{})", if self.is_neg() { "!" } else { "" }, self.var().index())
+        write!(
+            f,
+            "Lit({}{})",
+            if self.is_neg() { "!" } else { "" },
+            self.var().index()
+        )
     }
 }
 

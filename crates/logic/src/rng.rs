@@ -113,7 +113,10 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         // Known first output of the reference implementation for seed 0.
-        assert_eq!(SplitMix64::seed_from_u64(0).next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(
+            SplitMix64::seed_from_u64(0).next_u64(),
+            0xe220_a839_7b1d_cdaf
+        );
     }
 
     #[test]

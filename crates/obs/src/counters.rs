@@ -398,7 +398,11 @@ mod tests {
             p.sat_conflicts,
         ];
         assert_eq!(mirrors, [1, 2, 3, 4, 5]);
-        assert_eq!(p.values().iter().sum::<u64>(), 15, "every other counter is 0");
+        assert_eq!(
+            p.values().iter().sum::<u64>(),
+            15,
+            "every other counter is 0"
+        );
     }
 
     #[test]

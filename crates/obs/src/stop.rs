@@ -66,9 +66,7 @@ mod tests {
         ] {
             let s = r.as_str();
             assert!(!s.is_empty());
-            assert!(s
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c == '_'));
+            assert!(s.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
             assert_eq!(r.to_string(), s);
         }
     }

@@ -465,7 +465,9 @@ impl ReachDriver {
     /// Live clause-arena bytes of the driver's persistent session (`0` on
     /// the per-call path) — the admission-control gauge.
     pub fn arena_bytes(&self) -> u64 {
-        self.session.as_ref().map_or(0, SatPreimageSession::arena_bytes)
+        self.session
+            .as_ref()
+            .map_or(0, SatPreimageSession::arena_bytes)
     }
 
     /// Snapshot of the run so far as a [`ReachReport`] — callable at any
@@ -607,12 +609,10 @@ mod tests {
             ),
         ] {
             let engine = SatPreimage::success_driven();
-            let one_shot =
-                backward_reach(&engine, &circuit, &target, ReachOptions::default());
+            let one_shot = backward_reach(&engine, &circuit, &target, ReachOptions::default());
             assert!(one_shot.converged);
 
-            let mut driver =
-                ReachDriver::new(&engine, &circuit, &target, ReachOptions::default());
+            let mut driver = ReachDriver::new(&engine, &circuit, &target, ReachOptions::default());
             let quantum = Budget::unlimited().with_conflicts(1);
             let mut slices = 0u32;
             let mut interrupted = 0u32;
@@ -654,9 +654,8 @@ mod tests {
         assert_eq!(mid.reached_states, 2);
         assert!(!mid.converged);
         assert!(mid.complete); // not stopped, merely unfinished
-        while driver.step(&engine, &c, &Budget::unlimited(), &mut NullSink)
-            == ReachStep::Advanced
-        {}
+        while driver.step(&engine, &c, &Budget::unlimited(), &mut NullSink) == ReachStep::Advanced {
+        }
         assert!(driver.converged());
         assert_eq!(driver.report().reached_states, 8);
     }

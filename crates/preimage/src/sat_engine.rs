@@ -322,8 +322,8 @@ mod tests {
         for j in 0..2 {
             check_all_engines(&ctl2, &StateSet::from_partial(&[(j, true)]));
         }
-        let pre = SatPreimage::success_driven()
-            .preimage(&s27, &StateSet::from_partial(&[(0, true)]));
+        let pre =
+            SatPreimage::success_driven().preimage(&s27, &StateSet::from_partial(&[(0, true)]));
         assert_eq!(pre.stats.cones_skipped, 2, "two of three cones skipped");
     }
 

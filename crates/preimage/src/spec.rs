@@ -227,7 +227,9 @@ mod tests {
         assert_eq!(s.num_cubes(), 1);
         assert_eq!(s.minterm_count(100), 1u128 << 98);
         assert!(parse_state_spec("100=1", 100).is_err());
-        assert!(parse_state_spec("3=1,3=0", 8).unwrap_err().contains("twice"));
+        assert!(parse_state_spec("3=1,3=0", 8)
+            .unwrap_err()
+            .contains("twice"));
     }
 
     #[test]

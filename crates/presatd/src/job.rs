@@ -124,9 +124,11 @@ fn sat_u64(x: u128) -> u64 {
 /// through [`Budget::with_timeout`] so an absurd timeout means "no
 /// deadline" rather than an `Instant` overflow panic.
 fn deadline_from(limits: &RequestLimits) -> Option<Instant> {
-    limits
-        .timeout_ms
-        .and_then(|ms| Budget::unlimited().with_timeout(Duration::from_millis(ms)).deadline)
+    limits.timeout_ms.and_then(|ms| {
+        Budget::unlimited()
+            .with_timeout(Duration::from_millis(ms))
+            .deadline
+    })
 }
 
 impl Job {
@@ -155,7 +157,8 @@ impl Job {
                 max_solutions,
             } => {
                 let important: Vec<Var> = Var::range(project).collect();
-                let inc = IncrementalAllSat::new(cnf, important.clone(), SuccessDrivenAllSat::new(), 1);
+                let inc =
+                    IncrementalAllSat::new(cnf, important.clone(), SuccessDrivenAllSat::new(), 1);
                 (
                     id,
                     session,
@@ -478,10 +481,8 @@ impl Job {
                         *finished = true;
                     }
                     SolveResult::Unknown(reason) => {
-                        let out_of_conflicts = matches!(
-                            reason,
-                            StopReason::Conflicts | StopReason::Propagations
-                        );
+                        let out_of_conflicts =
+                            matches!(reason, StopReason::Conflicts | StopReason::Propagations);
                         if out_of_conflicts && *remaining_conflicts != Some(0) {
                             // The quantum tripped, not the request budget:
                             // stay queued and resume next slice.
@@ -511,8 +512,7 @@ impl Job {
                 // Solution caps count the whole job, not the slice: hand
                 // the engine only what the request still allows.
                 let found = graph.minterm_count(*accum);
-                let remaining_solutions =
-                    max_solutions.map(|m| m.saturating_sub(sat_u64(found)));
+                let remaining_solutions = max_solutions.map(|m| m.saturating_sub(sat_u64(found)));
                 if remaining_solutions == Some(0) {
                     emit_done_allsat(
                         out,
@@ -622,7 +622,15 @@ impl Job {
                 }
                 if pre.complete {
                     emit_done_preimage(
-                        out, id, timer, counters, graph, *accum, position_vars, true, None,
+                        out,
+                        id,
+                        timer,
+                        counters,
+                        graph,
+                        *accum,
+                        position_vars,
+                        true,
+                        None,
                     );
                     *finished = true;
                     return;
@@ -672,9 +680,7 @@ impl Job {
                     // Mid-frontier counter stops resume on the next slice;
                     // the driver itself turns a spent total budget into
                     // `Done` on that next step.
-                    ReachStep::Interrupted(
-                        StopReason::Conflicts | StopReason::Propagations,
-                    ) => {}
+                    ReachStep::Interrupted(StopReason::Conflicts | StopReason::Propagations) => {}
                     ReachStep::Interrupted(_) | ReachStep::Done => {
                         emit_done_reach(out, id, timer, driver, None);
                         *finished = true;
@@ -685,7 +691,12 @@ impl Job {
     }
 }
 
-fn stats_field(mut stats: Stats, timer: &Timer, complete: bool, stop: Option<StopReason>) -> String {
+fn stats_field(
+    mut stats: Stats,
+    timer: &Timer,
+    complete: bool,
+    stop: Option<StopReason>,
+) -> String {
     stats.wall_time_ns = timer.elapsed_ns();
     stats.with_stop(complete, stop).to_json()
 }
@@ -773,7 +784,12 @@ fn emit_done_reach(
 ) {
     let report = driver.report();
     let (complete, stop) = forced.unwrap_or((report.complete, report.stop_reason));
-    let rows: Vec<String> = report.reached.cubes().iter().map(|c| c.to_string()).collect();
+    let rows: Vec<String> = report
+        .reached
+        .cubes()
+        .iter()
+        .map(|c| c.to_string())
+        .collect();
     let ev = DoneEvent::new(id, "reach", complete, stop)
         .bool_field("converged", report.converged)
         .u64_field("iterations", report.iterations.len() as u64)
@@ -858,8 +874,8 @@ mod tests {
         // Reference: the sequential engine on the same problem.
         use presat_allsat::{AllSatEngine, AllSatProblem};
         let cnf = presat_logic::dimacs::parse(cnf_text).expect("cnf");
-        let reference = SuccessDrivenAllSat::new()
-            .enumerate(&AllSatProblem::new(cnf, Var::range(2).collect()));
+        let reference =
+            SuccessDrivenAllSat::new().enumerate(&AllSatProblem::new(cnf, Var::range(2).collect()));
         let want: Vec<String> = reference.cubes.iter().map(dimacs_cube).collect();
         assert!(
             done.contains(&string_array(want.clone())),

@@ -240,7 +240,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             } else {
                 let max_iter = v
                     .get("max_iter")
-                    .map(|j| j.as_usize().ok_or("reach: \"max_iter\" must be a non-negative integer"))
+                    .map(|j| {
+                        j.as_usize()
+                            .ok_or("reach: \"max_iter\" must be a non-negative integer")
+                    })
                     .transpose()?;
                 Ok(Request::Reach {
                     id,
@@ -323,7 +326,9 @@ fn load_circuit(v: &Json) -> Result<Circuit, String> {
     if let Some(stem) = name_hint {
         circuit.set_name(&stem);
     }
-    circuit.validate().map_err(|e| format!("invalid circuit: {e}"))?;
+    circuit
+        .validate()
+        .map_err(|e| format!("invalid circuit: {e}"))?;
     Ok(circuit)
 }
 
@@ -354,7 +359,9 @@ pub fn error_event(id: &str, message: &str) -> String {
 /// `{"id":…,"event":"ok","op":…}` — acknowledgment for `cancel`/`shutdown`.
 pub fn ok_event(id: &str, op: &str) -> String {
     let mut o = JsonObject::new();
-    o.field_str("id", id).field_str("event", "ok").field_str("op", op);
+    o.field_str("id", id)
+        .field_str("event", "ok")
+        .field_str("op", op);
     o.finish()
 }
 
@@ -524,7 +531,9 @@ mod tests {
             ),
             (r#"{"op":"cancel","id":"x"}"#, "\"job\" required"),
         ] {
-            let err = parse_request(line).map(|r| r.op().to_string()).expect_err(line);
+            let err = parse_request(line)
+                .map(|r| r.op().to_string())
+                .expect_err(line);
             assert!(err.contains(want), "{line}: {err}");
         }
     }
@@ -548,8 +557,8 @@ mod tests {
     #[test]
     fn dimacs_cube_matches_cli_rendering() {
         use presat_logic::{Lit, Var};
-        let cube = Cube::from_lits([Lit::pos(Var::new(0)), Lit::neg(Var::new(2))])
-            .expect("distinct vars");
+        let cube =
+            Cube::from_lits([Lit::pos(Var::new(0)), Lit::neg(Var::new(2))]).expect("distinct vars");
         assert_eq!(dimacs_cube(&cube), "1 -3 0");
         assert_eq!(dimacs_cube(&Cube::from_lits([]).expect("empty")), "0");
     }

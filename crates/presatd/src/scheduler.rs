@@ -214,7 +214,9 @@ impl Scheduler {
         let mut st = lock(&self.shared);
         let key = st.next_key;
         st.next_key += 1;
-        st.sessions.entry(job.session_name().to_string()).or_default();
+        st.sessions
+            .entry(job.session_name().to_string())
+            .or_default();
         st.live.insert(
             key,
             LiveJob {
@@ -260,10 +262,9 @@ impl Scheduler {
         }
         drop(st);
         let mut o = JsonObject::new();
-        o.field_str("id", id).field_str("event", "stats").field_raw(
-            "sessions",
-            &format!("[{}]", rows.join(",")),
-        );
+        o.field_str("id", id)
+            .field_str("event", "stats")
+            .field_raw("sessions", &format!("[{}]", rows.join(",")));
         o.finish()
     }
 
@@ -345,10 +346,7 @@ fn worker_loop(shared: &Shared) {
                 if st.shutdown {
                     return;
                 }
-                st = shared
-                    .work
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         // One quantum outside the lock: other workers keep slicing other
@@ -423,7 +421,10 @@ mod tests {
             if ls.iter().any(|l| l.contains(needle)) {
                 return ls;
             }
-            assert!(Instant::now() < deadline, "timed out waiting for {needle}: {ls:?}");
+            assert!(
+                Instant::now() < deadline,
+                "timed out waiting for {needle}: {ls:?}"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -553,18 +554,26 @@ mod tests {
         wait_for(&buf, r#""event":"accepted""#);
         // Wrong connection: the job is not visible there.
         let (out2, buf2) = capture();
-        submit(&sched, &out2, 4, r#"{"op":"cancel","id":"c0","job":"victim"}"#);
-        let ls = wait_for(&buf2, r#""event":"error""#);
-        assert!(
-            ls.iter().any(|l| l.contains("no running job")),
-            "{ls:?}"
+        submit(
+            &sched,
+            &out2,
+            4,
+            r#"{"op":"cancel","id":"c0","job":"victim"}"#,
         );
+        let ls = wait_for(&buf2, r#""event":"error""#);
+        assert!(ls.iter().any(|l| l.contains("no running job")), "{ls:?}");
         // Right connection: cancelled (or already complete — both legal).
-        submit(&sched, &out, 3, r#"{"op":"cancel","id":"c1","job":"victim"}"#);
+        submit(
+            &sched,
+            &out,
+            3,
+            r#"{"op":"cancel","id":"c1","job":"victim"}"#,
+        );
         let ls = lines(&buf);
         assert!(
             ls.iter().any(|l| {
-                l.contains(r#""id":"c1","event":"ok""#) || l.contains(r#""id":"c1","event":"error""#)
+                l.contains(r#""id":"c1","event":"ok""#)
+                    || l.contains(r#""id":"c1","event":"error""#)
             }),
             "{ls:?}"
         );

@@ -52,7 +52,9 @@ fn read_bounded_line<R: BufRead>(reader: &mut R) -> std::io::Result<LineOutcome>
             if line.is_empty() {
                 return Ok(LineOutcome::Eof);
             }
-            return Ok(LineOutcome::Line(String::from_utf8_lossy(&line).into_owned()));
+            return Ok(LineOutcome::Line(
+                String::from_utf8_lossy(&line).into_owned(),
+            ));
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
         let take = newline.map_or(chunk.len(), |i| i + 1);
@@ -69,7 +71,9 @@ fn read_bounded_line<R: BufRead>(reader: &mut R) -> std::io::Result<LineOutcome>
             if discarding {
                 return Ok(LineOutcome::Oversized);
             }
-            return Ok(LineOutcome::Line(String::from_utf8_lossy(&line).into_owned()));
+            return Ok(LineOutcome::Line(
+                String::from_utf8_lossy(&line).into_owned(),
+            ));
         }
     }
 }
@@ -219,8 +223,7 @@ pub fn run_tcp(scheduler: &Arc<Scheduler>, addr: &str) -> Result<(), String> {
 pub fn run_unix(scheduler: &Arc<Scheduler>, path: &str) -> Result<(), String> {
     use std::os::unix::net::UnixListener;
     let _ = std::fs::remove_file(path);
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("cannot bind {path:?}: {e}"))?;
+    let listener = UnixListener::bind(path).map_err(|e| format!("cannot bind {path:?}: {e}"))?;
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("cannot set {path:?} non-blocking: {e}"))?;
@@ -251,7 +254,10 @@ mod tests {
             read_bounded_line(&mut reader),
             Ok(LineOutcome::Line(l)) if l == "after"
         ));
-        assert!(matches!(read_bounded_line(&mut reader), Ok(LineOutcome::Eof)));
+        assert!(matches!(
+            read_bounded_line(&mut reader),
+            Ok(LineOutcome::Eof)
+        ));
     }
 
     #[test]

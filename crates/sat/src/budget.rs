@@ -253,9 +253,7 @@ mod tests {
     #[test]
     fn clipped_to_takes_minima_and_inherits_missing_limits() {
         let quantum = Budget::unlimited().with_conflicts(100);
-        let remaining = Budget::unlimited()
-            .with_conflicts(40)
-            .with_propagations(7);
+        let remaining = Budget::unlimited().with_conflicts(40).with_propagations(7);
         let slice = quantum.clipped_to(&remaining);
         assert_eq!(slice.conflicts, Some(40));
         assert_eq!(slice.propagations, Some(7));

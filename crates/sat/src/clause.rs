@@ -262,10 +262,7 @@ impl ClauseDb {
             let learnt = h & LEARNT_BIT != 0;
             let words = Self::words(len, learnt);
             let start = off + words - len;
-            if h & DELETED_BIT == 0
-                && len >= 3
-                && self.arena[start..off + words].contains(&code)
-            {
+            if h & DELETED_BIT == 0 && len >= 3 && self.arena[start..off + words].contains(&code) {
                 self.arena[off] = h | DELETED_BIT;
                 self.wasted += words;
                 if learnt {
@@ -410,7 +407,10 @@ mod tests {
         let mut db = ClauseDb::new();
         db.capacity = 6; // room for one 3-word binary clause, not two clauses
         db.alloc(&[lit(0), lit(1)], false, 0).unwrap();
-        assert_eq!(db.alloc(&[lit(2), lit(3), lit(4)], false, 0), Err(ArenaFull));
+        assert_eq!(
+            db.alloc(&[lit(2), lit(3), lit(4)], false, 0),
+            Err(ArenaFull)
+        );
         // The arena itself is untouched by the failed allocation.
         assert_eq!(db.arena_words(), 3);
     }

@@ -203,7 +203,9 @@ mod tests {
         // deterministic LCG to avoid a rand dev-dependency in this module
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
         for _ in 0..20 {

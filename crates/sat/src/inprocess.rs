@@ -335,10 +335,10 @@ mod tests {
         let mut out = Vec::new();
         for bits in 0..(1u32 << n) {
             let assign: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            let sat = cnf.clauses().iter().all(|c| {
-                c.iter()
-                    .any(|l| assign[l.var().index()] == l.is_pos())
-            });
+            let sat = cnf
+                .clauses()
+                .iter()
+                .all(|c| c.iter().any(|l| assign[l.var().index()] == l.is_pos()));
             if sat {
                 out.push(assign);
             }

@@ -1314,7 +1314,6 @@ impl Solver {
         self.pool_charged_propagations = 0;
     }
 
-
     /// Clones the solver for use as an independent enumeration worker.
     ///
     /// With the flat clause arena this is cheap: the whole clause database
@@ -1616,19 +1615,26 @@ impl Solver {
         // scan instead: every live binary clause must contribute exactly
         // its two entries, and nothing else may be present (multiset
         // equality — duplicate clauses are legal).
-        let mut expect: std::collections::HashMap<(u32, u32), i64> = std::collections::HashMap::new();
+        let mut expect: std::collections::HashMap<(u32, u32), i64> =
+            std::collections::HashMap::new();
         for cref in self.db.live_refs() {
             let m = self.db.meta(cref);
             if m.len != 2 {
                 continue;
             }
             let (l0, l1) = (self.db.lit_at(m.start), self.db.lit_at(m.start + 1));
-            *expect.entry(((!l0).code() as u32, l1.code() as u32)).or_default() += 1;
-            *expect.entry(((!l1).code() as u32, l0.code() as u32)).or_default() += 1;
+            *expect
+                .entry(((!l0).code() as u32, l1.code() as u32))
+                .or_default() += 1;
+            *expect
+                .entry(((!l1).code() as u32, l0.code() as u32))
+                .or_default() += 1;
         }
         for (code, bs) in self.bin_watches.iter().enumerate() {
             for &other in bs {
-                let e = expect.entry((code as u32, other.code() as u32)).or_default();
+                let e = expect
+                    .entry((code as u32, other.code() as u32))
+                    .or_default();
                 *e -= 1;
                 assert!(*e >= 0, "binary watcher without a live arena clause");
             }
@@ -2436,10 +2442,7 @@ mod tests {
         // learnt clauses.
         let mut s = pigeonhole(7);
         s.db.capacity = s.db.arena_words() as u32;
-        assert_eq!(
-            s.solve().stop_reason(),
-            Some(StopReason::ResourceExhausted)
-        );
+        assert_eq!(s.solve().stop_reason(), Some(StopReason::ResourceExhausted));
 
         // Exhaustion while adding problem clauses poisons the solver: the
         // stored formula is incomplete, so answers become Unknown. Four
@@ -2449,10 +2452,7 @@ mod tests {
         s.db.capacity = 4;
         assert!(s.add_clause([lit(0, true), lit(1, true)]));
         assert!(s.add_clause([lit(2, true), lit(3, true)])); // dropped
-        assert_eq!(
-            s.solve().stop_reason(),
-            Some(StopReason::ResourceExhausted)
-        );
+        assert_eq!(s.solve().stop_reason(), Some(StopReason::ResourceExhausted));
     }
 
     /// Tentpole invariant: a forced collection at level 0 leaves the
@@ -2473,7 +2473,7 @@ mod tests {
         }
         let mut s = Solver::from_cnf(&cnf);
         let _ = s.solve(); // warm: learnt clauses, phases
-        // Tombstone a few clause groups through retirement.
+                           // Tombstone a few clause groups through retirement.
         for _ in 0..3 {
             let act = Lit::pos(s.add_var());
             for _ in 0..4 {

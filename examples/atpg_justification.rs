@@ -42,12 +42,13 @@ fn main() {
     let justifiable = report.reached.contains_bits(reset, 3);
     println!(
         "\nstate justifiable from reset: {}",
-        if justifiable { "YES" } else { "no (untestable fault)" }
+        if justifiable {
+            "YES"
+        } else {
+            "no (untestable fault)"
+        }
     );
-    println!(
-        "states that can justify it: {} / 8",
-        report.reached_states
-    );
+    println!("states that can justify it: {} / 8", report.reached_states);
 
     // Depth = first iteration whose cumulative set contains reset.
     if justifiable {

@@ -47,7 +47,11 @@ fn main() {
     let reachable_from_reset = report.reached.contains_bits(reset_bits, 2 * n);
     println!(
         "reset state can reach the bad set: {}",
-        if reachable_from_reset { "YES — unsafe" } else { "no — safe from reset" }
+        if reachable_from_reset {
+            "YES — unsafe"
+        } else {
+            "no — safe from reset"
+        }
     );
 
     // Sanity: a single-token ring can only grant the token holder, so both

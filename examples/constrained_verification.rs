@@ -21,10 +21,9 @@ fn one_hot_env(n: usize) -> CubeSet {
     // At most one request asserted per cycle.
     let mut env = CubeSet::new();
     for hot in 0..=n {
-        let cube = Cube::from_lits((0..n).map(|i| {
-            Lit::with_phase(Var::new(i), hot < n && i == hot)
-        }))
-        .expect("distinct inputs");
+        let cube =
+            Cube::from_lits((0..n).map(|i| Lit::with_phase(Var::new(i), hot < n && i == hot)))
+                .expect("distinct inputs");
         env.insert(cube);
     }
     env

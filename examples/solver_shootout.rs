@@ -21,7 +21,15 @@ fn main() {
     println!("parity(n): preimage of «parity latch = 1» (2^(n-1) solution minterms)\n");
     println!(
         "{:>3} {:>10} | {:>10} {:>9} | {:>10} {:>9} | {:>10} {:>9} {:>7}",
-        "n", "solutions", "blk-time", "blk-cls", "min-time", "min-cls", "sd-time", "sd-nodes", "hits"
+        "n",
+        "solutions",
+        "blk-time",
+        "blk-cls",
+        "min-time",
+        "min-cls",
+        "sd-time",
+        "sd-nodes",
+        "hits"
     );
 
     for n in [4usize, 6, 8, 10, 12] {

@@ -46,8 +46,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use presat::allsat::{
-    AllSatEngine, AllSatProblem, BlockingAllSat, ChronoAllSat, EnumLimits,
-    MinimizedBlockingAllSat, ParallelAllSat,
+    AllSatEngine, AllSatProblem, BlockingAllSat, ChronoAllSat, EnumLimits, MinimizedBlockingAllSat,
+    ParallelAllSat,
 };
 use presat::circuit::{aiger, bench, Circuit};
 use presat::logic::{dimacs, Var};

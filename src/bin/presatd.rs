@@ -77,7 +77,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let stdin_mode = args.iter().any(|a| a == "--stdin");
     let listen = flag_value(args, "--listen");
     let unix = flag_value(args, "--unix");
-    let modes = usize::from(stdin_mode) + usize::from(listen.is_some()) + usize::from(unix.is_some());
+    let modes =
+        usize::from(stdin_mode) + usize::from(listen.is_some()) + usize::from(unix.is_some());
     if modes != 1 {
         print_usage();
         return Err("give exactly one of --stdin, --listen <addr>, --unix <path>".into());

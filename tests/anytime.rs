@@ -150,7 +150,8 @@ fn conflict_budgets_yield_sound_partial_results() {
             for budget in [0u64, 1, 2, 5, 1_000_000] {
                 let limits =
                     EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(budget));
-                let result = engine.enumerate_limited(&problem, &limits, &mut presat::obs::NullSink);
+                let result =
+                    engine.enumerate_limited(&problem, &limits, &mut presat::obs::NullSink);
                 assert_sound_partial_opts(
                     &result,
                     &full,
@@ -267,8 +268,7 @@ fn shared_pool_never_inflates_with_thread_count() {
         let cnf = random_cnf(&mut rng, 10, 32);
         let problem = AllSatProblem::new(cnf, Var::range(7).collect());
         for budget in [8u64, 40] {
-            let limits =
-                EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(budget));
+            let limits = EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(budget));
             for jobs in [1usize, 2, 4, 7] {
                 let result = ParallelAllSat::new(jobs).enumerate_limited(
                     &problem,
@@ -354,9 +354,15 @@ fn precancelled_run_is_empty_and_incomplete() {
     token.cancel();
     let limits = EnumLimits::none().with_cancel(token);
     for jobs in [1usize, 4] {
-        let result =
-            ParallelAllSat::new(jobs).enumerate_limited(&problem, &limits, &mut presat::obs::NullSink);
-        assert!(!result.complete, "jobs {jobs}: pre-cancelled run claims completion");
+        let result = ParallelAllSat::new(jobs).enumerate_limited(
+            &problem,
+            &limits,
+            &mut presat::obs::NullSink,
+        );
+        assert!(
+            !result.complete,
+            "jobs {jobs}: pre-cancelled run claims completion"
+        );
         assert_eq!(result.stop_reason, Some(StopReason::Cancelled));
         assert!(
             result.cubes.cubes().len() <= full.cubes.cubes().len(),
@@ -388,7 +394,10 @@ fn max_solutions_caps_enumeration() {
             );
             assert_sound_partial(&result, &full, k, &format!("case {case} cap {cap}"));
             if u128::from(cap) < total {
-                assert!(!result.complete, "case {case} cap {cap}: cap below total yet complete");
+                assert!(
+                    !result.complete,
+                    "case {case} cap {cap}: cap below total yet complete"
+                );
                 assert_eq!(result.stop_reason, Some(StopReason::MaxSolutions));
                 assert!(
                     result.minterm_count(k) >= u128::from(cap),
@@ -414,7 +423,10 @@ fn chrono_cancellation_and_caps_yield_disjoint_subsets() {
         let important: Vec<Var> = Var::range(k).collect();
         let problem = AllSatProblem::new(cnf, important);
         let full = ChronoAllSat::new().enumerate(&problem);
-        assert!(pairwise_disjoint(&full.cubes), "case {case}: full run overlaps");
+        assert!(
+            pairwise_disjoint(&full.cubes),
+            "case {case}: full run overlaps"
+        );
 
         // Cancellation after a random number of events.
         let cut = rng.gen_range(0..20) as u64;
@@ -456,7 +468,10 @@ fn chrono_cancellation_and_caps_yield_disjoint_subsets() {
     let limits = EnumLimits::none().with_cancel(token);
     let result =
         ChronoAllSat::new().enumerate_limited(&problem, &limits, &mut presat::obs::NullSink);
-    assert!(!result.complete, "pre-cancelled chrono run claims completion");
+    assert!(
+        !result.complete,
+        "pre-cancelled chrono run claims completion"
+    );
     assert_eq!(result.stop_reason, Some(StopReason::Cancelled));
 }
 

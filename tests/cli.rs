@@ -65,7 +65,11 @@ fn allsat_projection() {
     // projection = {x1=0 (x2=1 completes), x1=1} = everything → 2 minterms.
     let cnf = write_temp("allsat.cnf", "p cnf 2 1\n1 2 0\n");
     let out = presat(&["allsat", cnf.to_str().unwrap(), "--project", "1"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("2 minterms"), "{stdout}");
 }
@@ -101,13 +105,12 @@ fn info_reads_bench() {
 #[test]
 fn preimage_on_aiger_counter() {
     let path = write_temp("cnt3.aag", COUNTER3_AAG);
-    let out = presat(&[
-        "preimage",
-        path.to_str().unwrap(),
-        "--target",
-        "5",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = presat(&["preimage", path.to_str().unwrap(), "--target", "5"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 states"), "{stdout}");
 }
@@ -173,7 +176,11 @@ fn excite_command() {
     let path = write_temp("toggle4.bench", TOGGLE_BENCH);
     // q = s: excitable (value 1) exactly from the state with s = 1.
     let out = presat(&["excite", path.to_str().unwrap(), "--output", "0"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 states"), "{stdout}");
     // value 0: the other state.
@@ -212,7 +219,10 @@ fn depth_command() {
     let out = presat(&["depth", path.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("sequential depth from the initial set: 7"), "{stdout}");
+    assert!(
+        stdout.contains("sequential depth from the initial set: 7"),
+        "{stdout}"
+    );
     let out = presat(&["depth", path.to_str().unwrap(), "--initial", "6"]);
     assert!(String::from_utf8_lossy(&out.stdout).contains(": 7"));
 }
@@ -232,7 +242,11 @@ fn stats_flag_emits_json_counters() {
         "5",
         "--stats",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json_line = stdout
         .lines()
@@ -261,7 +275,10 @@ fn stats_flag_emits_json_counters() {
     let out = presat(&["solve", cnf.to_str().unwrap(), "--stats"]);
     assert_eq!(out.status.code(), Some(10));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
+    let json_line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("JSON line");
     json::validate(json_line).unwrap();
     assert_eq!(json::extract_u64(json_line, "sat.solves"), Some(1));
 
@@ -269,14 +286,20 @@ fn stats_flag_emits_json_counters() {
     let out = presat(&["allsat", cnf.to_str().unwrap(), "--project", "1", "--stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
+    let json_line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("JSON line");
     json::validate(json_line).unwrap();
     assert!(json::extract_u64(json_line, "allsat.solutions").unwrap_or(0) > 0);
 
     let out = presat(&["reach", path.to_str().unwrap(), "--target", "0", "--stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let json_line = stdout.lines().find(|l| l.starts_with('{')).expect("JSON line");
+    let json_line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("JSON line");
     json::validate(json_line).unwrap();
     assert_eq!(json::extract_u64(json_line, "preimage.iterations"), Some(8));
 }
@@ -387,7 +410,11 @@ fn unknown_engine_is_a_hard_error_listing_valid_engines() {
         let mut args: Vec<&str> = case.to_vec();
         args.extend(["--engine", "frobnicate"]);
         let out = presat(&args);
-        assert_eq!(out.status.code(), Some(2), "{case:?} accepted a bogus engine");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{case:?} accepted a bogus engine"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown engine"), "{case:?}: {stderr}");
         assert!(

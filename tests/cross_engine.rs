@@ -12,9 +12,15 @@ fn engines() -> Vec<Box<dyn PreimageEngine>> {
         Box::new(SatPreimage::min_blocking()),
         Box::new(SatPreimage::chrono()),
         Box::new(SatPreimage::success_driven()),
-        Box::new(SatPreimage::success_driven_with(SignatureMode::Static, true)),
+        Box::new(SatPreimage::success_driven_with(
+            SignatureMode::Static,
+            true,
+        )),
         Box::new(SatPreimage::success_driven_with(SignatureMode::None, true)),
-        Box::new(SatPreimage::success_driven_with(SignatureMode::Dynamic, false)),
+        Box::new(SatPreimage::success_driven_with(
+            SignatureMode::Dynamic,
+            false,
+        )),
         Box::new(BddPreimage::substitution()),
         Box::new(BddPreimage::monolithic()),
     ]
@@ -155,7 +161,8 @@ fn chrono_is_blocking_clause_free_and_deterministic() {
         assert_eq!(a.states.cubes(), b.states.cubes(), "{}", c.name());
         assert_eq!(a.stats.allsat.blocking_clauses, 0, "{}", c.name());
         assert_eq!(
-            a.stats.allsat.db_clauses_peak, a.stats.allsat.sat.problem_clauses,
+            a.stats.allsat.db_clauses_peak,
+            a.stats.allsat.sat.problem_clauses,
             "{}: clause DB grew during chrono enumeration",
             c.name()
         );

@@ -7,18 +7,13 @@ use presat::logic::{Assignment, Cube, CubeSet, Lit, Var};
 use presat::preimage::{BddPreimage, PreimageEngine, SatPreimage, StateSet};
 
 /// Exhaustive oracle with an input filter.
-fn oracle_constrained(
-    circuit: &Circuit,
-    target: &StateSet,
-    env: &CubeSet,
-) -> Vec<u64> {
+fn oracle_constrained(circuit: &Circuit, target: &StateSet, env: &CubeSet) -> Vec<u64> {
     let n = circuit.num_latches();
     let m = circuit.num_inputs();
     let mut out: Vec<u64> = sim::enumerate_transitions(circuit)
         .into_iter()
         .filter(|&(_, w, next)| {
-            env.contains_minterm(&Assignment::from_bits(w, m))
-                && target.contains_bits(next, n)
+            env.contains_minterm(&Assignment::from_bits(w, m)) && target.contains_bits(next, n)
         })
         .map(|(s, _, _)| s)
         .collect();
@@ -63,9 +58,7 @@ fn enable_forced_high_removes_self_loops() {
     let env: CubeSet = [cube(&[(0, true)])].into_iter().collect();
     let t = StateSet::from_state_bits(9, 4);
     check(&c, &t, &env);
-    let pre = SatPreimage::success_driven()
-        .with_env(env)
-        .preimage(&c, &t);
+    let pre = SatPreimage::success_driven().with_env(env).preimage(&c, &t);
     assert_eq!(pre.states.minterm_count(4), 1);
     assert!(pre.states.contains_bits(8, 4));
 }
@@ -110,7 +103,7 @@ fn serial_input_pinned_on_shift_register() {
 #[test]
 fn multi_cube_environment_on_comparator() {
     let c = generators::comparator(2); // 4 inputs
-    // B restricted to {00, 11}.
+                                       // B restricted to {00, 11}.
     let env: CubeSet = [
         cube(&[(2, false), (3, false)]),
         cube(&[(2, true), (3, true)]),

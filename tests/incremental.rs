@@ -254,14 +254,18 @@ fn incremental_session_arena_stays_bounded_across_deep_fixed_point() {
             total_group_bytes += 4 * (1 + 4);
             session.add_clause(c);
         }
-        let result = session.enumerate_limited(&[act], &EnumLimits::none(), &mut presat::obs::NullSink);
+        let result =
+            session.enumerate_limited(&[act], &EnumLimits::none(), &mut presat::obs::NullSink);
         assert!(result.complete, "unbudgeted enumeration must finish");
         compactions += result.stats.sat.db_compactions;
         reclaimed += result.stats.sat.clauses_reclaimed;
         last_arena_bytes = result.stats.sat.arena_bytes;
         session.retire(act);
     }
-    assert!(compactions > 0, "GC never ran across {rounds} retirement rounds");
+    assert!(
+        compactions > 0,
+        "GC never ran across {rounds} retirement rounds"
+    );
     assert!(reclaimed > 0, "GC ran but reclaimed nothing");
     assert!(last_arena_bytes > 0, "arena gauge never stamped");
     // Without GC the arena holds every group ever added (plus learnts); with
@@ -280,7 +284,10 @@ fn incremental_session_arena_stays_bounded_across_deep_fixed_point() {
 /// retirement, must be bit-identical.
 #[test]
 fn chrono_cold_oracle_pins_incremental_sessions() {
-    use presat::allsat::{AllSatEngine, AllSatProblem, ChronoAllSat, EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
+    use presat::allsat::{
+        AllSatEngine, AllSatProblem, ChronoAllSat, EnumLimits, IncrementalAllSat,
+        SuccessDrivenAllSat,
+    };
     use presat::logic::rng::SplitMix64;
     use presat::logic::{Cnf, Lit, Var};
 

@@ -263,11 +263,8 @@ fn mid_session_round_trip(jobs: usize) {
             group_clauses.push(c.clone());
             session.add_clause(c);
         }
-        let got = session.enumerate_limited(
-            &[act],
-            &EnumLimits::none(),
-            &mut presat::obs::NullSink,
-        );
+        let got =
+            session.enumerate_limited(&[act], &EnumLimits::none(), &mut presat::obs::NullSink);
         assert!(got.complete, "round {round}");
         rounds_per_call.push(got.stats.sat.inprocess_rounds);
 

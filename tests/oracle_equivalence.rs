@@ -134,10 +134,7 @@ fn sat_vs_bdd_on_mid_size() {
     let t = StateSet::from_partial(&[(8, true)]);
     let sat = SatPreimage::success_driven().preimage(&c, &t);
     let bdd = BddPreimage::substitution().preimage(&c, &t);
-    assert_eq!(
-        sat.states.minterm_count(9),
-        bdd.states.minterm_count(9)
-    );
+    assert_eq!(sat.states.minterm_count(9), bdd.states.minterm_count(9));
     // Exact parity count: odd-parity data states × free parity latch.
     assert_eq!(sat.states.minterm_count(9), 256);
 }

@@ -236,7 +236,11 @@ fn reach_parallel_threshold_knob_never_changes_results() {
             &target,
             ReachOptions::default(),
         );
-        assert_eq!(par.reached.cubes(), seq.reached.cubes(), "threshold {threshold}");
+        assert_eq!(
+            par.reached.cubes(),
+            seq.reached.cubes(),
+            "threshold {threshold}"
+        );
         assert_eq!(par.reached_states, seq.reached_states);
         assert_eq!(par.iterations.len(), seq.iterations.len());
     }

@@ -68,9 +68,9 @@ fn malformed_json_gets_an_error_event_and_the_stream_survives() {
     );
     // The bad line did not poison the connection: the next request ran.
     assert!(
-        lines
-            .iter()
-            .any(|l| l.contains(r#""id":"after","event":"done""#) && l.contains(r#""result":"sat""#)),
+        lines.iter().any(
+            |l| l.contains(r#""id":"after","event":"done""#) && l.contains(r#""result":"sat""#)
+        ),
         "{lines:?}"
     );
 }
@@ -91,14 +91,17 @@ fn oversized_request_lines_are_rejected_without_buffering() {
     // 5 MiB of garbage on one line crosses the 4 MiB request cap; the
     // daemon must reject it and keep serving.
     let huge = "x".repeat(5 << 20);
-    let input = format!("{huge}\n{{\"op\":\"solve\",\"id\":\"ok\",\"cnf\":\"p cnf 1 1\\n1 0\\n\"}}\n");
+    let input =
+        format!("{huge}\n{{\"op\":\"solve\",\"id\":\"ok\",\"cnf\":\"p cnf 1 1\\n1 0\\n\"}}\n");
     let lines = run_stdin(&[], &input);
     assert!(
         lines.iter().any(|l| l.contains("byte line limit")),
         "{lines:?}"
     );
     assert!(
-        lines.iter().any(|l| l.contains(r#""id":"ok","event":"done""#)),
+        lines
+            .iter()
+            .any(|l| l.contains(r#""id":"ok","event":"done""#)),
         "{lines:?}"
     );
 }
@@ -151,7 +154,10 @@ fn stats_reports_accumulated_result_cubes_per_session() {
     let want;
     loop {
         let mut l = String::new();
-        assert!(reader.read_line(&mut l).expect("read") > 0, "eof before done");
+        assert!(
+            reader.read_line(&mut l).expect("read") > 0,
+            "eof before done"
+        );
         if l.contains(r#""id":"a","event":"done""#) {
             assert!(l.contains(r#""complete":true"#), "{l}");
             want = l
@@ -176,7 +182,10 @@ fn stats_reports_accumulated_result_cubes_per_session() {
             .expect("stats written");
         loop {
             let mut l = String::new();
-            assert!(reader.read_line(&mut l).expect("read") > 0, "eof before stats");
+            assert!(
+                reader.read_line(&mut l).expect("read") > 0,
+                "eof before stats"
+            );
             if l.contains(r#""event":"stats""#) {
                 let row = l
                     .split(r#""session":"acc""#)
@@ -352,7 +361,9 @@ fn stdin_eof_drains_queued_jobs_before_exit() {
         "{\"op\":\"allsat\",\"id\":\"d\",\"cnf\":\"p cnf 2 1\\n1 2 0\\n\",\"project\":2}\n",
     );
     assert!(
-        lines.iter().any(|l| l.contains(r#""id":"d","event":"done""#)),
+        lines
+            .iter()
+            .any(|l| l.contains(r#""id":"d","event":"done""#)),
         "{lines:?}"
     );
 }
