@@ -3,8 +3,8 @@
 //! count that follows from the problem), not a run's counters, so a
 //! change to the search may move the work but never these.
 
-use presat_bench::workloads::{scaling_workload, suite};
-use presat_preimage::{PreimageEngine, SatPreimage};
+use presat_bench::workloads::{sat_vs_bdd_workload, scaling_workload, suite};
+use presat_preimage::{BddPreimage, PreimageEngine, SatPreimage};
 
 /// R3: plain blocking adds one blocking clause per solution minterm of
 /// every suite preimage, minterms counted by the success-driven engine.
@@ -46,6 +46,38 @@ fn f2_parity_family_representation_sizes() {
             graph.stats.graph_nodes,
             2 * n as u64 + 1,
             "n = {n}: graph nodes"
+        );
+    }
+}
+
+/// R4: on `comparator(n)` the preimage of "comparison latch = 1" depends
+/// on the `A` block only through whether it is zero, so the success-driven
+/// search merges every prefix of one shape and makes a linear number of
+/// solver calls into a graph of `n + 2` nodes, while the monolithic BDD
+/// grows at least tenfold per two added bits. A key that split prefixes
+/// by the shape of their auxiliary chains made `2^n` calls.
+#[test]
+fn r4_comparator_family_shapes() {
+    for n in 4..=16 {
+        let w = sat_vs_bdd_workload(n);
+        let r = SatPreimage::success_driven().preimage(&w.circuit, &w.target);
+        let calls = r.stats.allsat.solver_calls;
+        assert!(calls <= 2 * n as u64 + 2, "n = {n}: {calls} solver calls");
+        assert_eq!(r.stats.graph_nodes, n as u64 + 2, "n = {n}: graph nodes");
+    }
+    let mono = |n| {
+        let w = sat_vs_bdd_workload(n);
+        BddPreimage::monolithic()
+            .preimage(&w.circuit, &w.target)
+            .stats
+            .bdd_nodes
+    };
+    for n in [4, 6] {
+        let (small, large) = (mono(n), mono(n + 2));
+        assert!(
+            large >= 10 * small,
+            "bdd-mono nodes {small} at n = {n}, {large} at n = {}",
+            n + 2
         );
     }
 }

@@ -30,7 +30,7 @@
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 
-use presat_logic::{Cnf, Var};
+use presat_logic::{Cnf, Lit, Var};
 
 use crate::solution_graph::SolutionNodeId;
 
@@ -120,21 +120,24 @@ impl ConnectivityIndex {
 /// the prefix**: clauses satisfied by the propagation are gone, falsified
 /// literals are deleted from the survivors, and the suffix subspace is
 /// characterized exactly by the *contents* of the surviving clauses
-/// reachable from the suffix variables, less the clauses that a *pure
-/// auxiliary literal* satisfies. Two prefixes with identical reduced
-/// cones have identical suffix solution sets, even when the prefixes
-/// themselves differ everywhere — e.g. all even-parity prefixes of a parity
-/// constraint share one cone.
+/// reachable from the suffix variables, once bounded resolution has
+/// eliminated what auxiliary variables it can. Two prefixes with identical
+/// reduced cones have identical suffix solution sets, even when the
+/// prefixes themselves differ everywhere — e.g. all even-parity prefixes
+/// of a parity constraint share one cone.
 ///
-/// A pure auxiliary literal belongs to an unassigned variable outside the
-/// suffix whose residual occurrences in the cone all have one phase. Such
-/// a variable is existentially quantified, and setting it to that phase
-/// satisfies every clause that holds it without touching a suffix
-/// variable, so dropping those clauses leaves the suffix projection as it
-/// was. Dropping repeats to a fixed point, since a dropped clause can make
-/// another auxiliary literal pure. (A session's activation literal that
-/// the call does not assume is pure too, and dropping its group is exactly
-/// right: the group can be switched off.)
+/// An auxiliary variable is an unassigned variable outside the suffix. It
+/// is existentially quantified, so Davis–Putnam resolution may eliminate
+/// it: its clauses give way to every non-tautological resolvent of one
+/// that holds it positively with one that holds it negatively, and the
+/// suffix projection stays as it was. The key eliminates exactly the
+/// auxiliaries whose residual occurrence counts `p` and `n` satisfy
+/// `p·n ≤ 2` (bounded variable elimination, as in Eén–Biere's SatELite,
+/// with a bound under which at most two resolvents replace at least two
+/// clauses, so the cone never gains a clause). `p·n = 0` is a pure
+/// literal, whose clauses go with no resolvent. (A session's activation
+/// literal that the call does not assume is pure too, and dropping its
+/// group is exactly right: the group can be switched off.)
 ///
 /// The signature is exact (clauses are compared by surviving literal
 /// content, not hashed), so reuse is never unsound.
@@ -144,37 +147,77 @@ pub(crate) struct ResidualIndex {
     /// `indexed` clauses.
     clauses_of_var: Vec<Vec<u32>>,
     indexed: usize,
-    /// Visit marks, kept between keys and grown with the formula: a
-    /// variable or clause is visited in the current key iff its mark
-    /// equals `epoch`. A clause's mark also holds its index in `clauses`
-    /// in that epoch, or [`SATISFIED`].
-    var_mark: Vec<u32>,
+    /// Per clause, kept between keys and grown with the formula: the epoch
+    /// that visited it last (see `Cone::epoch`), and where `sorted` holds
+    /// it, or [`UNSORTED`] before its first visit.
     clause_mark: Vec<(u32, u32)>,
-    epoch: u32,
-    /// Per variable visited in the current key: [`SUFFIX`] for an
-    /// unassigned suffix variable, plus bit `code & 1` for each phase that
-    /// occurs in a residual clause. An auxiliary variable reads 1 or 2
-    /// exactly when its literal is pure.
-    phases: Vec<u8>,
-    /// Per literal code of a visited variable, its occurrences in the
-    /// residual clauses still in the cone; counted only in keys that have
-    /// a pure literal.
-    occurs: Vec<u32>,
-    /// Scratch, empty between keys: the visited variable indices in visit
-    /// order (the walk reads them as a queue), the clause being read, the
-    /// surviving literal codes of the residual clauses back to back, each
-    /// residual clause, and the pure literal codes whose clauses are still
-    /// to drop.
-    frontier: Vec<u32>,
-    clause: Vec<u32>,
-    lits: Vec<u32>,
-    clauses: Vec<Residual>,
-    pure: Vec<u32>,
+    /// The literal codes of every clause visited so far, sorted and
+    /// deduplicated, each after a length word, which is [`TAUTOLOGY`] for
+    /// a clause that holds some variable in both phases. A clause is
+    /// stored on its first visit, so building the index costs nothing per
+    /// clause, and no key sorts a clause again.
+    sorted: Vec<u32>,
+    cone: Cone,
 }
 
-/// One residual clause of a key: a fingerprint of its contents, their
-/// range in [`ResidualIndex`]'s `lits`, and whether it is still in the
-/// cone (a pure literal drops it).
+/// The residual cone of the key being written, with the occurrence lists
+/// its elimination runs on. Between keys `vars` keeps its marks, `queue`
+/// is empty, `fresh` keeps its length, and the rest is empty.
+#[derive(Clone, Debug, Default)]
+struct Cone {
+    /// The current key's visit mark: a clause (`ResidualIndex::clause_mark`)
+    /// or variable is visited in this key iff its mark equals `epoch`.
+    epoch: u32,
+    /// Per variable, kept between keys and grown with the formula: its
+    /// visit mark, and its occurrences in the key that visited it last.
+    vars: Vec<VarSlot>,
+    /// The visited variable indices in visit order; the walk reads them as
+    /// a queue.
+    frontier: Vec<u32>,
+    /// The clause being read or resolved.
+    clause: Vec<u32>,
+    /// The literal codes of the cone's clauses back to back, and each
+    /// clause: the walk's residual clauses first, then the resolvents.
+    lits: Vec<u32>,
+    clauses: Vec<Residual>,
+    /// The occurrence lists' entries.
+    links: Vec<Link>,
+    /// The variables to try eliminating.
+    queue: VarQueue,
+    /// The clauses of the variable being eliminated.
+    picked: Vec<u32>,
+    /// The walk's next clauses to read: those of one variable not visited
+    /// yet, in its leading entries. Collected without a branch per clause,
+    /// since whether a clause is visited already is hard to predict.
+    fresh: Vec<u32>,
+}
+
+/// One variable of a [`Cone`]. Outside the key that visited it last, only
+/// `mark` means anything.
+#[derive(Clone, Copy, Debug, Default)]
+struct VarSlot {
+    /// The epoch that visited the variable last.
+    mark: u32,
+    /// Occurrences of its positive and its negative literal (`code & 1`) in
+    /// the clauses still in the cone, counted up from [`SUFFIX_COUNT`] for
+    /// an unassigned suffix variable.
+    occurs: [u32; 2],
+    /// Its last occurrence in a clause of the cone, an index into
+    /// `Cone::links`, or [`NO_LINK`].
+    last: u32,
+}
+
+/// A variable's occurrence in a clause of the cone: the clause's index in
+/// `Cone::clauses` and the variable's previous occurrence, or [`NO_LINK`].
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    clause: u32,
+    next: u32,
+}
+
+/// One clause of a key's cone: a fingerprint of its contents, their range
+/// in `Cone::lits`, and whether it is still in the cone (eliminating one
+/// of its variables takes it out).
 #[derive(Clone, Copy, Debug)]
 struct Residual {
     fingerprint: u64,
@@ -183,10 +226,94 @@ struct Residual {
     live: bool,
 }
 
-/// The `clause_mark` index of a visited clause that the prefix satisfies.
-const SATISFIED: u32 = u32::MAX;
-/// The `phases` flag of an unassigned suffix variable.
-const SUFFIX: u8 = 4;
+/// A set of variable indices that yields its smallest member first: one
+/// bit per variable, sized with the formula, all clear while empty. Only
+/// the words `low..high` may hold a member.
+#[derive(Clone, Debug, Default)]
+struct VarQueue {
+    words: Vec<u64>,
+    low: usize,
+    high: usize,
+}
+
+impl VarQueue {
+    /// Adds variable `w`, if it is not a member yet.
+    fn insert(&mut self, w: u32) {
+        let i = w as usize >> 6;
+        if self.low == self.high {
+            (self.low, self.high) = (i, i + 1);
+        } else {
+            self.low = self.low.min(i);
+            self.high = self.high.max(i + 1);
+        }
+        self.words[i] |= 1 << (w & 63);
+    }
+
+    /// Removes and returns the smallest member.
+    fn pop_min(&mut self) -> Option<u32> {
+        while self.low < self.high {
+            let word = &mut self.words[self.low];
+            if *word != 0 {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                return Some((self.low << 6) as u32 | bit);
+            }
+            self.low += 1;
+        }
+        None
+    }
+}
+
+/// The end of an occurrence list.
+const NO_LINK: u32 = u32::MAX;
+/// The `clause_mark` position of a clause not yet in `sorted`.
+const UNSORTED: u32 = u32::MAX;
+/// The length word in `sorted` of a clause that holds some variable in
+/// both phases.
+const TAUTOLOGY: u32 = u32::MAX;
+/// Where an unassigned suffix variable's occurrence counts start: far
+/// past any bound, so [`eliminable`] never holds for it and the suffix is
+/// never quantified away.
+const SUFFIX_COUNT: u32 = 1 << 30;
+
+/// Sorts the literal codes of a clause and drops repeated ones; `false`
+/// if the clause holds some variable in both phases. Clauses are short,
+/// so an insertion sort.
+fn normalize(codes: &mut Vec<u32>) -> bool {
+    for i in 1..codes.len() {
+        let code = codes[i];
+        let mut j = i;
+        while j > 0 && codes[j - 1] > code {
+            codes[j] = codes[j - 1];
+            j -= 1;
+        }
+        codes[j] = code;
+    }
+    let mut kept = 0;
+    for i in 0..codes.len() {
+        let code = codes[i];
+        if kept > 0 {
+            // A variable's two codes sort next to each other.
+            let last = codes[kept - 1];
+            if last == code {
+                continue;
+            }
+            if last == code ^ 1 {
+                return false;
+            }
+        }
+        codes[kept] = code;
+        kept += 1;
+    }
+    codes.truncate(kept);
+    true
+}
+
+/// Whether a variable with occurrence counts `[p, n]` is eliminated:
+/// `p·n ≤ 2`.
+fn eliminable([p, n]: [u32; 2]) -> bool {
+    p == 0 || n == 0 || p + n <= 3
+}
 
 impl ResidualIndex {
     /// Builds the incidence index for `cnf`.
@@ -194,16 +321,9 @@ impl ResidualIndex {
         let mut index = ResidualIndex {
             clauses_of_var: Vec::new(),
             indexed: 0,
-            var_mark: Vec::new(),
             clause_mark: Vec::new(),
-            epoch: 0,
-            phases: Vec::new(),
-            occurs: Vec::new(),
-            frontier: Vec::new(),
-            clause: Vec::new(),
-            lits: Vec::new(),
-            clauses: Vec::new(),
-            pure: Vec::new(),
+            sorted: Vec::new(),
+            cone: Cone::default(),
         };
         index.extend(cnf);
         index
@@ -231,13 +351,13 @@ impl ResidualIndex {
     /// The key is `[depth, n, implied…, cone…]`. Each of the `n` implied
     /// suffix positions `p` is one word `p << 1 | value`. The cone follows
     /// as length-prefixed clauses: the residual clauses reachable from the
-    /// unassigned suffix variables, less those that pure auxiliary
-    /// literals drop (see [`ResidualIndex`]); each clause's surviving
-    /// literal codes sorted and deduplicated, the clauses deduplicated and
-    /// ordered by a fingerprint of their contents, ties broken by the
-    /// contents. The clauses run to the end of the key, so it decodes
-    /// uniquely: two keys are equal exactly when their depths, implied
-    /// values and reduced cones are.
+    /// unassigned suffix variables, less tautologies, after the bounded
+    /// elimination of auxiliary variables (see [`ResidualIndex`]); each
+    /// clause's literal codes sorted and deduplicated, the clauses
+    /// deduplicated and ordered by a fingerprint of their contents, ties
+    /// broken by the contents. The clauses run to the end of the key, so it
+    /// decodes uniquely: two keys are equal exactly when their depths,
+    /// implied values and reduced cones are.
     ///
     /// Why equal keys mean equal suffix projections, given that the
     /// formula is satisfiable under the prefix (the engine certifies it
@@ -246,13 +366,22 @@ impl ResidualIndex {
     ///   cone holds every residual occurrence of its variables, and the
     ///   rest of the residual formula shares no unassigned variable with
     ///   it. The rest is then satisfiable on its own, whatever the suffix.
-    /// - A pure auxiliary literal is set true without touching a suffix
-    ///   variable, and that satisfies every clause it drops, so a suffix
-    ///   assignment extends to a model of the cone exactly when it extends
-    ///   to one of the reduced cone.
-    /// - Dropping a clause never makes a pure literal impure, so the fixed
-    ///   point is one set of clauses whatever the drop order, and the key
-    ///   stays canonical.
+    /// - A clause that holds both phases of a variable is true under every
+    ///   assignment, so the walk drops it as it drops a satisfied one.
+    ///   It must go before any resolution: resolving on `x` with
+    ///   `x ∨ ¬x ∨ C` would yield `C ∨ D` from `¬x ∨ D`, although the two
+    ///   clauses are satisfied together by `x = 0` whatever `C` and `D`
+    ///   read, and the key would lose suffix models.
+    /// - Eliminating an auxiliary variable `x` replaces the cone by its
+    ///   existential quantification over `x` (Davis–Putnam: with no clause
+    ///   holding both phases of `x`, the resolvents on `x` are exactly
+    ///   `∃x`), and a tautological resolvent holds everywhere. No suffix
+    ///   variable is quantified, so a suffix assignment extends to a model
+    ///   of the cone exactly when it extends to one of the reduced cone.
+    /// - The elimination order is a function of the cone: always the
+    ///   smallest eligible variable index. Equal cones therefore give equal
+    ///   keys. Cones with equal projections may still give different keys,
+    ///   which costs a hit, never soundness.
     ///
     /// The projection is therefore a function of the key's words alone,
     /// which the cache compares one by one.
@@ -265,82 +394,260 @@ impl ResidualIndex {
         out: &mut Vec<u32>,
     ) {
         self.next_epoch(cnf);
-        let epoch = self.epoch;
+        let cone = &mut self.cone;
+        let epoch = cone.epoch;
         out.push(depth as u32);
         let count_at = out.len();
         out.push(0);
         for (p, &v) in important.iter().enumerate().skip(depth) {
             match value(v) {
                 Some(b) => out.push((p as u32) << 1 | u32::from(b)),
-                None if self.var_mark[v.index()] != epoch => {
-                    self.var_mark[v.index()] = epoch;
-                    self.phases[v.index()] = SUFFIX;
-                    self.frontier.push(v.index() as u32);
-                }
-                None => {}
+                None => cone.visit(v.index() as u32, SUFFIX_COUNT),
             }
         }
         out[count_at] = (out.len() - count_at - 1) as u32;
+        let suffix = cone.frontier.len();
 
         let mut next = 0;
-        while let Some(&v) = self.frontier.get(next) {
+        while let Some(&v) = cone.frontier.get(next) {
             next += 1;
-            for &ci in &self.clauses_of_var[v as usize] {
+            let of_var = &self.clauses_of_var[v as usize];
+            if cone.fresh.len() < of_var.len() {
+                cone.fresh.resize(of_var.len(), 0);
+            }
+            let mut fresh = 0;
+            for &ci in of_var {
+                let mark = &mut self.clause_mark[ci as usize].0;
+                cone.fresh[fresh] = ci;
+                fresh += usize::from(*mark != epoch);
+                *mark = epoch;
+            }
+            for f in 0..fresh {
+                let ci = cone.fresh[f];
                 let mark = &mut self.clause_mark[ci as usize];
-                if mark.0 == epoch {
+                if mark.1 == UNSORTED {
+                    mark.1 = self.sorted.len() as u32;
+                    cone.clause.clear();
+                    cone.clause
+                        .extend(cnf.clauses()[ci as usize].iter().map(|l| l.code() as u32));
+                    let len = if normalize(&mut cone.clause) {
+                        cone.clause.len() as u32
+                    } else {
+                        TAUTOLOGY
+                    };
+                    self.sorted.push(len);
+                    self.sorted.extend_from_slice(&cone.clause);
+                }
+                let at = mark.1 as usize;
+                let len = self.sorted[at];
+                if len == TAUTOLOGY {
                     continue;
                 }
-                *mark = (epoch, SATISFIED);
-                self.clause.clear();
+                cone.clause.clear();
                 let mut satisfied = false;
-                for &l in &cnf.clauses()[ci as usize] {
-                    match value(l.var()) {
-                        Some(b) if b == l.is_pos() => {
+                for &code in &self.sorted[at + 1..=at + len as usize] {
+                    let lit = Lit::from_code(code);
+                    match value(lit.var()) {
+                        Some(b) if b == lit.is_pos() => {
                             satisfied = true;
                             break;
                         }
                         Some(_) => {}
-                        None => self.clause.push(l.code() as u32),
+                        None => cone.clause.push(code),
                     }
                 }
-                if satisfied {
-                    continue;
+                if !satisfied {
+                    cone.add_clause();
                 }
-                self.clause.sort_unstable();
-                self.clause.dedup();
-                let start = self.lits.len() as u32;
-                let mut fingerprint = self.clause.len() as u64;
-                for &code in &self.clause {
-                    fingerprint = (fingerprint.rotate_left(29) ^ u64::from(code))
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let w = code as usize >> 1;
-                    if self.var_mark[w] != epoch {
-                        self.var_mark[w] = epoch;
-                        self.phases[w] = 0;
-                        self.frontier.push(w as u32);
-                    }
-                    self.phases[w] |= 1 << (code & 1);
-                }
-                self.lits.extend_from_slice(&self.clause);
-                self.clause_mark[ci as usize].1 = self.clauses.len() as u32;
-                self.clauses.push(Residual {
-                    fingerprint,
-                    start,
-                    end: self.lits.len() as u32,
-                    live: true,
-                });
             }
         }
-        if self
-            .frontier
-            .iter()
-            .any(|&w| matches!(self.phases[w as usize], 1 | 2))
-        {
-            self.drop_pure_literals();
-        }
+        cone.eliminate(suffix);
+        cone.write(out);
+    }
 
+    /// Starts a new visit epoch, growing the marks to `cnf`'s size. New
+    /// marks are 0, which is never a current epoch.
+    fn next_epoch(&mut self, cnf: &Cnf) {
+        if self.cone.vars.len() < cnf.num_vars() {
+            self.cone.vars.resize(cnf.num_vars(), VarSlot::default());
+            self.cone.queue.words.resize(cnf.num_vars().div_ceil(64), 0);
+        }
+        if self.clause_mark.len() < cnf.num_clauses() {
+            self.clause_mark.resize(cnf.num_clauses(), (0, UNSORTED));
+        }
+        let cone = &mut self.cone;
+        cone.epoch = cone.epoch.wrapping_add(1);
+        if cone.epoch == 0 {
+            // A mark left 2^32 epochs ago would read as current.
+            cone.vars.fill(VarSlot::default());
+            for mark in &mut self.clause_mark {
+                mark.0 = 0;
+            }
+            cone.epoch = 1;
+        }
+    }
+}
+
+impl Cone {
+    /// Marks variable `w` visited, with both occurrence counts at `count`,
+    /// unless it is already.
+    fn visit(&mut self, w: u32, count: u32) {
+        let slot = &mut self.vars[w as usize];
+        if slot.mark != self.epoch {
+            *slot = VarSlot {
+                mark: self.epoch,
+                occurs: [count; 2],
+                last: NO_LINK,
+            };
+            self.frontier.push(w);
+        }
+    }
+
+    /// Adds `clause`, whose codes are sorted, distinct and hold no variable
+    /// in both phases, to the cone, visiting its new variables.
+    fn add_clause(&mut self) {
+        let r = self.clauses.len() as u32;
+        let start = self.lits.len() as u32;
+        let mut fingerprint = self.clause.len() as u64;
+        for k in 0..self.clause.len() {
+            let code = self.clause[k];
+            fingerprint =
+                (fingerprint.rotate_left(29) ^ u64::from(code)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let w = code >> 1;
+            self.visit(w, 0);
+            let slot = &mut self.vars[w as usize];
+            slot.occurs[code as usize & 1] += 1;
+            self.links.push(Link {
+                clause: r,
+                next: slot.last,
+            });
+            slot.last = (self.links.len() - 1) as u32;
+        }
+        self.lits.extend_from_slice(&self.clause);
+        self.clauses.push(Residual {
+            fingerprint,
+            start,
+            end: self.lits.len() as u32,
+            live: true,
+        });
+    }
+
+    /// The literal codes of clause `r`.
+    fn lits_of(&self, r: u32) -> &[u32] {
+        let c = &self.clauses[r as usize];
+        &self.lits[c.start as usize..c.end as usize]
+    }
+
+    /// Eliminates, smallest variable index first, every auxiliary variable
+    /// whose occurrence counts `p` and `n` in the clauses still in the cone
+    /// satisfy `p·n ≤ 2`, until none does. Called after the walk, when
+    /// `frontier` lists every visited variable, the unassigned suffix
+    /// variables first (`suffix` of them). The clauses it takes out stay
+    /// in `clauses`, no longer live; the resolvents join them.
+    ///
+    /// `queue` holds every eligible variable, and perhaps some that no
+    /// longer are, which are skipped: a resolvent only adds occurrences,
+    /// which can end eligibility but never start it, so a variable joins
+    /// the queue when taking out a clause makes it eligible.
+    fn eliminate(&mut self, suffix: usize) {
+        for &w in &self.frontier[suffix..] {
+            if eliminable(self.vars[w as usize].occurs) {
+                self.queue.insert(w);
+            }
+        }
+        while let Some(x) = self.queue.pop_min() {
+            let [p, n] = self.vars[x as usize].occurs;
+            if p + n == 0 || !eliminable([p, n]) {
+                continue;
+            }
+            self.take_clauses_of(x);
+            if p == 0 || n == 0 {
+                continue;
+            }
+            // The clauses holding `x`, positive ones first.
+            let mut positive = 0;
+            for i in 0..self.picked.len() {
+                if self.lits_of(self.picked[i]).contains(&(x << 1)) {
+                    self.picked.swap(i, positive);
+                    positive += 1;
+                }
+            }
+            for i in 0..positive {
+                for j in positive..self.picked.len() {
+                    if self.resolve(self.picked[i], self.picked[j], x) {
+                        self.add_clause();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Takes the clauses that hold variable `x` out of the cone and their
+    /// literals out of the occurrence counts, and lists them in `picked`.
+    fn take_clauses_of(&mut self, x: u32) {
+        self.picked.clear();
+        let mut link = self.vars[x as usize].last;
+        while link != NO_LINK {
+            let Link { clause: r, next } = self.links[link as usize];
+            let c = &mut self.clauses[r as usize];
+            if c.live {
+                c.live = false;
+                self.picked.push(r);
+            }
+            link = next;
+        }
+        for &r in &self.picked {
+            let c = self.clauses[r as usize];
+            for &code in &self.lits[c.start as usize..c.end as usize] {
+                let slot = &mut self.vars[code as usize >> 1];
+                let was = eliminable(slot.occurs);
+                slot.occurs[code as usize & 1] -= 1;
+                if !was && eliminable(slot.occurs) {
+                    self.queue.insert(code >> 1);
+                }
+            }
+        }
+    }
+
+    /// Writes the resolvent on variable `x` of clauses `a` (holding `x`)
+    /// and `b` (holding `¬x`) to `clause`; `false` if it is tautological.
+    fn resolve(&mut self, a: u32, b: u32, x: u32) -> bool {
+        let (a, b) = (self.clauses[a as usize], self.clauses[b as usize]);
+        let (mut i, mut j) = (a.start as usize, b.start as usize);
+        let (a_end, b_end) = (a.end as usize, b.end as usize);
+        self.clause.clear();
+        // Merge the two sorted clauses: equal codes and a variable's two
+        // codes meet next to each other.
+        while i < a_end || j < b_end {
+            let code = if j == b_end || (i < a_end && self.lits[i] <= self.lits[j]) {
+                i += 1;
+                self.lits[i - 1]
+            } else {
+                j += 1;
+                self.lits[j - 1]
+            };
+            match self.clause.last() {
+                _ if code >> 1 == x => {}
+                Some(&last) if last == code => {}
+                Some(&last) if last == code ^ 1 => return false,
+                _ => self.clause.push(code),
+            }
+        }
+        true
+    }
+
+    /// Appends the cone's live clauses, deduplicated, in the key's order to
+    /// `out`, and empties the cone.
+    fn write(&mut self, out: &mut Vec<u32>) {
         let lits = &self.lits;
         let range = |c: &Residual| &lits[c.start as usize..c.end as usize];
+        let mut kept = 0;
+        for i in 0..self.clauses.len() {
+            let c = self.clauses[i];
+            self.clauses[kept] = c;
+            kept += usize::from(c.live);
+        }
+        self.clauses.truncate(kept);
         self.clauses.sort_unstable_by(|a, b| {
             a.fingerprint
                 .cmp(&b.fingerprint)
@@ -355,73 +662,8 @@ impl ResidualIndex {
         }
         self.clauses.clear();
         self.lits.clear();
+        self.links.clear();
         self.frontier.clear();
-    }
-
-    /// Drops, to a fixed point, every residual clause that holds a pure
-    /// auxiliary literal, and then removes the dropped clauses from
-    /// `clauses`. Called after the walk, when `frontier` lists every
-    /// visited variable, and only if some visited variable is pure.
-    fn drop_pure_literals(&mut self) {
-        for &w in &self.frontier {
-            self.occurs[2 * w as usize] = 0;
-            self.occurs[2 * w as usize + 1] = 0;
-        }
-        for &code in &self.lits {
-            self.occurs[code as usize] += 1;
-        }
-        for &w in &self.frontier {
-            match self.phases[w as usize] {
-                1 => self.pure.push(2 * w),
-                2 => self.pure.push(2 * w + 1),
-                _ => {}
-            }
-        }
-        while let Some(code) = self.pure.pop() {
-            // Every clause of a visited variable was visited, so its mark
-            // is current.
-            for &ci in &self.clauses_of_var[code as usize >> 1] {
-                let r = self.clause_mark[ci as usize].1;
-                if r == SATISFIED || !self.clauses[r as usize].live {
-                    continue;
-                }
-                let c = &mut self.clauses[r as usize];
-                c.live = false;
-                for &d in &self.lits[c.start as usize..c.end as usize] {
-                    let d = d as usize;
-                    self.occurs[d] -= 1;
-                    // The last occurrence of one phase makes the other
-                    // pure, once per variable.
-                    if self.occurs[d] == 0
-                        && self.occurs[d ^ 1] > 0
-                        && self.phases[d >> 1] & SUFFIX == 0
-                    {
-                        self.pure.push((d ^ 1) as u32);
-                    }
-                }
-            }
-        }
-        self.clauses.retain(|c| c.live);
-    }
-
-    /// Starts a new visit epoch, growing the marks to `cnf`'s size. New
-    /// marks are 0, which is never a current epoch.
-    fn next_epoch(&mut self, cnf: &Cnf) {
-        if self.var_mark.len() < cnf.num_vars() {
-            self.var_mark.resize(cnf.num_vars(), 0);
-            self.phases.resize(cnf.num_vars(), 0);
-            self.occurs.resize(2 * cnf.num_vars(), 0);
-        }
-        if self.clause_mark.len() < cnf.num_clauses() {
-            self.clause_mark.resize(cnf.num_clauses(), (0, SATISFIED));
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // A mark left 2^32 epochs ago would read as current.
-            self.var_mark.fill(0);
-            self.clause_mark.fill((0, SATISFIED));
-            self.epoch = 1;
-        }
     }
 }
 
@@ -552,12 +794,36 @@ mod tests {
 
     /// The nested-vector signature the flat key replaced, kept as the
     /// reference: implied suffix values, then the sorted, deduplicated
-    /// residual clauses, each its sorted surviving literal codes, less the
-    /// clauses that pure auxiliary literals drop. The drops are found
-    /// naively: recount the phases of every remaining clause, drop every
-    /// clause holding a literal of a non-suffix variable whose other phase
-    /// is absent, and repeat until nothing changes.
+    /// residual clauses, each its sorted surviving literal codes, after a
+    /// naive Davis–Putnam elimination.
     fn reference(cnf: &Cnf, alpha: &Assignment, important: &[Var], depth: usize) -> Triple {
+        reference_counting(cnf, alpha, important, depth).0
+    }
+
+    /// What the reference did for one key: the tautological clauses its
+    /// walk skipped, and the variables it eliminated by resolution (with
+    /// both phases present) and as pure literals.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Steps {
+        tautologies: usize,
+        resolved: usize,
+        pure: usize,
+    }
+
+    /// [`reference`] and its [`Steps`]. The walk skips a clause that the
+    /// prefix satisfies or that holds some code and its complement, and
+    /// reaches no variable through it. Then, while some variable outside
+    /// the suffix occurs with `p` positive and `n` negative occurrences,
+    /// `p·n ≤ 2`, the smallest such variable is eliminated: every clause
+    /// holding it is replaced by the resolvents on it that hold no code and
+    /// its complement. Every count is taken afresh from the whole clause
+    /// list at every step.
+    fn reference_counting(
+        cnf: &Cnf,
+        alpha: &Assignment,
+        important: &[Var],
+        depth: usize,
+    ) -> (Triple, Steps) {
         let mut clauses_of_var: Vec<Vec<u32>> = vec![Vec::new(); cnf.num_vars()];
         for (ci, clause) in cnf.clauses().iter().enumerate() {
             for &l in clause {
@@ -570,6 +836,9 @@ mod tests {
             .enumerate()
             .filter_map(|(i, &v)| alpha.value(v).map(|b| ((depth + i) as u32, b)))
             .collect();
+        let tautological =
+            |clause: &BTreeSet<u32>| clause.iter().any(|&c| clause.contains(&(c ^ 1)));
+        let mut steps = Steps::default();
         let mut clause_seen = vec![false; cnf.num_clauses()];
         let mut var_seen = vec![false; cnf.num_vars()];
         let mut frontier: Vec<usize> = Vec::new();
@@ -579,7 +848,7 @@ mod tests {
                 frontier.push(v.index());
             }
         }
-        let mut residuals: Vec<Vec<u32>> = Vec::new();
+        let mut residuals: Vec<BTreeSet<u32>> = Vec::new();
         while let Some(v) = frontier.pop() {
             for &ci in &clauses_of_var[v] {
                 if clause_seen[ci as usize] {
@@ -590,11 +859,15 @@ mod tests {
                 if clause.iter().any(|&l| alpha.lit_value(l) == Some(true)) {
                     continue;
                 }
-                let mut surviving: Vec<u32> = clause
+                let surviving: BTreeSet<u32> = clause
                     .iter()
                     .filter(|&&l| alpha.lit_value(l).is_none())
                     .map(|l| l.code() as u32)
                     .collect();
+                if tautological(&surviving) {
+                    steps.tautologies += 1;
+                    continue;
+                }
                 for &code in &surviving {
                     let w = (code >> 1) as usize;
                     if !var_seen[w] {
@@ -602,25 +875,47 @@ mod tests {
                         frontier.push(w);
                     }
                 }
-                surviving.sort_unstable();
-                surviving.dedup();
                 residuals.push(surviving);
             }
         }
         loop {
-            let present: BTreeSet<u32> = residuals.iter().flatten().copied().collect();
-            let pure = |code: u32| {
-                !suffix.contains(&Var::new(code as usize >> 1)) && !present.contains(&(code ^ 1))
-            };
-            let before = residuals.len();
-            residuals.retain(|clause| !clause.iter().any(|&code| pure(code)));
-            if residuals.len() == before {
+            let count = |code: u32| residuals.iter().filter(|c| c.contains(&code)).count();
+            let present: BTreeSet<u32> = residuals.iter().flatten().map(|&c| c >> 1).collect();
+            let Some(x) = present.into_iter().find(|&v| {
+                !suffix.contains(&Var::new(v as usize)) && count(2 * v) * count(2 * v + 1) <= 2
+            }) else {
                 break;
+            };
+            let (held, rest): (Vec<_>, Vec<_>) = residuals
+                .into_iter()
+                .partition(|c| c.contains(&(2 * x)) || c.contains(&(2 * x + 1)));
+            residuals = rest;
+            let positive: Vec<&BTreeSet<u32>> =
+                held.iter().filter(|c| c.contains(&(2 * x))).collect();
+            let negative: Vec<&BTreeSet<u32>> =
+                held.iter().filter(|c| c.contains(&(2 * x + 1))).collect();
+            if positive.is_empty() || negative.is_empty() {
+                steps.pure += 1;
+            } else {
+                steps.resolved += 1;
+            }
+            for p in &positive {
+                for n in &negative {
+                    let resolvent: BTreeSet<u32> =
+                        p.union(n).copied().filter(|&c| c >> 1 != x).collect();
+                    if !tautological(&resolvent) {
+                        residuals.push(resolvent);
+                    }
+                }
             }
         }
-        residuals.sort_unstable();
-        residuals.dedup();
-        (depth as u32, implied, residuals)
+        let mut cone: Vec<Vec<u32>> = residuals
+            .into_iter()
+            .map(|c| c.into_iter().collect())
+            .collect();
+        cone.sort_unstable();
+        cone.dedup();
+        ((depth as u32, implied, cone), steps)
     }
 
     /// Decodes a flat residual key, checking that its clauses are strictly
@@ -779,10 +1074,11 @@ mod tests {
         let mut idx = ResidualIndex::build(&cnf);
         let mut a = Assignment::new(3);
         a.assign(Var::new(0), false);
-        let (_, implied, cone) = decode(&key_of(&mut idx, &cnf, &a, &important, 1));
-        assert!(implied.is_empty());
-        // Both clauses survive: (x1 ∨ x2) and (¬x2) [x0 literal removed].
-        assert_eq!(cone.len(), 2);
+        // Both clauses survive: (x1 ∨ x2) and (¬x2) [x0 literal removed],
+        // and eliminating x2 leaves their resolvent (x1). A walk that
+        // stopped at x2 would see it pure and drop (x1 ∨ x2) instead.
+        let x1 = Lit::pos(Var::new(1)).code() as u32;
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0, 1, x1]);
     }
 
     #[test]
@@ -816,18 +1112,78 @@ mod tests {
         assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0, 1, x1]);
     }
 
+    #[test]
+    fn bounded_elimination_merges_differently_shaped_chains() {
+        // Suffix x1. The prefix x0 picks a chain of auxiliaries that forces
+        // x1: (x1 ∨ x2), (¬x2) under x0 = 1, and (x1 ∨ x3), (¬x3 ∨ x4),
+        // (¬x4) under x0 = 0. No literal is pure, so only resolution
+        // finds that both cones project to x1 = 1.
+        let mut cnf = Cnf::new(5);
+        cnf.add_clause([lit(0, false), lit(1, true), lit(2, true)]);
+        cnf.add_clause([lit(0, false), lit(2, false)]);
+        cnf.add_clause([lit(0, true), lit(1, true), lit(3, true)]);
+        cnf.add_clause([lit(0, true), lit(3, false), lit(4, true)]);
+        cnf.add_clause([lit(0, true), lit(4, false)]);
+        let important = [Var::new(0), Var::new(1)];
+        let mut idx = ResidualIndex::build(&cnf);
+        let x1 = Lit::pos(Var::new(1)).code() as u32;
+        for b0 in [true, false] {
+            let mut a = Assignment::new(5);
+            a.assign(Var::new(0), b0);
+            let key = key_of(&mut idx, &cnf, &a, &important, 1);
+            assert_eq!(key, [1, 0, 1, x1], "x0 = {b0}");
+            assert_eq!(decode(&key), reference(&cnf, &a, &important, 1));
+        }
+    }
+
+    #[test]
+    fn tautologies_leave_the_cone_before_any_resolution() {
+        // Suffix x1, x2; auxiliary x3 in (x3 ∨ ¬x3 ∨ x1) and (¬x3 ∨ x2).
+        // The first clause is valid, so x3 is pure and the cone empty:
+        // every suffix assignment has a model (x3 = 0). Resolving on the
+        // valid clause would yield (x1 ∨ x2) and lose x1 = x2 = 0.
+        let mut cnf = Cnf::new(4);
+        cnf.add_clause([lit(3, true), lit(3, false), lit(1, true)]);
+        cnf.add_clause([lit(3, false), lit(2, true)]);
+        let important = [Var::new(0), Var::new(1), Var::new(2)];
+        let mut idx = ResidualIndex::build(&cnf);
+        let mut a = Assignment::new(4);
+        a.assign(Var::new(0), true);
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0]);
+        // A tautological resolvent goes too: in (x1 ∨ x3), (¬x1 ∨ ¬x3)
+        // the auxiliary x3 resolves to (x1 ∨ ¬x1), so x1 is free. With x3
+        // in the suffix nothing is eliminated, though each variable occurs
+        // once in each phase.
+        let mut cnf = Cnf::new(4);
+        cnf.add_clause([lit(1, true), lit(3, true)]);
+        cnf.add_clause([lit(1, false), lit(3, false)]);
+        let mut idx = ResidualIndex::build(&cnf);
+        assert_eq!(key_of(&mut idx, &cnf, &a, &important, 1), [1, 0]);
+        let suffix_x3 = [Var::new(0), Var::new(1), Var::new(3)];
+        let (_, _, cone) = decode(&key_of(&mut idx, &cnf, &a, &suffix_x3, 1));
+        assert_eq!(cone.len(), 2);
+    }
+
     /// Equal keys mean equal suffix projections: for random CNFs with
-    /// auxiliary variables and random satisfiable prefixes, every two
-    /// prefixes with one key have the same truth-table projection of the
-    /// formula onto the suffix.
+    /// auxiliary variables, some tautological clauses, and random
+    /// satisfiable prefixes, every two prefixes with one key have the same
+    /// truth-table projection of the formula onto the suffix. The cones
+    /// must give the elimination work: the reference counts the
+    /// tautologies and resolution steps behind the keys.
     #[test]
     fn equal_keys_have_equal_suffix_projections() {
         let mut rng = SplitMix64::seed_from_u64(0x9E4E);
         let mut merged = 0;
+        let mut steps = Steps::default();
         for round in 0..120 {
             let n = 6 + rng.gen_range(0..6);
             let m = n + rng.gen_range(0..2 * n);
-            let cnf = random_cnf(&mut rng, n, m);
+            let mut cnf = random_cnf(&mut rng, n, m);
+            for _ in 0..rng.gen_range(0..3) {
+                let v = rng.gen_range(0..n);
+                let w = rng.gen_range(0..n);
+                cnf.add_clause([lit(v, true), lit(w, rng.gen_bool(0.5)), lit(v, false)]);
+            }
             let k = 2 + rng.gen_range(0..n - 3);
             let important: Vec<Var> = Var::range(k).collect();
             let mut solver = Solver::from_cnf(&cnf);
@@ -851,7 +1207,16 @@ mod tests {
                 assert!(prefix.iter().all(|&p| solver.assume(p)), "round {round}");
                 let mut key = Vec::new();
                 idx.write_key(&cnf, &important, depth, |v| solver.value(v), &mut key);
+                let mut alpha = Assignment::new(n);
+                for v in Var::range(n) {
+                    if let Some(b) = solver.value(v) {
+                        alpha.assign(v, b);
+                    }
+                }
                 solver.backtrack(0);
+                let (_, did) = reference_counting(&cnf, &alpha, &important, depth);
+                steps.tautologies += did.tautologies;
+                steps.resolved += did.resolved;
                 for (other, other_prefix, other_projection) in &seen {
                     if key == *other {
                         merged += usize::from(prefix != *other_prefix);
@@ -867,6 +1232,10 @@ mod tests {
         assert!(
             merged > 100,
             "only {merged} merges between distinct prefixes"
+        );
+        assert!(
+            steps.tautologies > 100 && steps.resolved > 100,
+            "too little elimination to test: {steps:?}"
         );
     }
 
@@ -972,13 +1341,17 @@ mod tests {
         // Marks left at epoch 1 long ago, and the epoch about to wrap: the
         // wrap must clear them, or the key's walk would skip every clause.
         idx.next_epoch(&cnf);
-        idx.var_mark.fill(1);
-        idx.clause_mark.fill((1, 0));
-        idx.epoch = u32::MAX - 1;
+        for slot in &mut idx.cone.vars {
+            slot.mark = 1;
+        }
+        for mark in &mut idx.clause_mark {
+            mark.0 = 1;
+        }
+        idx.cone.epoch = u32::MAX - 1;
         for _ in 0..3 {
             assert_eq!(decode(&key_of(&mut idx, &cnf, &alpha, &important, 2)), want);
         }
-        assert_eq!(idx.epoch, 1 + 1);
+        assert_eq!(idx.cone.epoch, 1 + 1);
     }
 
     #[test]

@@ -222,13 +222,15 @@ fn embedded_benchmarks_preserve_reachability_under_inprocessing() {
 }
 
 /// Mid-session round trip: enumerate → retire (inprocessing may fire) →
-/// enumerate, twenty rounds deep, with the session compared against the
-/// BDD projection of an equivalent monolithic formula every round.
+/// enumerate, 32 rounds deep, with the session compared against the BDD
+/// projection of an equivalent monolithic formula every round.
 ///
 /// The session inprocesses at its first retirement and then only once
 /// enough search effort has accumulated. It must still inprocess at least
 /// twice after that first pass, read from the per-call stats that carry
-/// each pass's counters.
+/// each pass's counters. The rounds supply that effort: with residual keys
+/// that eliminate auxiliary variables, the sequential session's search
+/// reaches its second later pass at round 20.
 fn mid_session_round_trip(jobs: usize) {
     let n = 6;
     let mut rng = SplitMix64::seed_from_u64(FUZZ_SEED ^ (0x40B + jobs as u64));
@@ -252,7 +254,7 @@ fn mid_session_round_trip(jobs: usize) {
     // Inprocessing rounds each call's stats carry: the pass (if any) run
     // by the retirement just before it.
     let mut rounds_per_call: Vec<u64> = Vec::new();
-    for round in 0..20 {
+    for round in 0..32 {
         let act = Lit::pos(session.add_var());
         num_vars += 1;
         for _ in 0..4 {

@@ -355,8 +355,9 @@ fn assert_pinned(got: [u64; 9], want: [u64; 9], bound: [u64; 2], what: &str) {
 }
 
 /// Golden values of the search that keeps its branching prefix on the
-/// solver trail, with dynamic keys that drop pure auxiliary literals and
-/// are not written at nodes whose branching variable is implied. A key
+/// solver trail, with dynamic keys that eliminate auxiliary variables by
+/// bounded resolution and are not written at nodes whose branching
+/// variable is implied. A key
 /// or search change may move the work counters (solver calls, cache hits
 /// and misses, CDCL work), never the graph nodes, the cube count or the
 /// digest: a key that merged subspaces with different solutions would
@@ -368,23 +369,23 @@ fn success_driven_work_counters_are_pinned() {
     type Row = ([u64; 9], [u64; 2]);
     const DYNAMIC: [Row; 5] = [
         (
-            [231, 93, 285, 188, 16, 1230, 4104, 157, 12008381990299188993],
+            [167, 100, 225, 188, 14, 917, 3352, 157, 12008381990299188993],
             [538, 22562],
         ),
         (
-            [54, 18, 76, 94, 19, 208, 1353, 30, 15262964068055389360],
+            [51, 21, 73, 94, 19, 200, 1324, 30, 15262964068055389360],
             [166, 6672],
         ),
         (
-            [87, 33, 95, 149, 15, 351, 1550, 72, 7765513137712084942],
+            [83, 36, 90, 149, 15, 340, 1485, 72, 7765513137712084942],
             [227, 9717],
         ),
         (
-            [322, 96, 351, 184, 14, 1416, 5099, 205, 9600756842237977287],
+            [215, 91, 243, 184, 12, 1050, 3930, 205, 9600756842237977287],
             [584, 25948],
         ),
         (
-            [183, 45, 229, 130, 16, 981, 3352, 103, 2778428500851464385],
+            [137, 77, 172, 130, 16, 784, 2638, 103, 2778428500851464385],
             [299, 13438],
         ),
     ];
@@ -442,7 +443,7 @@ fn success_driven_work_counters_are_pinned() {
     assert!(!r.complete);
     assert_pinned(
         pinned(&r.stats, &r.cubes),
-        [22, 10, 36, 24, 2, 136, 426, 6, 2676513839598341414],
+        [20, 9, 34, 24, 3, 130, 405, 6, 2676513839598341414],
         [62, 2476],
         "solution cap",
     );
@@ -561,9 +562,9 @@ fn event_streams_are_pinned() {
     row("partitioned", &fixed);
 
     let want: [(&str, [u64; 2]); 6] = [
-        ("one-shot", [535, 17298976617665811453]),
-        ("one-shot stopped", [251, 7816899398926796744]),
-        ("one-shot stopped", [53, 3250474601152537519]),
+        ("one-shot", [482, 3835671471215017280]),
+        ("one-shot stopped", [198, 4474931655228121751]),
+        ("one-shot stopped", [50, 16340885009531750509]),
         ("session fixed point", [192, 12093501813402871881]),
         ("sliced session", [157, 5164171628455963465]),
         ("partitioned", [165, 3431180776826070297]),
@@ -744,7 +745,7 @@ fn session_and_excitation_work_is_pinned() {
         ),
         (
             "excite s27",
-            [7, 1, 6, 1, 1, 26, 85, 1, 12638153115695167455],
+            [4, 2, 3, 1, 1, 15, 52, 1, 12638153115695167455],
         ),
         (
             "excite s27",
