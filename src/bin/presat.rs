@@ -35,7 +35,8 @@
 //! default (`--incremental`); `--no-incremental` rebuilds the encoding per
 //! iteration. The report is bit-identical either way.
 //! `--stats` appends one JSON object with the run's counters (SAT,
-//! all-SAT, and preimage layers) to stdout — see `presat_obs::Stats`.
+//! all-SAT, and preimage layers) to stdout — see `presat_obs::Stats`;
+//! `depth` keeps no counters and rejects the flag.
 //! `--timeout-ms <n>` / `--conflict-budget <n>` bound `solve`, `allsat`,
 //! and `reach`; `--max-solutions <n>` bounds `allsat`. A run that trips a
 //! limit stops with a *partial but sound* result flagged
@@ -50,7 +51,7 @@ use presat::allsat::{
     ParallelAllSat,
 };
 use presat::circuit::{aiger, bench, Circuit};
-use presat::logic::{dimacs, Var};
+use presat::logic::{dimacs, Cnf, Var};
 use presat::obs::{NullSink, Stats, Timer};
 // `parse_state_spec`/`parse_bits64` are the shared spec-parsing path: the
 // `presatd` daemon protocol accepts and rejects exactly the same state
@@ -126,7 +127,8 @@ fn print_usage() {
          \x20                    flagged incomplete, never a fake UNSAT\n\
          \x20        --conflict-budget <n>  CDCL conflict budget (solve/allsat/reach)\n\
          \x20        --max-solutions <n>    stop allsat after ~n solutions\n\
-         \x20        --stats   (emit a JSON counters object on stdout)\n\
+         \x20        --stats   (emit a JSON counters object on stdout;\n\
+         \x20                    not for depth)\n\
          spec:    a state bit pattern (42, 0b1010, 0x2a) or a cube `j=v,...`"
     );
 }
@@ -142,6 +144,29 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// True if the bare flag is present.
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// How many more variables than its text has bytes a DIMACS formula may
+/// declare. The solver sizes its per-variable arrays by the declared
+/// count, so a two-line file declaring `p cnf 2000000000 1` would make it
+/// ask for gigabytes; bounding the count by the input's size bounds that
+/// memory. The slack admits small formulas over unused variables.
+const DECLARED_VARS_SLACK: usize = 1 << 16;
+
+/// Reads and parses a DIMACS file, refusing a header that declares more
+/// variables than the file's size pays for ([`DECLARED_VARS_SLACK`]).
+fn load_cnf(path: &str) -> Result<Cnf, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let cnf = dimacs::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let most = text.len() + DECLARED_VARS_SLACK;
+    if cnf.num_vars() > most {
+        return Err(format!(
+            "{path}: the header declares {} variables; a {}-byte formula may declare at most {most}",
+            cnf.num_vars(),
+            text.len()
+        ));
+    }
+    Ok(cnf)
 }
 
 fn load_circuit(path: &str) -> Result<Circuit, String> {
@@ -276,8 +301,7 @@ fn sat_engine_from_flag(args: &[String]) -> Result<Box<dyn PreimageEngine>, Stri
 
 fn cmd_solve(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or("solve: missing DIMACS file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let cnf = dimacs::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let cnf = load_cnf(path)?;
     let limits = limits_from_flags(args)?;
     let timer = Timer::start();
     let mut solver = Solver::from_cnf(&cnf);
@@ -325,8 +349,7 @@ fn cmd_solve(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_allsat(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or("allsat: missing DIMACS file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let cnf = dimacs::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let cnf = load_cnf(path)?;
     let k: usize = flag_value(args, "--project")
         .ok_or("allsat: --project <k> required")?
         .parse()
@@ -448,15 +471,20 @@ fn cmd_image(args: &[String]) -> Result<ExitCode, String> {
     // mask itself as a valid run.
     let engine_name = flag_value(args, "--engine").unwrap_or("success-driven");
     warn_ignored_engine_flags(args, engine_name);
-    let result = match engine_name {
-        "bdd-sub" | "bdd-mono" => bdd_image(&circuit, &source),
-        "blocking" | "min-blocking" | "success-driven" | "chrono" => sat_image(&circuit, &source),
+    let (ran, result) = match engine_name {
+        "bdd-sub" | "bdd-mono" => (engine_name, bdd_image(&circuit, &source)),
+        "blocking" | "min-blocking" | "success-driven" | "chrono" => {
+            ("success-driven", sat_image(&circuit, &source))
+        }
         other => {
             return Err(format!(
                 "unknown engine {other:?} (valid engines: {CIRCUIT_ENGINES})"
             ))
         }
     };
+    if has_flag(args, "--stats") {
+        println!("{}", Stats::from_preimage(ran, &result.stats).to_json());
+    }
     println!(
         "image: {} states in {} cubes in {:.2?}",
         result.states.minterm_count(n),
@@ -570,6 +598,9 @@ fn cmd_excite(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_depth(args: &[String]) -> Result<ExitCode, String> {
     use presat::preimage::sequential_depth;
     let path = args.first().ok_or("depth: missing circuit file")?;
+    if has_flag(args, "--stats") {
+        return Err("depth: --stats is not supported (the depth search keeps no counters)".into());
+    }
     let circuit = load_circuit(path)?;
     let n = circuit.num_latches();
     let initial = match flag_value(args, "--initial") {

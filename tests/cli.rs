@@ -171,6 +171,49 @@ fn image_command() {
     assert!(stdout.contains("1 states"), "{stdout}");
 }
 
+/// `image --stats` prints the run's counters as `preimage --stats` does:
+/// one JSON object ahead of the image, on the SAT and on the BDD path.
+#[test]
+fn image_stats_emit_json_counters() {
+    use presat::obs::json;
+
+    let path = write_temp("cnt3i.aag", COUNTER3_AAG);
+    for (engine, solver_calls) in [("success-driven", true), ("bdd-sub", false)] {
+        let out = presat(&[
+            "image",
+            path.to_str().unwrap(),
+            "--source",
+            "7",
+            "--engine",
+            engine,
+            "--stats",
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let json_line = stdout
+            .lines()
+            .next()
+            .filter(|l| l.starts_with('{'))
+            .unwrap_or_else(|| panic!("{engine}: no leading JSON line in {stdout}"));
+        json::validate(json_line).unwrap_or_else(|e| panic!("{e}\n{json_line}"));
+        assert_eq!(
+            json::extract_u64(json_line, "preimage.result_cubes"),
+            Some(1),
+            "{engine}: {json_line}"
+        );
+        assert_eq!(
+            json::extract_u64(json_line, "allsat.solver_calls").unwrap_or(0) > 0,
+            solver_calls,
+            "{engine}: {json_line}"
+        );
+        assert!(stdout.contains("image: 1 states"), "{engine}: {stdout}");
+    }
+}
+
 #[test]
 fn excite_command() {
     let path = write_temp("toggle4.bench", TOGGLE_BENCH);
@@ -225,6 +268,25 @@ fn depth_command() {
     );
     let out = presat(&["depth", path.to_str().unwrap(), "--initial", "6"]);
     assert!(String::from_utf8_lossy(&out.stdout).contains(": 7"));
+}
+
+/// `depth` keeps no counters, so `--stats` is an error, not a flag it
+/// silently ignores.
+#[test]
+fn depth_rejects_stats() {
+    let path = write_temp("cnt3e.aag", COUNTER3_AAG);
+    let out = presat(&["depth", path.to_str().unwrap(), "--stats"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("depth: --stats is not supported"),
+        "{stderr}"
+    );
 }
 
 /// `--stats` emits one well-formed JSON object whose counters come from
