@@ -291,8 +291,26 @@ fn load_cnf(v: &Json) -> Result<Cnf, String> {
         (Some(_), Some(_)) => return Err("give \"cnf\" or \"cnf_path\", not both".into()),
         (None, None) => return Err("\"cnf\" (inline DIMACS) or \"cnf_path\" required".into()),
     };
-    dimacs::parse(&text).map_err(|e| format!("bad DIMACS: {e}"))
+    let cnf = dimacs::parse(&text).map_err(|e| format!("bad DIMACS: {e}"))?;
+    // Admission: a job's solver sizes its per-variable arrays by the
+    // declared count, so a header like `p cnf 2000000000 1` on a two-line
+    // formula would make the daemon ask for gigabytes. The count may pass
+    // the text's size only by the slack that admits small formulas over
+    // unused variables.
+    let most = text.len() + DECLARED_VARS_SLACK;
+    if cnf.num_vars() > most {
+        return Err(format!(
+            "bad DIMACS: the header declares {} variables; a {}-byte formula may declare at most {most}",
+            cnf.num_vars(),
+            text.len()
+        ));
+    }
+    Ok(cnf)
 }
+
+/// How many more variables than its text has bytes a request's formula
+/// may declare.
+const DECLARED_VARS_SLACK: usize = 1 << 16;
 
 fn load_circuit(v: &Json) -> Result<Circuit, String> {
     let (text, name_hint) = match (

@@ -181,6 +181,34 @@ fn dimacs_variables_beyond_the_literal_range_are_errors() {
     assert!(cnf.clauses()[0][0].is_neg());
 }
 
+/// Regression: a header may declare only as many variables as its text
+/// pays for. The two-line file `p cnf 2000000000 1` / `1 0` parses (its
+/// count is below `MAX_VARS`), and `presat solve` once sized the solver by
+/// the declared count and aborted on the failed allocation. It must exit
+/// with an error instead. The run is capped at 2 GB of address space, so
+/// a regression aborts at once rather than eating the host's memory.
+#[test]
+fn solve_refuses_a_header_declaring_more_variables_than_the_file_pays_for() {
+    let text = "p cnf 2000000000 1\n1 0\n";
+    assert_eq!(
+        dimacs::parse(text).expect("parses").num_vars(),
+        2_000_000_000
+    );
+    let path = std::env::temp_dir().join(format!("presat-huge-{}.cnf", std::process::id()));
+    std::fs::write(&path, text).expect("write");
+    let out = std::process::Command::new("sh")
+        .args(["-c", "ulimit -v 2000000 && exec \"$0\" solve \"$1\""])
+        .arg(env!("CARGO_BIN_EXE_presat"))
+        .arg(&path)
+        .output()
+        .expect("sh runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("declares 2000000000 variables"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// Random sequential circuits survive write→parse round trips in both
 /// netlist formats with transition-exact behaviour.
 #[test]

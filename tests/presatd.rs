@@ -86,6 +86,52 @@ fn unknown_op_is_rejected_with_the_request_id_echoed() {
     assert!(err.contains("frobnicate"), "{err}");
 }
 
+/// Regression: a request whose formula declares far more variables than
+/// its text pays for (`p cnf 2000000000 1` / `1 0`) once killed the daemon
+/// on the solver's allocation. It must get an `error` event carrying its
+/// id, and the daemon must keep serving. The daemon runs capped at 2 GB of
+/// address space, so a regression aborts at once.
+#[test]
+fn oversized_variable_declarations_get_an_error_event() {
+    let input = concat!(
+        "{\"op\":\"solve\",\"id\":\"huge\",\"cnf\":\"p cnf 2000000000 1\\n1 0\\n\"}\n",
+        "{\"op\":\"solve\",\"id\":\"after\",\"cnf\":\"p cnf 1 1\\n1 0\\n\"}\n",
+    );
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -v 2000000 && exec \"$0\" --stdin"])
+        .arg(env!("CARGO_BIN_EXE_presatd"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sh runs");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("requests written");
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(
+        out.status.success(),
+        "daemon failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let err = stdout
+        .lines()
+        .find(|l| l.contains(r#""event":"error""#))
+        .unwrap_or_else(|| panic!("no error event: {stdout}"));
+    assert!(err.contains(r#""id":"huge""#), "{err}");
+    assert!(err.contains("declares 2000000000 variables"), "{err}");
+    assert!(
+        stdout.lines().any(
+            |l| l.contains(r#""id":"after","event":"done""#) && l.contains(r#""result":"sat""#)
+        ),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn oversized_request_lines_are_rejected_without_buffering() {
     // 5 MiB of garbage on one line crosses the 4 MiB request cap; the
