@@ -31,6 +31,11 @@ PRESAT_TEST_INCREMENTAL=1 cargo test -q -p presat --test incremental --offline
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Format gate: the workspace stays rustfmt-clean, so running `cargo fmt`
+# never rewrites lines a change did not touch. (perf/ is a workspace of
+# its own and outside this check.)
+cargo fmt --all -- --check
+
 # Doc gate: every intra-doc link must resolve, in private modules too —
 # the engine modules are private, so a plain `cargo doc` never renders
 # their docs and a link to a deleted item would dangle silently. --lib
