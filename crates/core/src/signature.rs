@@ -276,39 +276,6 @@ const TAUTOLOGY: u32 = u32::MAX;
 /// never quantified away.
 const SUFFIX_COUNT: u32 = 1 << 30;
 
-/// Sorts the literal codes of a clause and drops repeated ones; `false`
-/// if the clause holds some variable in both phases. Clauses are short,
-/// so an insertion sort.
-fn normalize(codes: &mut Vec<u32>) -> bool {
-    for i in 1..codes.len() {
-        let code = codes[i];
-        let mut j = i;
-        while j > 0 && codes[j - 1] > code {
-            codes[j] = codes[j - 1];
-            j -= 1;
-        }
-        codes[j] = code;
-    }
-    let mut kept = 0;
-    for i in 0..codes.len() {
-        let code = codes[i];
-        if kept > 0 {
-            // A variable's two codes sort next to each other.
-            let last = codes[kept - 1];
-            if last == code {
-                continue;
-            }
-            if last == code ^ 1 {
-                return false;
-            }
-        }
-        codes[kept] = code;
-        kept += 1;
-    }
-    codes.truncate(kept);
-    true
-}
-
 /// Whether a variable with occurrence counts `[p, n]` is eliminated:
 /// `p·n ≤ 2`.
 fn eliminable([p, n]: [u32; 2]) -> bool {
@@ -423,17 +390,27 @@ impl ResidualIndex {
                 *mark = epoch;
             }
             for f in 0..fresh {
-                let ci = cone.fresh[f];
-                let mark = &mut self.clause_mark[ci as usize];
+                let ci = cone.fresh[f] as usize;
+                // Most clauses a walk visits are satisfied, and a clause's
+                // own literal order tends to find the true literal soonest:
+                // a session's group clauses lead with their activation
+                // literal, which retires the whole group.
+                let clause = &cnf.clauses()[ci];
+                if clause.iter().any(|&l| value(l.var()) == Some(l.is_pos())) {
+                    continue;
+                }
+                let mark = &mut self.clause_mark[ci];
                 if mark.1 == UNSORTED {
                     mark.1 = self.sorted.len() as u32;
                     cone.clause.clear();
-                    cone.clause
-                        .extend(cnf.clauses()[ci as usize].iter().map(|l| l.code() as u32));
-                    let len = if normalize(&mut cone.clause) {
-                        cone.clause.len() as u32
-                    } else {
+                    cone.clause.extend(clause.iter().map(|l| l.code() as u32));
+                    cone.clause.sort_unstable();
+                    cone.clause.dedup();
+                    // A variable's two codes sort next to each other.
+                    let len = if cone.clause.windows(2).any(|w| w[0] ^ 1 == w[1]) {
                         TAUTOLOGY
+                    } else {
+                        cone.clause.len() as u32
                     };
                     self.sorted.push(len);
                     self.sorted.extend_from_slice(&cone.clause);
@@ -444,21 +421,12 @@ impl ResidualIndex {
                     continue;
                 }
                 cone.clause.clear();
-                let mut satisfied = false;
-                for &code in &self.sorted[at + 1..=at + len as usize] {
-                    let lit = Lit::from_code(code);
-                    match value(lit.var()) {
-                        Some(b) if b == lit.is_pos() => {
-                            satisfied = true;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => cone.clause.push(code),
-                    }
-                }
-                if !satisfied {
-                    cone.add_clause();
-                }
+                cone.clause.extend(
+                    self.sorted[at + 1..=at + len as usize]
+                        .iter()
+                        .filter(|&&code| value(Lit::from_code(code).var()).is_none()),
+                );
+                cone.add_clause();
             }
         }
         cone.eliminate(suffix);
