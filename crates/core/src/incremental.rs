@@ -59,7 +59,7 @@
 //! [`SignatureMode::Static`]: crate::SignatureMode::Static
 
 use presat_logic::{Cnf, Lit, Var};
-use presat_obs::{Event, NullSink, ObsSink};
+use presat_obs::{Event, NullSink, ObsSink, SatCounters};
 use presat_sat::Solver;
 
 use crate::engine::AllSatResult;
@@ -132,21 +132,11 @@ pub struct IncrementalAllSat {
     /// The persistent solver, key index, solution graph and success
     /// cache.
     search: SearchState,
-    /// Arena compactions (and clauses they reclaimed) that ran *between*
-    /// enumeration calls — `retire` triggers garbage collection after the
-    /// previous call's stats snapshot was taken. Folded into the next
-    /// call's snapshot exactly once, so per-call stats sum to session
-    /// totals.
-    pending_compactions: u64,
-    pending_reclaimed: u64,
-    /// Root-level inprocessing work that likewise ran between calls
-    /// (`retire` runs the solver's inprocessor after dropping the group);
-    /// folded into the next call's snapshot exactly once, like the GC
-    /// counters above.
-    pending_inprocess_rounds: u64,
-    pending_subsumed: u64,
-    pending_strengthened: u64,
-    pending_vivified: u64,
+    /// Garbage collection and inprocessing work that `retire` ran
+    /// *between* enumeration calls, after the previous call's stats
+    /// snapshot was taken. The next call absorbs it into its snapshot and
+    /// clears it, so per-call stats sum to session totals.
+    pending: SatCounters,
     /// Search propagations reported by enumeration calls (sequential or
     /// partitioned) since the last inprocessing pass.
     search_props: u64,
@@ -186,12 +176,7 @@ impl IncrementalAllSat {
             cnf,
             important,
             search,
-            pending_compactions: 0,
-            pending_reclaimed: 0,
-            pending_inprocess_rounds: 0,
-            pending_subsumed: 0,
-            pending_strengthened: 0,
-            pending_vivified: 0,
+            pending: SatCounters::default(),
             search_props: 0,
             inprocess_cost: 0,
         }
@@ -245,12 +230,15 @@ impl IncrementalAllSat {
             self.search_props = 0;
         }
         let after = solver.stats();
-        self.pending_compactions += after.db_compactions - before.db_compactions;
-        self.pending_reclaimed += after.clauses_reclaimed - before.clauses_reclaimed;
-        self.pending_inprocess_rounds += after.inprocess_rounds - before.inprocess_rounds;
-        self.pending_subsumed += after.subsumed_clauses - before.subsumed_clauses;
-        self.pending_strengthened += after.strengthened_lits - before.strengthened_lits;
-        self.pending_vivified += after.vivified_clauses - before.vivified_clauses;
+        self.pending.absorb(&SatCounters {
+            db_compactions: after.db_compactions - before.db_compactions,
+            clauses_reclaimed: after.clauses_reclaimed - before.clauses_reclaimed,
+            inprocess_rounds: after.inprocess_rounds - before.inprocess_rounds,
+            subsumed_clauses: after.subsumed_clauses - before.subsumed_clauses,
+            strengthened_lits: after.strengthened_lits - before.strengthened_lits,
+            vivified_clauses: after.vivified_clauses - before.vivified_clauses,
+            ..SatCounters::default()
+        });
         removed
     }
 
@@ -304,6 +292,14 @@ impl IncrementalAllSat {
     /// the session stays fully usable, and nothing the truncated run
     /// explored is allowed to poison the persistent signature cache (only
     /// exhaustively enumerated subspaces are ever cached).
+    ///
+    /// A stopped call is resumed by making it again. Every subspace it
+    /// finished stays cached, so with dynamic keys on the sequential path
+    /// the re-run reaches the stop point through cache hits, and the
+    /// clauses the stopped call learnt under its assumptions still hold.
+    /// Static keys clear the cache on every call, no-reuse keys never
+    /// fill it, and a partitioned call's workers keep nothing: those
+    /// configurations restart a stopped call.
     pub fn enumerate_limited(
         &mut self,
         assumptions: &[Lit],
@@ -342,22 +338,11 @@ impl IncrementalAllSat {
             (outcome.root, outcome.stats, outcome.stop)
         };
         // The search effort that schedules `retire`'s next inprocessing
-        // pass. (The pending counters folded below add no propagations.)
+        // pass. (The pending counters absorbed below add no propagations.)
         self.search_props += stats.sat.propagations;
-        // Attribute between-call garbage collection (from `retire`) to
-        // this call's snapshot, exactly once.
-        stats.sat.db_compactions += self.pending_compactions;
-        stats.sat.clauses_reclaimed += self.pending_reclaimed;
-        stats.sat.inprocess_rounds += self.pending_inprocess_rounds;
-        stats.sat.subsumed_clauses += self.pending_subsumed;
-        stats.sat.strengthened_lits += self.pending_strengthened;
-        stats.sat.vivified_clauses += self.pending_vivified;
-        self.pending_compactions = 0;
-        self.pending_reclaimed = 0;
-        self.pending_inprocess_rounds = 0;
-        self.pending_subsumed = 0;
-        self.pending_strengthened = 0;
-        self.pending_vivified = 0;
+        // Attribute between-call work (from `retire`) to this call's
+        // snapshot, exactly once.
+        stats.sat.absorb(&std::mem::take(&mut self.pending));
         let cubes = extract_cubes(&self.search.graph, root, &self.important, &mut stats, sink);
         AllSatResult {
             cubes,
@@ -490,6 +475,37 @@ mod tests {
         let got = inc.enumerate(&[]);
         let want = cold_answer(&inc.cnf, &important, &[act], &[], Default::default());
         assert_eq!(got.cubes, want.cubes);
+    }
+
+    #[test]
+    fn stopped_calls_resume_through_the_success_cache() {
+        let cnf = random_cnf(2, 30, 84);
+        let important: Vec<Var> = Var::range(12).collect();
+        let cold = SuccessDrivenAllSat::new()
+            .enumerate(&AllSatProblem::new(cnf.clone(), important.clone()));
+        let mut inc = IncrementalAllSat::new(cnf, important, Default::default(), 1);
+        let limits =
+            EnumLimits::none().with_budget(presat_sat::Budget::unlimited().with_conflicts(1));
+        let mut calls = 0;
+        let mut resumed_hits = 0;
+        let last = loop {
+            let r = inc.enumerate_limited(&[], &limits, &mut NullSink);
+            assert!(r.stats.sat.conflicts <= 1);
+            calls += 1;
+            assert!(calls < 100_000, "resumed calls did not finish");
+            if calls > 1 {
+                resumed_hits += r.stats.cache_hits;
+            }
+            if r.complete {
+                break r;
+            }
+        };
+        assert!(calls > 1, "the budget must stop the first call");
+        assert!(
+            resumed_hits > 0,
+            "resumed calls reuse what stopped ones cached"
+        );
+        assert_eq!(last.cubes, cold.cubes);
     }
 
     #[test]

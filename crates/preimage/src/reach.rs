@@ -60,7 +60,8 @@ impl ReachOptions {
     }
 }
 
-/// One row of the per-iteration report (the series plotted in figure F3).
+/// One row of the per-iteration report (the series plotted in figure F3):
+/// one completed frontier.
 #[derive(Clone, Debug)]
 pub struct ReachIteration {
     /// 1-based iteration number.
@@ -73,7 +74,9 @@ pub struct ReachIteration {
     /// Cumulative backward-reachable states after this iteration
     /// (saturating like `new_states`).
     pub reached_states: u128,
-    /// Wall-clock time of this iteration's preimage call.
+    /// Wall-clock time of this iteration's preimage calls: one call, or
+    /// every slice of a frontier that [`ReachDriver::step`] was sliced
+    /// over.
     pub elapsed: Duration,
 }
 
@@ -106,7 +109,7 @@ pub struct ReachReport {
     pub stop_reason: Option<StopReason>,
     /// Aggregated engine counters over every iteration: work counters are
     /// summed, peak sizes take the maximum, `iterations` is the
-    /// fixed-point depth (number of preimage calls), and `wall_time_ns`
+    /// fixed-point depth (completed frontiers), and `wall_time_ns`
     /// covers the whole loop.
     pub stats: PreimageStats,
 }
@@ -177,10 +180,16 @@ pub enum ReachStep {
     Advanced,
     /// The current frontier's preimage call was cut short (slice budget,
     /// total budget, deadline, or cancellation inside the call). The
-    /// partial states found are already absorbed into the reached set;
-    /// stepping again *resumes the same frontier* where it left off (on
-    /// the incremental session path the absorbed states are blocked in the
-    /// solver, so no work repeats).
+    /// partial states found are already absorbed into the reached set, but
+    /// the step writes no iteration row and does not count toward
+    /// [`ReachOptions::max_iterations`]. Stepping again calls the same
+    /// frontier's preimage again. On a sequential session with dynamic
+    /// keys that call *resumes* where this one stopped: the session keeps
+    /// the stopped call's activation group and success cache (see
+    /// [`SatPreimageSession::preimage_limited`]). A partitioned session,
+    /// static or no-reuse keys and the per-call path restart the call, so
+    /// under a slice budget smaller than the whole call they never
+    /// complete the frontier.
     Interrupted(StopReason),
     /// Nothing more to do: converged, iteration cap reached, total budget
     /// exhausted, or cancelled between iterations. Take the
@@ -196,6 +205,11 @@ pub enum ReachStep {
 /// bit-identical however the work was sliced (the reached set lives in a
 /// canonical [`SolutionGraph`], so its cube representation depends only on
 /// the *set*, never on the slicing).
+///
+/// A frontier sliced over several steps is one iteration: it writes one
+/// row when it completes, and the session blocks its preimage then, not
+/// after each slice (an interrupted slice resumes through the session
+/// instead, see [`ReachStep::Interrupted`]).
 pub struct ReachDriver {
     options: ReachOptions,
     position_vars: Vec<Var>,
@@ -208,22 +222,16 @@ pub struct ReachDriver {
     /// unlimited slice budget a frontier always completes in one step and
     /// this is just that step's `new_node`.)
     pending: SolutionNodeId,
+    /// Wall-clock time the current frontier's slices have taken so far.
+    pending_elapsed: Duration,
+    /// One row per completed frontier.
     iterations: Vec<ReachIteration>,
     converged: bool,
-    /// `true` once `max_iterations` preimage calls have completed.
-    capped: bool,
     stop: Option<StopReason>,
     stats: PreimageStats,
     /// Counter residue of the total budget, spent down by each step's
     /// sub-solver work (the deadline is absolute — no bookkeeping needed).
     total_remaining: Budget,
-    /// Consecutive interrupted steps that contributed zero new states.
-    /// Sessions retire their activation group after every preimage call,
-    /// so a frontier's closing UNSAT proof restarts from scratch each
-    /// slice; a fixed slice quantum smaller than that proof would
-    /// re-interrupt forever. Each stall doubles the effective quantum
-    /// (reset on any progress), bounding wasted slices logarithmically.
-    stalls: u32,
     timer: Timer,
 }
 
@@ -244,12 +252,12 @@ impl ReachDriver {
 
         // Incremental mode: one persistent session answers every step.
         // Blocking the target up front keeps the invariant «blocked set ==
-        // reached set», so each session preimage already returns
-        // Pre(frontier) ∖ reached and states are never re-derived — across
-        // iterations *or* across budgeted slices of one frontier. The set
-        // subtraction in `step` is still performed on the canonical graph
-        // — `diff` of an already-disjoint set is the identity — which
-        // keeps the paths bit-identical.
+        // reached set» at every frontier boundary, so each session
+        // preimage already returns Pre(frontier) ∖ reached and states are
+        // never re-derived across iterations. The set subtraction in
+        // `step` is still performed on the canonical graph — `diff` of an
+        // already-disjoint set is the identity — which keeps the paths
+        // bit-identical.
         let mut session = if options.incremental {
             engine.open_session(circuit)
         } else {
@@ -269,13 +277,12 @@ impl ReachDriver {
             reached,
             frontier_node: reached,
             pending: SolutionNodeId::BOTTOM,
+            pending_elapsed: Duration::ZERO,
             iterations: Vec::new(),
             converged: false,
-            capped: false,
             stop: None,
             stats: PreimageStats::default(),
             total_remaining,
-            stalls: 0,
             timer,
         }
     }
@@ -285,7 +292,8 @@ impl ReachDriver {
     /// pass [`Budget::unlimited`] for no extra slice bound). Absorbs
     /// whatever the call verified into the reached set and reports whether
     /// the fixed point advanced, was interrupted mid-frontier (step again
-    /// to resume), or is done.
+    /// to resume), or is done. Only a step that completes its frontier
+    /// writes an iteration row and counts toward the iteration cap.
     pub fn step(
         &mut self,
         engine: &dyn PreimageEngine,
@@ -305,7 +313,6 @@ impl ReachDriver {
             .max_iterations
             .is_some_and(|cap| self.iterations.len() >= cap)
         {
-            self.capped = true;
             return ReachStep::Done;
         }
         // Between-step stop checks cover every engine, including those
@@ -333,26 +340,10 @@ impl ReachDriver {
             self.stop = Some(StopReason::Propagations);
             return ReachStep::Done;
         }
-        // Stall escalation: grow the caller's slice quantum exponentially
-        // while consecutive slices end interrupted with nothing to show,
-        // so the frontier's closing UNSAT proof eventually fits in one
-        // slice (see the `stalls` field). Total-budget clipping below
-        // still bounds the boosted slice.
-        let boost = 1u64.checked_shl(self.stalls.min(32)).unwrap_or(u64::MAX);
-        let boosted_slice = Budget {
-            conflicts: slice_budget
-                .conflicts
-                .map(|c| c.max(1).saturating_mul(boost)),
-            propagations: slice_budget
-                .propagations
-                .map(|p| p.max(1).saturating_mul(boost)),
-            deadline: slice_budget.deadline,
-        };
         let limits = EnumLimits {
-            // What remains of the total clipped to the caller's (possibly
-            // boosted) slice quantum (counters take the minimum, deadlines
-            // the earliest).
-            budget: self.total_remaining.clipped_to(&boosted_slice),
+            // What remains of the total clipped to the caller's slice
+            // quantum (counters take the minimum, deadlines the earliest).
+            budget: self.total_remaining.clipped_to(slice_budget),
             cancel: self.options.cancel.clone(),
             max_solutions: None,
         };
@@ -365,16 +356,13 @@ impl ReachDriver {
             Some(s) => s.preimage_limited(&frontier, &limits, sink),
             None => engine.preimage_limited(circuit, &frontier, &limits, sink),
         };
-        let elapsed = start.elapsed();
+        self.pending_elapsed += start.elapsed();
         self.stats.absorb(&pre.stats);
         if let Some(c) = self.total_remaining.conflicts.as_mut() {
             *c = c.saturating_sub(pre.stats.allsat.sat.conflicts);
         }
         if let Some(p) = self.total_remaining.propagations.as_mut() {
             *p = p.saturating_sub(pre.stats.allsat.sat.propagations);
-        }
-        if let Some(s) = self.session.as_mut() {
-            s.block_states(&pre.states);
         }
 
         // Partial preimage states are still verified predecessors of the
@@ -388,7 +376,22 @@ impl ReachDriver {
         let new_node = self.graph.diff(pre_node, self.reached);
         self.reached = self.graph.union(self.reached, new_node);
         self.pending = self.graph.union(self.pending, new_node);
-        let new_states = self.graph.minterm_count(new_node);
+        if !pre.complete {
+            // An interrupted preimage: an empty new_node here means "ran
+            // out of budget", NOT "fixed point" — the frontier stays
+            // installed and a later step resumes it.
+            let reason = pre.stop_reason.unwrap_or(StopReason::Cancelled);
+            self.stop = Some(reason);
+            return ReachStep::Interrupted(reason);
+        }
+        // The frontier is fully enumerated: its call returned all of
+        // Pre(frontier) ∖ reached, which the session now blocks, and the
+        // fixed point advances to the accumulated new states (from this
+        // step and any interrupted slices before it).
+        if let Some(s) = self.session.as_mut() {
+            s.block_states(&pre.states);
+        }
+        let new_states = self.graph.minterm_count(self.pending);
         let iteration = self.iterations.len() + 1;
         sink.record(&Event::ReachIteration {
             iteration: iteration as u32,
@@ -400,24 +403,8 @@ impl ReachDriver {
             frontier_cubes: frontier.num_cubes(),
             new_states,
             reached_states: self.graph.minterm_count(self.reached),
-            elapsed,
+            elapsed: std::mem::take(&mut self.pending_elapsed),
         });
-        if !pre.complete {
-            // An interrupted preimage: an empty new_node here means "ran
-            // out of budget", NOT "fixed point" — the frontier stays
-            // installed and a later step resumes it.
-            self.stalls = if new_node == SolutionNodeId::BOTTOM {
-                self.stalls.saturating_add(1)
-            } else {
-                0
-            };
-            let reason = pre.stop_reason.unwrap_or(StopReason::Cancelled);
-            self.stop = Some(reason);
-            return ReachStep::Interrupted(reason);
-        }
-        self.stalls = 0;
-        // The frontier is fully enumerated: advance to the accumulated new
-        // states (from this step and any interrupted slices before it).
         self.frontier_node = self.pending;
         self.pending = SolutionNodeId::BOTTOM;
         ReachStep::Advanced
@@ -433,7 +420,7 @@ impl ReachDriver {
         self.stop
     }
 
-    /// Preimage calls completed so far (iteration rows).
+    /// Frontiers completed so far (iteration rows).
     pub fn iterations(&self) -> usize {
         self.iterations.len()
     }
@@ -637,6 +624,51 @@ mod tests {
             );
             let _ = interrupted; // may be 0 on trivially easy circuits
         }
+    }
+
+    /// Rows a test compares: everything but the wall-clock time.
+    fn rows(report: &ReachReport) -> Vec<(usize, usize, u128, u128)> {
+        report
+            .iterations
+            .iter()
+            .map(|r| {
+                (
+                    r.iteration,
+                    r.frontier_cubes,
+                    r.new_states,
+                    r.reached_states,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_driver_counts_frontiers_toward_the_iteration_cap() {
+        let circuit = generators::counter(5, true);
+        let target = StateSet::from_state_bits(9, 5);
+        let engine = SatPreimage::success_driven();
+        let options = ReachOptions {
+            max_iterations: Some(2),
+            ..ReachOptions::default()
+        };
+        let one_shot = backward_reach(&engine, &circuit, &target, options.clone());
+        assert_eq!(one_shot.reached_states, 3); // 9 and its predecessors 8, 7
+        let mut driver = ReachDriver::new(&engine, &circuit, &target, options);
+        let quantum = Budget::unlimited().with_conflicts(1);
+        let mut interrupted = 0;
+        loop {
+            match driver.step(&engine, &circuit, &quantum, &mut NullSink) {
+                ReachStep::Advanced => {}
+                ReachStep::Interrupted(_) => interrupted += 1,
+                ReachStep::Done => break,
+            }
+            assert!(interrupted < 100_000, "sliced reach did not terminate");
+        }
+        assert!(interrupted > 0, "the quantum must interrupt a frontier");
+        let sliced = driver.report();
+        assert!(sliced.complete && !sliced.converged);
+        assert_eq!(sliced.reached.cubes(), one_shot.reached.cubes());
+        assert_eq!(rows(&sliced), rows(&one_shot));
     }
 
     #[test]

@@ -9,17 +9,28 @@
 //!
 //! * Each iteration's target is written by the one-shot path's cube-union
 //!   writer ([`write_cube_union`]) guarded by a fresh *activation
-//!   literal* `a`, and enabled by assuming `a` for that enumeration only.
-//!   Afterwards the group is retired — `¬a` becomes a permanent unit, and
-//!   the group's clauses (plus any learnt clause that depended on them,
-//!   which necessarily contains `¬a`) go inert and are garbage-collected.
+//!   literal* `a`, and enabled by assuming `a` while that target is
+//!   enumerated. Once its enumeration completes, the group is retired —
+//!   `¬a` becomes a permanent unit, and the group's clauses (plus any
+//!   learnt clause that depended on them, which necessarily contains
+//!   `¬a`) go inert and are garbage-collected.
+//! * A call that a budget, deadline or cancellation stops keeps its group
+//!   open, and the next call on the same target runs under it again: the
+//!   `¬a` learnt clauses still prune, and the success cache holds every
+//!   subspace the stopped call finished, so the re-run reaches the stop
+//!   point through cache hits and resumes there. This holds for a
+//!   sequential session with dynamic keys, the configuration `presatd`
+//!   runs; a partitioned session (`jobs > 1`) and static or no-reuse keys
+//!   keep no cache across calls, so they restart a stopped call. A call
+//!   on any other target retires the open group first.
 //! * Learnt clauses about the *transition relation itself* contain no
 //!   activation literal and keep pruning search in every later iteration,
 //!   along with saved phases, variable activities, and the success-driven
 //!   signature cache.
 //! * [`block_states`](SatPreimageSession::block_states) adds permanent
 //!   blocking clauses over the state variables, so states already known
-//!   backward-reachable are never re-enumerated.
+//!   backward-reachable are never re-enumerated. The reachability loop
+//!   blocks a frontier's preimage once, when its enumeration completes.
 
 use presat_allsat::{EnumLimits, IncrementalAllSat, SuccessDrivenAllSat};
 use presat_circuit::Circuit;
@@ -51,6 +62,9 @@ pub struct SatPreimageSession {
     /// Preimage calls served so far (every call after the first reuses the
     /// session encoding).
     iterations: u64,
+    /// The target and activation literal of a stopped call, whose group
+    /// stays open for the next call on the same target.
+    open: Option<(StateSet, Lit)>,
 }
 
 impl SatPreimageSession {
@@ -76,6 +90,7 @@ impl SatPreimageSession {
             num_latches,
             name,
             iterations: 0,
+            open: None,
         }
     }
 
@@ -125,6 +140,12 @@ impl SatPreimageSession {
     /// under resource `limits`; a stopped call returns the verified
     /// partial preimage flagged `complete = false`, and the session stays
     /// usable.
+    ///
+    /// A stopped call keeps its activation group open for the next call on
+    /// the same target, which resumes it (see the module docs). Each call
+    /// returns what it enumerated, cache hits included, so the call that
+    /// completes returns the whole preimage. A call on any other target
+    /// retires the open group first.
     pub fn preimage_limited(
         &mut self,
         target: &StateSet,
@@ -134,17 +155,29 @@ impl SatPreimageSession {
         let timer = Timer::start();
         let learnts_carried = self.inner.live_learnts() as u64;
         let encodings_reused = u64::from(self.iterations > 0);
-        let act = self.activate_target(target);
+        let (act, fresh) = match self.open.take() {
+            Some((open, act)) if open == *target => (act, false),
+            stale => {
+                if let Some((_, act)) = stale {
+                    self.inner.retire(act);
+                }
+                (self.activate_target(target), true)
+            }
+        };
         let result = self.inner.enumerate_limited(&[act], limits, sink);
-        // Retiring the group is safe even after a stopped enumeration: the
-        // session's persistent state never absorbs truncated subgraphs, so
-        // the next (possibly unlimited) call starts sound.
-        self.inner.retire(act);
+        // The session's persistent state never absorbs truncated
+        // subgraphs, so retiring a group, or keeping it for a resume, is
+        // sound after any call.
+        if result.complete {
+            self.inner.retire(act);
+        } else {
+            self.open = Some((target.clone(), act));
+        }
         self.iterations += 1;
         let mut pre = preimage_result(result, &timer, sink);
         pre.stats.encodings_reused = encodings_reused;
         pre.stats.learnts_carried = learnts_carried;
-        pre.stats.activation_lits = 1;
+        pre.stats.activation_lits = u64::from(fresh);
         // The session path encodes every cone once up front (the shared
         // base must serve any future target), so COI skipping does not
         // apply here: `cones_skipped` stays 0.
@@ -152,7 +185,9 @@ impl SatPreimageSession {
     }
 
     /// Permanently excludes `states` from all future results (adds one
-    /// blocking clause per cube to the persistent solver).
+    /// blocking clause per cube to the persistent solver). The
+    /// reachability loop calls it once per completed frontier, never
+    /// between the slices of a stopped one, which resume without it.
     pub fn block_states(&mut self, states: &StateSet) {
         // State cubes are over latch positions, which *are* the CNF state
         // variables — negate each cube into one permanent blocking clause.
@@ -175,6 +210,7 @@ mod tests {
     use super::*;
     use crate::engine::PreimageEngine;
     use crate::sat_engine::SatPreimage;
+    use presat_allsat::Budget;
     use presat_circuit::generators;
 
     #[test]
@@ -236,6 +272,49 @@ mod tests {
         let t = StateSet::from_state_bits(5, 3);
         let pre = session.preimage_with_sink(&t, &mut presat_obs::NullSink);
         assert_eq!(pre.states.minterm_count(3), 1);
+    }
+
+    #[test]
+    fn stopped_call_resumes_under_its_activation_group() {
+        let c = generators::random_dag(6, 10, 120, 1);
+        let t = StateSet::from_partial(&[(0, true), (1, false)]);
+        let engine = SatPreimage::success_driven();
+        let cold = engine.preimage(&c, &t);
+        let mut session = engine.open_session(&c).unwrap();
+        let limits = EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(1));
+        let (mut calls, mut activation_lits) = (0, 0);
+        let pre = loop {
+            let pre = session.preimage_limited(&t, &limits, &mut presat_obs::NullSink);
+            calls += 1;
+            activation_lits += pre.stats.activation_lits;
+            assert!(pre.stats.allsat.sat.conflicts <= 1);
+            assert!(calls < 100_000, "resumed calls did not finish");
+            if pre.complete {
+                break pre;
+            }
+        };
+        assert!(calls > 1, "the budget must stop the first call");
+        assert_eq!(activation_lits, 1, "every resumed call reuses the group");
+        assert_eq!(pre.states.cubes(), cold.states.cubes());
+    }
+
+    #[test]
+    fn a_call_on_another_target_retires_the_open_group() {
+        let c = generators::counter(4, false);
+        let engine = SatPreimage::success_driven();
+        let mut session = engine.open_session(&c).unwrap();
+        let (a, b) = (
+            StateSet::from_state_bits(9, 4),
+            StateSet::from_state_bits(3, 4),
+        );
+        let none = EnumLimits::none().with_budget(Budget::unlimited().with_conflicts(0));
+        let stopped = session.preimage_limited(&a, &none, &mut presat_obs::NullSink);
+        assert!(!stopped.complete);
+        for t in [&b, &a] {
+            let warm = session.preimage_with_sink(t, &mut presat_obs::NullSink);
+            assert_eq!(warm.stats.activation_lits, 1, "a fresh group per target");
+            assert_eq!(warm.states.cubes(), engine.preimage(&c, t).states.cubes());
+        }
     }
 
     #[test]

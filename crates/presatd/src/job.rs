@@ -8,15 +8,27 @@
 //! `done` event ([`SliceOutcome::Done`]). The scheduler interleaves slices
 //! of many jobs round-robin, so a heavy tenant cannot starve a small one.
 //!
+//! There are three kinds of job. `solve` keeps its solver and learnt
+//! clauses across slices. `allsat` and `preimage` are one kind: both
+//! enumerate a formula with a sequential [`IncrementalAllSat`] under
+//! dynamic keys — the request's formula, or the one-step
+//! [`StepEncoding`] that `presat preimage` runs. `reach` steps a
+//! [`ReachDriver`].
+//!
 //! # Why sliced results match the one-shot CLI bit-for-bit
 //!
-//! Each kind accumulates its verified solutions in a canonical
-//! [`SolutionGraph`] (a hash-consed ROBDD over the projection positions).
-//! The cube set extracted at the end depends only on the *set* represented
-//! — never on how the work was sliced — and between slices the found
-//! solutions are blocked inside the persistent solver, so no slice repeats
-//! another's work. A budget-stopped slice therefore composes: the union of
-//! slice results equals the sequential enumeration, cube for cube.
+//! A slice that its quantum stops is resumed by running the same
+//! enumeration again, adding no clause: every subspace the stopped run
+//! finished sits in the success cache, and the clauses it learnt still
+//! hold, so the re-run reaches the stop point through cache hits and goes
+//! on from there (a `reach` frontier resumes the same way inside its
+//! session, see [`ReachStep::Interrupted`]). Each kind accumulates its
+//! verified solutions in a canonical [`SolutionGraph`] (a hash-consed
+//! ROBDD over the projection positions) and streams only the cubes that
+//! are new since the last slice. The cube set extracted at the end
+//! depends only on the *set* represented — never on how the work was
+//! sliced — so the union of slice results equals the sequential
+//! enumeration, cube for cube.
 
 use std::time::{Duration, Instant};
 
@@ -25,17 +37,18 @@ use presat_allsat::{
     SuccessDrivenAllSat,
 };
 use presat_circuit::Circuit;
-use presat_logic::Var;
-use presat_obs::{NullSink, PreimageCounters, Stats, Timer};
-use presat_preimage::{
-    PreimageEngine, ReachDriver, ReachOptions, ReachStep, SatPreimage, SatPreimageSession, StateSet,
-};
+use presat_logic::{Cnf, CubeSet, Var};
+use presat_obs::{AllSatCounters, NullSink, PreimageCounters, Stats, Timer};
+use presat_preimage::{ReachDriver, ReachOptions, ReachStep, SatPreimage, StepEncoding};
 use presat_sat::{BudgetPool, SolveResult, Solver};
 
 use crate::output::OutputHandle;
 use crate::protocol::{
     cubes_event, dimacs_cube, iteration_event, string_array, DoneEvent, Request, RequestLimits,
 };
+
+/// The engine name every enumeration and `reach` job reports.
+const ENGINE: &str = "success-driven";
 
 /// What a slice decided about the job's future.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,22 +80,13 @@ pub struct Job {
     out: OutputHandle,
     cancel: CancelToken,
     deadline: Option<Instant>,
-    /// Conflicts the request may still spend (`None` = uncapped). `reach`
-    /// tracks this inside its driver instead.
+    /// Conflicts the request may still spend (`None` = uncapped).
     remaining_conflicts: Option<u64>,
     /// Cumulative conflicts already charged to the pool.
     charged_conflicts: u64,
-    /// Accumulated engine counters (reach reads its driver's instead).
-    counters: PreimageCounters,
-    /// Consecutive slices that ended incomplete without any new result.
-    /// A preimage session retires its target activation group after every
-    /// call — even a budget-stopped one — so a "no more predecessors"
-    /// UNSAT proof restarts from scratch each slice; a quantum smaller
-    /// than that proof would livelock. Each stall doubles the effective
-    /// quantum ([`Job::run_slice`]) until the job moves again. `reach`
-    /// jobs leave this at 0: their driver counts its own stalls and
-    /// doubles the step budget itself.
-    stalls: u32,
+    /// Accumulated engine counters of a `solve` or enumeration job
+    /// (`reach` reads its `ReachDriver`'s instead).
+    counters: AllSatCounters,
     timer: Timer,
     finished: bool,
     kind: JobKind,
@@ -90,29 +94,58 @@ pub struct Job {
 
 enum JobKind {
     Solve {
-        solver: Solver,
+        solver: Box<Solver>,
         num_vars: usize,
+        /// The model line, once a slice found the formula satisfiable.
+        model: Option<String>,
     },
-    AllSat {
-        inc: IncrementalAllSat,
+    Enumerate {
+        inc: Box<IncrementalAllSat>,
         important: Vec<Var>,
         graph: SolutionGraph,
         accum: SolutionNodeId,
         max_solutions: Option<u64>,
-    },
-    Preimage {
-        session: SatPreimageSession,
-        target: StateSet,
-        position_vars: Vec<Var>,
-        graph: SolutionGraph,
-        accum: SolutionNodeId,
+        answer: Answer,
     },
     Reach {
-        engine: SatPreimage,
         circuit: Circuit,
         driver: Box<ReachDriver>,
         emitted_rows: usize,
     },
+}
+
+/// Which request an enumeration job answers, which fixes how its cubes
+/// and its `done` event read.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// `allsat`: DIMACS cube rows; the model count is `solutions`.
+    Models,
+    /// `preimage`: latch bit-string rows; the state count is `states`.
+    States {
+        /// Next-state cones the encoding's cone-of-influence reduction
+        /// left out.
+        cones_skipped: u64,
+    },
+}
+
+impl Answer {
+    fn rows(self, cubes: &CubeSet) -> Vec<String> {
+        match self {
+            Answer::Models => cubes.iter().map(dimacs_cube).collect(),
+            Answer::States { .. } => cubes.iter().map(|c| c.to_string()).collect(),
+        }
+    }
+}
+
+/// How a slice of a job's engine ended.
+enum Progress {
+    /// A `reach` frontier completed and the fixed point goes on.
+    Advanced,
+    /// The engine stopped for this reason; a spent quantum re-queues the
+    /// job while the request has budget left.
+    Stopped(StopReason),
+    /// The job is over: complete when the reason is `None`.
+    Over(Option<StopReason>),
 }
 
 /// Saturating `u128 → u64` for JSON counters.
@@ -131,6 +164,27 @@ fn deadline_from(limits: &RequestLimits) -> Option<Instant> {
     })
 }
 
+impl JobKind {
+    /// An enumeration of `cnf` projected onto `important`.
+    fn enumerate(
+        cnf: Cnf,
+        important: Vec<Var>,
+        max_solutions: Option<u64>,
+        answer: Answer,
+    ) -> JobKind {
+        let graph = SolutionGraph::new(important.len());
+        let inc = IncrementalAllSat::new(cnf, important.clone(), SuccessDrivenAllSat::new(), 1);
+        JobKind::Enumerate {
+            inc: Box::new(inc),
+            important,
+            graph,
+            accum: SolutionNodeId::BOTTOM,
+            max_solutions,
+            answer,
+        }
+    }
+}
+
 impl Job {
     /// Builds the sliceable state machine for a job request. `Stats`,
     /// `Cancel`, and `Shutdown` are not jobs and are rejected here.
@@ -144,9 +198,14 @@ impl Job {
                 limits,
             } => {
                 let num_vars = cnf.num_vars();
-                let mut solver = Solver::from_cnf(&cnf);
+                let mut solver = Box::new(Solver::from_cnf(&cnf));
                 solver.set_cancel(Some(cancel.clone()));
-                (id, session, limits, JobKind::Solve { solver, num_vars })
+                let kind = JobKind::Solve {
+                    solver,
+                    num_vars,
+                    model: None,
+                };
+                (id, session, limits, kind)
             }
             Request::AllSat {
                 id,
@@ -156,21 +215,9 @@ impl Job {
                 limits,
                 max_solutions,
             } => {
-                let important: Vec<Var> = Var::range(project).collect();
-                let inc =
-                    IncrementalAllSat::new(cnf, important.clone(), SuccessDrivenAllSat::new(), 1);
-                (
-                    id,
-                    session,
-                    limits,
-                    JobKind::AllSat {
-                        inc,
-                        important,
-                        graph: SolutionGraph::new(project),
-                        accum: SolutionNodeId::BOTTOM,
-                        max_solutions,
-                    },
-                )
+                let important = Var::range(project).collect();
+                let kind = JobKind::enumerate(cnf, important, max_solutions, Answer::Models);
+                (id, session, limits, kind)
             }
             Request::Preimage {
                 id,
@@ -179,23 +226,13 @@ impl Job {
                 target,
                 limits,
             } => {
-                let engine = SatPreimage::success_driven();
-                let sess = engine
-                    .open_session(&circuit)
-                    .ok_or("engine offers no incremental session")?;
-                let n = circuit.num_latches();
-                (
-                    id,
-                    session,
-                    limits,
-                    JobKind::Preimage {
-                        session: sess,
-                        target,
-                        position_vars: Var::range(n).collect(),
-                        graph: SolutionGraph::new(n),
-                        accum: SolutionNodeId::BOTTOM,
-                    },
-                )
+                let enc = StepEncoding::build(&circuit, &target);
+                let important = enc.state_vars();
+                let answer = Answer::States {
+                    cones_skipped: enc.cones_skipped(),
+                };
+                let kind = JobKind::enumerate(enc.into_cnf(), important, None, answer);
+                (id, session, limits, kind)
             }
             Request::Reach {
                 id,
@@ -205,7 +242,6 @@ impl Job {
                 limits,
                 max_iter,
             } => {
-                let engine = SatPreimage::success_driven();
                 let options = ReachOptions {
                     max_iterations: max_iter,
                     total_budget: Budget {
@@ -216,18 +252,14 @@ impl Job {
                     cancel: Some(cancel.clone()),
                     ..ReachOptions::default()
                 };
+                let engine = SatPreimage::success_driven();
                 let driver = Box::new(ReachDriver::new(&engine, &circuit, &target, options));
-                (
-                    id,
-                    session,
-                    limits,
-                    JobKind::Reach {
-                        engine,
-                        circuit,
-                        driver,
-                        emitted_rows: 0,
-                    },
-                )
+                let kind = JobKind::Reach {
+                    circuit,
+                    driver,
+                    emitted_rows: 0,
+                };
+                (id, session, limits, kind)
             }
             Request::Stats { .. } | Request::Cancel { .. } | Request::Shutdown { .. } => {
                 return Err("internal: not a job op".into())
@@ -243,8 +275,7 @@ impl Job {
             deadline,
             remaining_conflicts: limits.conflicts,
             charged_conflicts: 0,
-            counters: PreimageCounters::default(),
-            stalls: 0,
+            counters: AllSatCounters::default(),
             timer: Timer::start(),
             finished: false,
             kind,
@@ -284,8 +315,17 @@ impl Job {
     /// what the last engine call reported.
     pub fn counters(&self) -> PreimageCounters {
         let mut counters = match &self.kind {
+            JobKind::Solve { .. } => PreimageCounters::from_allsat(self.counters),
+            JobKind::Enumerate { answer, .. } => PreimageCounters {
+                iterations: 1,
+                wall_time_ns: self.timer.elapsed_ns(),
+                cones_skipped: match answer {
+                    Answer::Models => 0,
+                    Answer::States { cones_skipped } => *cones_skipped,
+                },
+                ..PreimageCounters::from_allsat(self.counters)
+            },
             JobKind::Reach { driver, .. } => *driver.stats(),
-            _ => self.counters,
         };
         counters.result_cubes = counters.result_cubes.max(self.result_cubes());
         counters
@@ -298,9 +338,7 @@ impl Job {
     pub fn result_cubes(&self) -> u64 {
         match &self.kind {
             JobKind::Solve { .. } => 0,
-            JobKind::AllSat { graph, accum, .. } | JobKind::Preimage { graph, accum, .. } => {
-                graph.cube_count(*accum)
-            }
+            JobKind::Enumerate { graph, accum, .. } => graph.cube_count(*accum),
             JobKind::Reach { driver, .. } => driver.reached_cubes(),
         }
     }
@@ -309,71 +347,16 @@ impl Job {
     pub fn arena_bytes(&self) -> u64 {
         match &self.kind {
             JobKind::Solve { solver, .. } => solver.arena_bytes() as u64,
-            JobKind::AllSat { inc, .. } => inc.arena_bytes(),
-            JobKind::Preimage { session, .. } => session.arena_bytes(),
+            JobKind::Enumerate { inc, .. } => inc.arena_bytes(),
             JobKind::Reach { driver, .. } => driver.arena_bytes(),
         }
     }
 
     fn cumulative_conflicts(&self) -> u64 {
-        self.counters().allsat.sat.conflicts
-    }
-
-    /// Finishes early (pool exhausted / cancelled / deadline) with the
-    /// partial result accumulated so far.
-    fn finish_early(&mut self, reason: StopReason) {
-        match &mut self.kind {
-            JobKind::Solve { .. } => emit_done_solve(
-                &self.out,
-                &self.id,
-                &self.timer,
-                &self.counters,
-                "unknown",
-                None,
-                false,
-                Some(reason),
-            ),
-            JobKind::AllSat {
-                graph,
-                accum,
-                important,
-                ..
-            } => emit_done_allsat(
-                &self.out,
-                &self.id,
-                &self.timer,
-                &self.counters,
-                graph,
-                *accum,
-                important,
-                false,
-                Some(reason),
-            ),
-            JobKind::Preimage {
-                graph,
-                accum,
-                position_vars,
-                ..
-            } => emit_done_preimage(
-                &self.out,
-                &self.id,
-                &self.timer,
-                &self.counters,
-                graph,
-                *accum,
-                position_vars,
-                false,
-                Some(reason),
-            ),
-            JobKind::Reach { driver, .. } => emit_done_reach(
-                &self.out,
-                &self.id,
-                &self.timer,
-                driver,
-                Some((false, Some(reason))),
-            ),
+        match &self.kind {
+            JobKind::Reach { driver, .. } => driver.stats().allsat.sat.conflicts,
+            _ => self.counters.sat.conflicts,
         }
-        self.finished = true;
     }
 
     /// Runs one quantum of work. Streams progress events; on the terminal
@@ -387,11 +370,6 @@ impl Job {
                 arena_bytes: 0,
             };
         }
-        // Stall escalation: a job whose last slices went nowhere gets an
-        // exponentially larger quantum, guaranteeing forward progress even
-        // when one quantum is smaller than an indivisible proof.
-        let boost = 1u64.checked_shl(self.stalls.min(32)).unwrap_or(u64::MAX);
-        let quantum = quantum.max(1).saturating_mul(boost);
         // Generic pre-slice stops: a drained shared pool, cooperative
         // cancellation, or an expired per-request deadline all terminate
         // the job with its sound partial result.
@@ -404,18 +382,28 @@ impl Job {
         } else {
             None
         };
-        if let Some(reason) = early {
-            self.finish_early(reason);
-        } else {
-            self.run_slice_inner(quantum);
-        }
+        let progress = match early {
+            Some(reason) => Progress::Over(Some(reason)),
+            None => self.advance(quantum),
+        };
         let cum = self.cumulative_conflicts();
         let spent = cum.saturating_sub(self.charged_conflicts);
         self.charged_conflicts = cum;
+        if let Some(r) = self.remaining_conflicts.as_mut() {
+            *r = r.saturating_sub(spent);
+        }
         if let Some(p) = pool {
             // A charge that trips the pool is picked up by every job's next
             // pre-slice check; nothing to do here.
             let _ = p.charge(spent, 0);
+        }
+        match progress {
+            Progress::Advanced => {}
+            // The quantum ran out, the request's budget did not: re-queue.
+            Progress::Stopped(StopReason::Conflicts | StopReason::Propagations)
+                if self.remaining_conflicts != Some(0) => {}
+            Progress::Stopped(reason) => self.finish(Some(reason)),
+            Progress::Over(stop) => self.finish(stop),
         }
         SliceReport {
             outcome: if self.finished {
@@ -428,243 +416,99 @@ impl Job {
         }
     }
 
-    fn run_slice_inner(&mut self, quantum: u64) {
-        // One quantum, but never more than the request has left and never
-        // past its deadline.
+    /// Runs the job's engine for one quantum, never past what the request
+    /// has left or its deadline, and streams what the slice found.
+    fn advance(&mut self, quantum: u64) -> Progress {
         let request_remaining = Budget {
             conflicts: self.remaining_conflicts,
             propagations: None,
             deadline: self.deadline,
         };
         let slice = Budget::unlimited()
-            .with_conflicts(quantum)
+            .with_conflicts(quantum.max(1))
             .clipped_to(&request_remaining);
         let Job {
             id,
             out,
             cancel,
-            remaining_conflicts,
             counters,
-            stalls,
-            timer,
-            finished,
             kind,
             ..
         } = self;
         match kind {
-            JobKind::Solve { solver, num_vars } => {
+            JobKind::Solve {
+                solver,
+                num_vars,
+                model,
+            } => {
                 // `reset_stats` makes the solver's counters a per-slice
                 // delta; `set_budget` then installs a fresh quantum
                 // against the zeroed baseline — the resume mechanism.
                 solver.reset_stats();
                 solver.set_budget(slice);
                 let solved = solver.solve();
-                let delta = *solver.stats();
-                counters.allsat.sat.absorb(&delta);
-                if let Some(r) = remaining_conflicts.as_mut() {
-                    *r = r.saturating_sub(delta.conflicts);
-                }
+                counters.sat.absorb(solver.stats());
                 match solved {
-                    SolveResult::Sat(model) => {
+                    SolveResult::Sat(m) => {
                         let mut line = String::new();
                         for i in 0..*num_vars {
-                            let value = model.value(Var::new(i)) == Some(true);
+                            let value = m.value(Var::new(i)) == Some(true);
                             let v = i as i64 + 1;
                             line.push_str(&format!("{} ", if value { v } else { -v }));
                         }
                         line.push('0');
-                        emit_done_solve(out, id, timer, counters, "sat", Some(&line), true, None);
-                        *finished = true;
+                        *model = Some(line);
+                        Progress::Over(None)
                     }
-                    SolveResult::Unsat => {
-                        emit_done_solve(out, id, timer, counters, "unsat", None, true, None);
-                        *finished = true;
-                    }
-                    SolveResult::Unknown(reason) => {
-                        let out_of_conflicts =
-                            matches!(reason, StopReason::Conflicts | StopReason::Propagations);
-                        if out_of_conflicts && *remaining_conflicts != Some(0) {
-                            // The quantum tripped, not the request budget:
-                            // stay queued and resume next slice.
-                        } else {
-                            emit_done_solve(
-                                out,
-                                id,
-                                timer,
-                                counters,
-                                "unknown",
-                                None,
-                                false,
-                                Some(reason),
-                            );
-                            *finished = true;
-                        }
-                    }
+                    SolveResult::Unsat => Progress::Over(None),
+                    SolveResult::Unknown(reason) => Progress::Stopped(reason),
                 }
             }
-            JobKind::AllSat {
+            JobKind::Enumerate {
                 inc,
                 important,
                 graph,
                 accum,
                 max_solutions,
+                answer,
             } => {
-                // Solution caps count the whole job, not the slice: hand
-                // the engine only what the request still allows.
-                let found = graph.minterm_count(*accum);
-                let remaining_solutions = max_solutions.map(|m| m.saturating_sub(sat_u64(found)));
-                if remaining_solutions == Some(0) {
-                    emit_done_allsat(
-                        out,
-                        id,
-                        timer,
-                        counters,
-                        graph,
-                        *accum,
-                        important,
-                        false,
-                        Some(StopReason::MaxSolutions),
-                    );
-                    *finished = true;
-                    return;
+                // Solution caps count the whole job. The re-run counts the
+                // solutions earlier slices found again, so it gets the
+                // whole cap too.
+                if max_solutions.is_some_and(|m| graph.minterm_count(*accum) >= u128::from(m)) {
+                    return Progress::Over(Some(StopReason::MaxSolutions));
                 }
                 let limits = EnumLimits {
                     budget: slice,
                     cancel: Some(cancel.clone()),
-                    max_solutions: remaining_solutions,
+                    max_solutions: *max_solutions,
                 };
                 let r = inc.enumerate_limited(&[], &limits, &mut NullSink);
-                *stalls = if r.complete || !r.cubes.is_empty() {
-                    0
-                } else {
-                    stalls.saturating_add(1)
-                };
-                counters.allsat.absorb(&r.stats);
-                if let Some(rc) = remaining_conflicts.as_mut() {
-                    *rc = rc.saturating_sub(r.stats.sat.conflicts);
-                }
+                counters.absorb(&r.stats_with_store());
+                // The run re-finds what earlier slices found: stream only
+                // the cubes that are new.
                 let node = graph.add_cube_set(&r.cubes, important);
-                *accum = graph.union(*accum, node);
-                if !r.cubes.is_empty() {
-                    let rows: Vec<String> = r.cubes.iter().map(dimacs_cube).collect();
+                let new = graph.diff(node, *accum);
+                *accum = graph.union(*accum, new);
+                if new != SolutionNodeId::BOTTOM {
+                    let rows = answer.rows(&graph.to_cube_set(new, important));
                     out.send_line(&cubes_event(id, rows));
-                }
-                if r.complete {
-                    emit_done_allsat(
-                        out, id, timer, counters, graph, *accum, important, true, None,
-                    );
-                    *finished = true;
-                    return;
-                }
-                // Block this slice's cubes permanently so the next slice
-                // resumes where this one stopped instead of re-finding
-                // them (truncated runs never poison the cache, so the
-                // persistent enumerator stays sound).
-                for cube in &r.cubes {
-                    let blocking: Vec<_> = cube.lits().iter().map(|&l| !l).collect();
-                    inc.add_clause(blocking);
                 }
                 match r.stop_reason {
-                    Some(StopReason::Conflicts | StopReason::Propagations)
-                        if *remaining_conflicts != Some(0) =>
-                    {
-                        // Quantum exhausted, request budget not: re-queue.
-                    }
-                    Some(reason) => {
-                        emit_done_allsat(
-                            out,
-                            id,
-                            timer,
-                            counters,
-                            graph,
-                            *accum,
-                            important,
-                            false,
-                            Some(reason),
-                        );
-                        *finished = true;
-                    }
-                    None => {}
-                }
-            }
-            JobKind::Preimage {
-                session,
-                target,
-                position_vars,
-                graph,
-                accum,
-            } => {
-                let limits = EnumLimits {
-                    budget: slice,
-                    cancel: Some(cancel.clone()),
-                    max_solutions: None,
-                };
-                let pre = session.preimage_limited(target, &limits, &mut NullSink);
-                *stalls = if pre.complete || pre.states.num_cubes() > 0 {
-                    0
-                } else {
-                    stalls.saturating_add(1)
-                };
-                counters.absorb(&pre.stats);
-                if let Some(rc) = remaining_conflicts.as_mut() {
-                    *rc = rc.saturating_sub(pre.stats.allsat.sat.conflicts);
-                }
-                // Block what this slice verified so the next slice
-                // enumerates only Pre(target) ∖ (already found); the union
-                // across slices is exactly Pre(target).
-                session.block_states(&pre.states);
-                let node = graph.add_cube_set(pre.states.cubes(), position_vars);
-                *accum = graph.union(*accum, node);
-                if pre.states.num_cubes() > 0 {
-                    let rows: Vec<String> =
-                        pre.states.cubes().iter().map(|c| c.to_string()).collect();
-                    out.send_line(&cubes_event(id, rows));
-                }
-                if pre.complete {
-                    emit_done_preimage(
-                        out,
-                        id,
-                        timer,
-                        counters,
-                        graph,
-                        *accum,
-                        position_vars,
-                        true,
-                        None,
-                    );
-                    *finished = true;
-                    return;
-                }
-                match pre.stop_reason {
-                    Some(StopReason::Conflicts | StopReason::Propagations)
-                        if *remaining_conflicts != Some(0) => {}
-                    Some(reason) => {
-                        emit_done_preimage(
-                            out,
-                            id,
-                            timer,
-                            counters,
-                            graph,
-                            *accum,
-                            position_vars,
-                            false,
-                            Some(reason),
-                        );
-                        *finished = true;
-                    }
-                    None => {}
+                    None => Progress::Over(None),
+                    Some(reason) => Progress::Stopped(reason),
                 }
             }
             JobKind::Reach {
-                engine,
                 circuit,
                 driver,
                 emitted_rows,
             } => {
-                // The driver owns the request's total budget and deadline;
-                // the slice only caps this step's quantum.
-                let slice_b = Budget::unlimited().with_conflicts(quantum);
-                let step = driver.step(&*engine, circuit, &slice_b, &mut NullSink);
+                // The `ReachDriver` also holds the request's budget and
+                // deadline. Its session answers every step, so the engine
+                // passed in only has to equal the one it was built with.
+                let engine = SatPreimage::success_driven();
+                let step = driver.step(&engine, circuit, &slice, &mut NullSink);
                 let rows = driver.iteration_rows();
                 for row in &rows[*emitted_rows..] {
                     out.send_line(&iteration_event(
@@ -676,139 +520,95 @@ impl Job {
                 }
                 *emitted_rows = rows.len();
                 match step {
-                    ReachStep::Advanced => {}
-                    // Mid-frontier counter stops resume on the next slice;
-                    // the driver itself turns a spent total budget into
-                    // `Done` on that next step.
-                    ReachStep::Interrupted(StopReason::Conflicts | StopReason::Propagations) => {}
-                    ReachStep::Interrupted(_) | ReachStep::Done => {
-                        emit_done_reach(out, id, timer, driver, None);
-                        *finished = true;
-                    }
+                    ReachStep::Advanced => Progress::Advanced,
+                    ReachStep::Interrupted(reason) => Progress::Stopped(reason),
+                    ReachStep::Done => Progress::Over(driver.stop_reason()),
                 }
             }
         }
     }
-}
 
-fn stats_field(
-    mut stats: Stats,
-    timer: &Timer,
-    complete: bool,
-    stop: Option<StopReason>,
-) -> String {
-    stats.wall_time_ns = timer.elapsed_ns();
-    stats.with_stop(complete, stop).to_json()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_done_solve(
-    out: &OutputHandle,
-    id: &str,
-    timer: &Timer,
-    counters: &PreimageCounters,
-    result: &str,
-    model: Option<&str>,
-    complete: bool,
-    stop: Option<StopReason>,
-) {
-    let mut ev = DoneEvent::new(id, "solve", complete, stop).str_field("result", result);
-    if let Some(m) = model {
-        ev = ev.str_field("model", m);
+    /// Emits the terminal `done` event — the answer so far, complete when
+    /// `stop` is `None`, with the job's stats — and marks the job
+    /// finished.
+    fn finish(&mut self, stop: Option<StopReason>) {
+        let complete = stop.is_none();
+        let id = self.id.as_str();
+        let (event, stats) = match &self.kind {
+            JobKind::Solve { model, .. } => {
+                let event = DoneEvent::new(id, "solve", complete, stop);
+                let event = match (stop, model) {
+                    (Some(_), _) => event.str_field("result", "unknown"),
+                    (None, Some(model)) => {
+                        event.str_field("result", "sat").str_field("model", model)
+                    }
+                    (None, None) => event.str_field("result", "unsat"),
+                };
+                (event, Stats::from_sat("cdcl", &self.counters.sat))
+            }
+            JobKind::Enumerate {
+                important,
+                graph,
+                accum,
+                answer,
+                ..
+            } => {
+                // The canonical extraction: identical to what the one-shot
+                // CLI run prints for the same solution set, however the
+                // slices fell.
+                let rows = answer.rows(&graph.to_cube_set(*accum, important));
+                let num_cubes = rows.len() as u64;
+                let count = sat_u64(graph.minterm_count(*accum));
+                match answer {
+                    Answer::Models => (
+                        DoneEvent::new(id, "allsat", complete, stop)
+                            .u64_field("num_cubes", num_cubes)
+                            .u64_field("solutions", count)
+                            .raw_field("cubes", &string_array(rows)),
+                        Stats::from_allsat(ENGINE, &self.counters),
+                    ),
+                    Answer::States { .. } => (
+                        DoneEvent::new(id, "preimage", complete, stop)
+                            .u64_field("states", count)
+                            .u64_field("num_cubes", num_cubes)
+                            .raw_field("cubes", &string_array(rows)),
+                        Stats::from_preimage(ENGINE, &self.counters()),
+                    ),
+                }
+            }
+            JobKind::Reach { driver, .. } => {
+                let report = driver.report();
+                let rows: Vec<String> = report
+                    .reached
+                    .cubes()
+                    .iter()
+                    .map(|c| c.to_string())
+                    .collect();
+                (
+                    DoneEvent::new(id, "reach", complete, stop)
+                        .bool_field("converged", report.converged)
+                        .u64_field("iterations", report.iterations.len() as u64)
+                        .u64_field("reached_states", sat_u64(report.reached_states))
+                        .u64_field("num_cubes", rows.len() as u64)
+                        .raw_field("cubes", &string_array(rows)),
+                    Stats::from_preimage(ENGINE, &report.stats),
+                )
+            }
+        };
+        let mut stats = stats.with_stop(complete, stop);
+        stats.wall_time_ns = self.timer.elapsed_ns();
+        self.out
+            .send_line(&event.raw_field("stats", &stats.to_json()).finish());
+        self.finished = true;
     }
-    let stats = Stats::from_sat("cdcl", &counters.allsat.sat);
-    out.send_line(
-        &ev.raw_field("stats", &stats_field(stats, timer, complete, stop))
-            .finish(),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_done_allsat(
-    out: &OutputHandle,
-    id: &str,
-    timer: &Timer,
-    counters: &PreimageCounters,
-    graph: &SolutionGraph,
-    accum: SolutionNodeId,
-    important: &[Var],
-    complete: bool,
-    stop: Option<StopReason>,
-) {
-    // The canonical extraction: identical to what the one-shot CLI run
-    // prints for the same solution set, however the slices fell.
-    let cube_set = graph.to_cube_set(accum, important);
-    let rows: Vec<String> = cube_set.iter().map(dimacs_cube).collect();
-    let ev = DoneEvent::new(id, "allsat", complete, stop)
-        .u64_field("num_cubes", rows.len() as u64)
-        .u64_field("solutions", sat_u64(graph.minterm_count(accum)))
-        .raw_field("cubes", &string_array(rows));
-    let stats = Stats::from_allsat("success-driven", &counters.allsat);
-    out.send_line(
-        &ev.raw_field("stats", &stats_field(stats, timer, complete, stop))
-            .finish(),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_done_preimage(
-    out: &OutputHandle,
-    id: &str,
-    timer: &Timer,
-    counters: &PreimageCounters,
-    graph: &SolutionGraph,
-    accum: SolutionNodeId,
-    position_vars: &[Var],
-    complete: bool,
-    stop: Option<StopReason>,
-) {
-    let cube_set = graph.to_cube_set(accum, position_vars);
-    let rows: Vec<String> = cube_set.iter().map(|c| c.to_string()).collect();
-    let ev = DoneEvent::new(id, "preimage", complete, stop)
-        .u64_field("states", sat_u64(graph.minterm_count(accum)))
-        .u64_field("num_cubes", rows.len() as u64)
-        .raw_field("cubes", &string_array(rows));
-    let stats = Stats::from_preimage("success-driven", counters);
-    out.send_line(
-        &ev.raw_field("stats", &stats_field(stats, timer, complete, stop))
-            .finish(),
-    );
-}
-
-fn emit_done_reach(
-    out: &OutputHandle,
-    id: &str,
-    timer: &Timer,
-    driver: &ReachDriver,
-    forced: Option<(bool, Option<StopReason>)>,
-) {
-    let report = driver.report();
-    let (complete, stop) = forced.unwrap_or((report.complete, report.stop_reason));
-    let rows: Vec<String> = report
-        .reached
-        .cubes()
-        .iter()
-        .map(|c| c.to_string())
-        .collect();
-    let ev = DoneEvent::new(id, "reach", complete, stop)
-        .bool_field("converged", report.converged)
-        .u64_field("iterations", report.iterations.len() as u64)
-        .u64_field("reached_states", sat_u64(report.reached_states))
-        .u64_field("num_cubes", rows.len() as u64)
-        .raw_field("cubes", &string_array(rows));
-    let stats = Stats::from_preimage("success-driven", &report.stats);
-    out.send_line(
-        &ev.raw_field("stats", &stats_field(stats, timer, complete, stop))
-            .finish(),
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::parse_request;
-    use presat_obs::json::extract_u64;
-    use presat_preimage::parse_state_spec;
+    use presat_obs::json::{extract_u64, Json};
+    use presat_preimage::{parse_state_spec, PreimageEngine, StateSet};
     use std::io::Write;
     use std::sync::{Arc, Mutex};
 
@@ -952,42 +752,267 @@ mod tests {
         );
     }
 
-    /// A stalled reach slice (interrupted, no new state) doubles the next
-    /// slice's conflict allowance once: the driver counts the stalls, and
-    /// the job must not boost the quantum a second time.
-    #[test]
-    fn stalled_reach_slices_double_the_quantum_once() {
-        let circuit = presat_circuit::generators::parity(6);
-        let target = parse_state_spec("6=1", circuit.num_latches()).expect("spec parses");
-        let (out, buf) = capture();
-        let request = Request::Reach {
+    /// A random 3-CNF over `n` variables with `m` clauses.
+    fn random_3cnf(seed: u64, n: usize, m: usize) -> Cnf {
+        use presat_logic::{rng::SplitMix64, Lit};
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut cnf = Cnf::new(n);
+        for _ in 0..m {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::with_phase(Var::new(rng.gen_range(0..n)), rng.gen_bool(0.5)))
+                .collect();
+            cnf.add_clause(clause);
+        }
+        cnf
+    }
+
+    fn allsat_request(cnf: Cnf, project: usize, max_solutions: Option<u64>) -> Request {
+        Request::AllSat {
+            id: "a".into(),
+            session: "s".into(),
+            cnf,
+            project,
+            limits: RequestLimits::default(),
+            max_solutions,
+        }
+    }
+
+    /// daemon-mix's two light `preimage` circuits, each with its flag
+    /// latch set as the target, and a random netlist whose preimage
+    /// takes 57 conflicts, so that 1-conflict slices interrupt it.
+    fn sliceable_preimages() -> Vec<(Circuit, StateSet)> {
+        [
+            (presat_circuit::generators::comparator(6), "6=1"),
+            (presat_circuit::generators::parity(8), "8=1"),
+            (
+                presat_circuit::generators::random_dag(6, 10, 120, 1),
+                "0=1,1=0",
+            ),
+        ]
+        .into_iter()
+        .map(|(c, spec)| {
+            let target = parse_state_spec(spec, c.num_latches()).expect("spec parses");
+            (c, target)
+        })
+        .collect()
+    }
+
+    fn preimage_request(circuit: Circuit, target: StateSet) -> Request {
+        Request::Preimage {
             id: "p".into(),
             session: "s".into(),
             circuit,
             target,
             limits: RequestLimits::default(),
-            max_iter: None,
-        };
+        }
+    }
+
+    fn reach_request(circuit: Circuit, target: StateSet, max_iter: Option<usize>) -> Request {
+        Request::Reach {
+            id: "r".into(),
+            session: "s".into(),
+            circuit,
+            target,
+            limits: RequestLimits::default(),
+            max_iter,
+        }
+    }
+
+    /// Drives `request` at `quantum` to its `done` event. Returns every
+    /// line the job sent and the conflicts each slice spent.
+    fn run_to_done(request: Request, quantum: u64) -> (Vec<String>, Vec<u64>) {
+        let (out, buf) = capture();
         let mut job = Job::new(request, 0, out).expect("job builds");
-        let mut stalls = 0u32;
-        let mut seen = 0;
-        for slice in 0.. {
-            assert!(slice < 100_000, "job failed to terminate");
-            let r = job.run_slice(1, None);
-            assert!(
-                r.conflicts_spent <= 1 << stalls,
-                "slice {slice} spent {} conflicts after {stalls} stalled slices",
-                r.conflicts_spent
-            );
+        let mut spent = Vec::new();
+        loop {
+            assert!(spent.len() < 100_000, "job failed to terminate");
+            let r = job.run_slice(quantum, None);
+            spent.push(r.conflicts_spent);
             if r.outcome == SliceOutcome::Done {
                 break;
             }
-            let all = lines(&buf);
-            let progressed = all[seen..]
+        }
+        (lines(&buf), spent)
+    }
+
+    #[test]
+    fn one_conflict_slices_spend_one_conflict_and_every_kind_finishes() {
+        let mut requests: Vec<Request> = (1..=3)
+            .map(|seed| allsat_request(random_3cnf(seed, 30, 84), 12, None))
+            .collect();
+        for (circuit, target) in sliceable_preimages() {
+            requests.push(preimage_request(circuit, target));
+        }
+        let circuit = presat_circuit::generators::parity(6);
+        let target = parse_state_spec("6=1", circuit.num_latches()).expect("spec parses");
+        requests.push(reach_request(circuit, target, None));
+        for request in requests {
+            let op = request.op();
+            let (all, spent) = run_to_done(request, 1);
+            assert!(
+                spent.iter().all(|&c| c <= 1),
+                "{op}: slices spent {spent:?} conflicts at a quantum of 1"
+            );
+            let done = all.last().expect("a done event");
+            assert!(done.contains(r#""event":"done""#), "{op}: {done}");
+            assert!(done.contains(r#""complete":true"#), "{op}: {done}");
+        }
+    }
+
+    /// Sliced enumeration adds no clause: the solver holds the formula's
+    /// clauses plus at most one learnt clause per conflict.
+    #[test]
+    fn sliced_allsat_keeps_only_the_formula_and_its_learnt_clauses() {
+        for seed in 1..=3 {
+            let cnf = random_3cnf(seed, 30, 84);
+            let clauses = cnf.num_clauses() as u64;
+            let (all, spent) = run_to_done(allsat_request(cnf, 12, None), 1);
+            let done = all.last().expect("a done event");
+            assert!(done.contains(r#""complete":true"#), "{done}");
+            let peak = extract_u64(done, "stats.allsat.db_clauses_peak").expect("peak gauge");
+            let spent: u64 = spent.iter().sum();
+            assert!(
+                peak <= clauses + spent,
+                "seed {seed}: {peak} clauses peak against {clauses} + {spent} conflicts"
+            );
+        }
+    }
+
+    /// A re-run finds again what earlier slices found; the `cubes` events
+    /// carry each solution once.
+    #[test]
+    fn sliced_allsat_streams_each_solution_once() {
+        for seed in 1..=3 {
+            let (all, _) = run_to_done(allsat_request(random_3cnf(seed, 30, 84), 12, None), 1);
+            let mut streamed = 0u64;
+            for line in all.iter().filter(|l| l.contains(r#""event":"cubes""#)) {
+                let event = Json::parse(line).expect("cubes event parses");
+                let Some(Json::Arr(rows)) = event.get("cubes") else {
+                    panic!("no cube rows in {line}");
+                };
+                for row in rows {
+                    // A row lists its literals, then `0`.
+                    let width = row.as_str().expect("row").split_whitespace().count() - 1;
+                    streamed += 1 << (12 - width);
+                }
+            }
+            let done = all.last().expect("a done event");
+            assert_eq!(
+                Some(streamed),
+                extract_u64(done, "solutions"),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn preimage_jobs_answer_the_one_shot_preimage() {
+        let quantum = crate::scheduler::Config::default().slice_conflicts;
+        for (circuit, target) in sliceable_preimages() {
+            let reference = SatPreimage::success_driven().preimage(&circuit, &target);
+            let want: Vec<String> = reference
+                .states
+                .cubes()
                 .iter()
-                .any(|l| extract_u64(l, "new_states").is_some_and(|n| n > 0));
-            seen = all.len();
-            stalls = if progressed { 0 } else { stalls + 1 };
+                .map(|c| c.to_string())
+                .collect();
+            let states = reference.states.minterm_count(circuit.num_latches());
+            for q in [1, quantum] {
+                let request = preimage_request(circuit.clone(), target.clone());
+                let (all, _) = run_to_done(request, q);
+                let done = all.last().expect("a done event");
+                assert!(done.contains(r#""complete":true"#), "{done}");
+                assert_eq!(
+                    extract_u64(done, "states").map(u128::from),
+                    Some(states),
+                    "{done}"
+                );
+                assert!(
+                    done.contains(&format!("\"cubes\":{}", string_array(want.clone()))),
+                    "{} at quantum {q}: {done} should carry exactly {want:?}",
+                    circuit.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_solutions_caps_the_whole_sliced_job() {
+        let quantum = crate::scheduler::Config::default().slice_conflicts;
+        let cnf = random_3cnf(1, 30, 84);
+        let (all, _) = run_to_done(allsat_request(cnf.clone(), 12, None), quantum);
+        let total = extract_u64(all.last().expect("done"), "solutions").expect("solutions");
+        let cap = total / 2;
+        for q in [1, quantum] {
+            let (all, _) = run_to_done(allsat_request(cnf.clone(), 12, Some(cap)), q);
+            let done = all.last().expect("a done event");
+            assert!(done.contains(r#""stop_reason":"max_solutions""#), "{done}");
+            let found = extract_u64(done, "solutions").expect("solutions");
+            assert!(
+                (cap..total).contains(&found),
+                "{found} of {total}, cap {cap}"
+            );
+        }
+    }
+
+    /// `max_iter` counts completed frontiers, however many slices each
+    /// took: the sliced answer and its iteration rows are the one-shot
+    /// run's.
+    #[test]
+    fn reach_iteration_cap_counts_frontiers_not_slices() {
+        let quantum = crate::scheduler::Config::default().slice_conflicts;
+        let circuit = presat_circuit::generators::parity(6);
+        let target = parse_state_spec("6=1", circuit.num_latches()).expect("spec parses");
+        let options = ReachOptions {
+            max_iterations: Some(2),
+            ..ReachOptions::default()
+        };
+        let one_shot = presat_preimage::backward_reach(
+            &SatPreimage::success_driven(),
+            &circuit,
+            &target,
+            options,
+        );
+        let want_cubes: Vec<String> = one_shot
+            .reached
+            .cubes()
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        let want_rows: Vec<[u64; 3]> = one_shot
+            .iterations
+            .iter()
+            .map(|row| {
+                [
+                    row.iteration as u64,
+                    sat_u64(row.new_states),
+                    sat_u64(row.reached_states),
+                ]
+            })
+            .collect();
+        for q in [1, quantum] {
+            let request = reach_request(circuit.clone(), target.clone(), Some(2));
+            let (all, _) = run_to_done(request, q);
+            let rows: Vec<[u64; 3]> = all
+                .iter()
+                .filter(|l| l.contains(r#""event":"iteration""#))
+                .map(|l| {
+                    ["iteration", "new_states", "reached_states"]
+                        .map(|k| extract_u64(l, k).expect("iteration field"))
+                })
+                .collect();
+            assert_eq!(rows, want_rows, "rows at quantum {q}");
+            let done = all.last().expect("a done event");
+            assert!(done.contains(r#""complete":true"#), "{done}");
+            assert_eq!(
+                extract_u64(done, "reached_states").map(u128::from),
+                Some(one_shot.reached_states),
+                "{done}"
+            );
+            assert!(
+                done.contains(&format!("\"cubes\":{}", string_array(want_cubes.clone()))),
+                "quantum {q}: {done}"
+            );
         }
     }
 }

@@ -71,6 +71,19 @@ if sed -n '1,/#\[cfg(test)\]/p' crates/core/src/chrono.rs \
   exit 1
 fi
 
+# Lint gate: presatd resumes a sliced job by running its enumeration again,
+# through the success cache, never by adding clauses to the job's solver —
+# nothing in crates/presatd/src may call add_clause, block_states or
+# block_model. (Comments and in-file unit tests below the #[cfg(test)]
+# marker are out of scope, as above.)
+for f in crates/presatd/src/*.rs; do
+  if sed -n '1,/#\[cfg(test)\]/p' "$f" \
+      | grep -v '^\s*//' | grep -n 'add_clause\|block_states\|block_model'; then
+    echo "verify: FAIL — $f adds clauses to a job's solver (resume through the success cache)" >&2
+    exit 1
+  fi
+done
+
 # Lint gate: the preimage layer maps circuit leaves to CNF variables in one
 # place, `frame` in crates/preimage/src/encoding.rs, so no other module of
 # that crate builds a Tseitin encoder itself. (Comments and in-file unit

@@ -566,7 +566,7 @@ fn event_streams_are_pinned() {
         ("one-shot stopped", [198, 4474931655228121751]),
         ("one-shot stopped", [50, 16340885009531750509]),
         ("session fixed point", [192, 12093501813402871881]),
-        ("sliced session", [157, 5164171628455963465]),
+        ("sliced session", [236, 16724924899459620861]),
         ("partitioned", [165, 3431180776826070297]),
     ];
     assert_eq!(got, want);
